@@ -35,16 +35,16 @@ mu_h = mshap.baseline(premium, background)
 
 combined = mshap.combine(expl_freq, expl_sev, mu_h, mshap.AlphaMethod.ABSOLUTE)
 
-print(f"mean premium over the background book: {combined.mu_h:8.2f}")
+print(f"mean premium over the background book: {combined.baseline:8.2f}")
 print(f"baseline-product correction alpha:     {combined.alpha:8.4f}\n")
 
 header = "premium   " + "".join(f"{n:>16}" for n in names) + "   reconstruction"
 print(header)
 for i in range(combined.n_rows):
     parts = "".join(f"{v:16.2f}" for v in combined.values[i])
-    recon = combined.mu_h + combined.values[i].sum()
+    recon = combined.baseline + combined.values[i].sum()
     print(f"{combined.predictions[i]:8.2f}  {parts} {recon:16.2f}")
 
-report = mshap.validate_local_accuracy(combined.as_shap_explanation(), 1e-9)
+report = mshap.validate_local_accuracy(combined, 1e-9)
 print(f"\nlocal accuracy at 1e-9 on all rows: {report.passed}")
 print(f"largest residual: {report.max_residual:.3e}")

@@ -55,5 +55,5 @@ for i in range(5):
     cells = "".join(f"{v:16.2f}" for v in before.values[i])
     print(f"{before.predictions[i]:13.2f} {cells}")
 
-ok = mshap.validate_local_accuracy(before.as_shap_explanation(), 1e-9).passed
+ok = mshap.validate_local_accuracy(before, 1e-9).passed
 print(f"\nlocal accuracy of the expected-value attribution: {ok}")

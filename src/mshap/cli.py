@@ -165,7 +165,6 @@ OPTIONS: dict[str, list[Option]] = {
     ],
     "bench": _COMMON + [
         Option("seed", _as_int, default=0),
-        Option("threads", _as_int, default=1, help="accepted for parity; the timed region is sequential"),
         Option("enum_limit", _as_int, default=DEFAULT_ENUM_LIMIT),
         Option("p_values", _as_int_list, default=list(range(2, 13)), help="feature counts to benchmark"),
         Option("n_values", _as_int_list, default=[50], help="row counts to benchmark"),
@@ -313,7 +312,7 @@ def cmd_combine(resolved: dict) -> int:
     _echo_config("combine", resolved, out)
     print(
         f"combined {result.n_rows} rows x {result.n_features} features "
-        f"(method={result.method.value}, mu_h={fmt17(result.mu_h)}, alpha={fmt17(result.alpha)}, "
+        f"(method={result.method.value}, mu_h={fmt17(result.baseline)}, alpha={fmt17(result.alpha)}, "
         f"advisories={len(result.fallback_rows)}) -> {out / 'mshap.csv'}"
     )
     return 0

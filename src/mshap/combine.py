@@ -57,58 +57,24 @@ class AlphaMethod(Enum):
     SQUARED = "squared"
 
 
-@dataclass(frozen=True)
-class MshapExplanation:
+@dataclass(frozen=True, kw_only=True)
+class MshapExplanation(ShapExplanation):
     """Combined attributions for a product model.
 
-    ``values`` is the (n, p) matrix of per-feature contributions, and each row
-    plus ``mu_h`` reconstructs the product prediction ``z_hat = x_hat * y_hat``.
+    A plain :class:`ShapExplanation` whose ``baseline`` is mu_h, so each row of
+    ``values`` plus the baseline reconstructs ``z_hat = x_hat * y_hat``.
     ``alpha`` records the distributed correction ``mu_f * mu_g - mu_h``;
     ``fallback_rows`` lists rows where the requested weighting degenerated and
     the uniform rule was used instead.
     """
 
-    values: np.ndarray
-    mu_h: float
     alpha: float
     method: AlphaMethod
-    predictions: np.ndarray
-    feature_names: tuple[str, ...] | None = None
     fallback_rows: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        preds = np.asarray(self.predictions, dtype=float).reshape(-1)
-        if values.shape[0] != preds.shape[0]:
-            raise DimensionError(
-                f"{values.shape[0]} attribution rows but {preds.shape[0]} predictions"
-            )
-        if self.feature_names is not None:
-            names = tuple(str(s) for s in self.feature_names)
-            if len(names) != values.shape[1]:
-                raise DimensionError(f"{len(names)} feature names for {values.shape[1]} columns")
-            object.__setattr__(self, "feature_names", names)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "predictions", preds)
-        object.__setattr__(self, "mu_h", float(self.mu_h))
-        object.__setattr__(self, "alpha", float(self.alpha))
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.values.shape[1]
-
     def as_shap_explanation(self) -> ShapExplanation:
-        """View as a plain additive explanation (baseline = mu_h)."""
-        return ShapExplanation(
-            values=self.values,
-            baseline=self.mu_h,
-            predictions=self.predictions,
-            feature_names=self.feature_names,
-        )
+        """The explanation itself; it already is one with baseline mu_h."""
+        return self
 
 
 def compute_alpha(mu_f: float, mu_g: float, mu_h: float) -> float:
@@ -132,27 +98,11 @@ def _prime_rows(sx: np.ndarray, sy: np.ndarray, mu_f: float, mu_g: float) -> np.
     return mu_f * sy + mu_g * sx + 0.5 * (sx * row_sy + sy * row_sx)
 
 
-def mshap_prime(sx_row, sy_row, mu_f: float, mu_g: float) -> np.ndarray:
-    """Pre-correction combined attribution s' for one observation.
-
-    Symmetric in the two parts; the vector sums to
-    ``x_hat * y_hat - mu_f * mu_g``.
-    """
-    sx = np.asarray(sx_row, dtype=float).reshape(-1)
-    sy = np.asarray(sy_row, dtype=float).reshape(-1)
-    if sx.shape != sy.shape:
-        raise DimensionError(f"attribution rows differ in length: {sx.shape[0]} vs {sy.shape[0]}")
-    if sx.shape[0] < 1:
-        raise DimensionError("attribution rows must have at least one feature")
-    return _prime_rows(sx[None, :], sy[None, :], float(mu_f), float(mu_g))[0]
-
-
 def _distribute_rows(
     s_prime: np.ndarray,
     alpha: float,
     method: AlphaMethod,
     z_hat: np.ndarray,
-    mu_f_mu_g: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply the alpha weighting row-wise; returns (s_z, fallback mask)."""
     n, p = s_prime.shape
@@ -195,40 +145,6 @@ def _distribute_rows(
     return s_prime + alpha * weights, degenerate
 
 
-@dataclass(frozen=True)
-class AlphaDistribution:
-    """One distributed row plus an advisory flag for the degenerate fallback."""
-
-    values: np.ndarray
-    fallback: bool
-
-
-def distribute_alpha(
-    s_prime,
-    alpha: float,
-    method: AlphaMethod,
-    z_hat: float,
-    mu_f_mu_g: float,
-) -> AlphaDistribution:
-    """Fold alpha into one s' row using the requested weighting.
-
-    ``z_hat - mu_f_mu_g`` must agree with ``sum(s_prime)`` to 1e-6 relative;
-    they are the same quantity computed two ways.
-    """
-    sp = np.asarray(s_prime, dtype=float).reshape(-1)
-    if sp.shape[0] < 1:
-        raise DimensionError("s_prime must have at least one feature")
-    whole = float(z_hat) - float(mu_f_mu_g)
-    if abs(sp.sum() - whole) > INPUT_ACCURACY_TOL * max(1.0, abs(whole)):
-        raise InvalidInputError(
-            f"sum(s_prime)={sp.sum():.6g} is inconsistent with z_hat - mu_f*mu_g={whole:.6g}"
-        )
-    s_z, degenerate = _distribute_rows(
-        sp[None, :], float(alpha), method, np.array([float(z_hat)]), float(mu_f_mu_g)
-    )
-    return AlphaDistribution(values=s_z[0], fallback=bool(degenerate[0]))
-
-
 def _check_alignment(expl_f: ShapExplanation, expl_g: ShapExplanation) -> tuple[str, ...] | None:
     if expl_f.values.shape != expl_g.values.shape:
         raise DimensionError(
@@ -256,9 +172,13 @@ def combine(
     ``mu_h`` is the mean product prediction over the training/background set
     (see :func:`mean_product_baseline`); it is passed explicitly because the
     set defining it may differ from the rows being explained.  Inputs must
-    satisfy local accuracy at 1e-6 relative.  The default weighting is the
-    absolute-value rule, the best scorer of the four in simulation.
+    satisfy local accuracy at 1e-6 relative, and ``mu_h`` must be finite.  The
+    default weighting is the absolute-value rule, the best scorer of the four
+    in simulation.
     """
+    mu_h = float(mu_h)
+    if not np.isfinite(mu_h):
+        raise InvalidInputError(f"mu_h must be finite, got {mu_h}")
     names = _check_alignment(expl_f, expl_g)
     for label, expl in (("f", expl_f), ("g", expl_g)):
         report = validate_local_accuracy(expl, INPUT_ACCURACY_TOL)
@@ -269,16 +189,16 @@ def combine(
             )
     mu_f, mu_g = expl_f.baseline, expl_g.baseline
     s_prime = _prime_rows(expl_f.values, expl_g.values, mu_f, mu_g)
-    alpha = compute_alpha(mu_f, mu_g, float(mu_h))
+    alpha = compute_alpha(mu_f, mu_g, mu_h)
     z_hat = expl_f.predictions * expl_g.predictions
-    s_z, degenerate = _distribute_rows(s_prime, alpha, method, z_hat, mu_f * mu_g)
+    s_z, degenerate = _distribute_rows(s_prime, alpha, method, z_hat)
     return MshapExplanation(
         values=s_z,
-        mu_h=float(mu_h),
-        alpha=alpha,
-        method=method,
+        baseline=mu_h,
         predictions=z_hat,
         feature_names=names,
+        alpha=alpha,
+        method=method,
         fallback_rows=tuple(np.flatnonzero(degenerate).tolist()),
     )
 
@@ -329,16 +249,16 @@ def linear_combine_mshap(
     methods = {e.method for _, e in parts}
     if len(methods) > 1:
         raise InvalidInputError(f"parts mix alpha methods: {sorted(m.value for m in methods)}")
-    matrix, mu_h = linear_combine((w, e.values, e.mu_h) for w, e in parts)
+    matrix, mu_h = linear_combine((w, e.values, e.baseline) for w, e in parts)
     alpha = sum(w * e.alpha for w, e in parts)
     preds = sum(w * e.predictions for w, e in parts)
     fallback = sorted({i for _, e in parts for i in e.fallback_rows})
     return MshapExplanation(
         values=matrix,
-        mu_h=mu_h,
-        alpha=alpha,
-        method=parts[0][1].method,
+        baseline=mu_h,
         predictions=preds,
         feature_names=parts[0][1].feature_names,
+        alpha=alpha,
+        method=parts[0][1].method,
         fallback_rows=tuple(fallback),
     )

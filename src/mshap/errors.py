@@ -17,14 +17,6 @@ class InvalidInputError(MshapError):
     """Inputs are well-shaped but violate a documented precondition."""
 
 
-class DenominatorGuardError(MshapError):
-    """A response-function denominator fell below the safety threshold.
-
-    Raised as a resample signal: callers drawing random covariates should
-    redraw the offending row rather than treat this as fatal.
-    """
-
-
 class ResampleLimitError(MshapError):
     """Guarded covariate sampling failed to produce valid rows after retries."""
 

@@ -65,25 +65,6 @@ def _relative_value(s, k, theta2):
     return np.minimum(1.0, (0.5 + 0.5 * theta2) / (np.abs(s * 0.5 - k * 0.5) + 0.5))
 
 
-def lambda1(s: float, k: float, theta1: float) -> float:
-    """Direction agreement: 1 when s and k share a sign, decaying slack otherwise."""
-    if not theta1 > 0:
-        raise InvalidInputError(f"theta1 must be > 0, got {theta1}")
-    return float(_direction(float(s), float(k), theta1))
-
-
-def lambda2(s: float, k: float, theta2: float) -> float:
-    """Value agreement: 1 while |s - k| <= theta2, then hyperbolic decay."""
-    if not theta2 > 0:
-        raise InvalidInputError(f"theta2 must be > 0, got {theta2}")
-    return float(_relative_value(float(s), float(k), theta2))
-
-
-def lambda3(rank_s: int, rank_k: int) -> float:
-    """Rank agreement: 1 / (|rank gap| + 1)."""
-    return 1.0 / (abs(int(rank_s) - int(rank_k)) + 1)
-
-
 def importance_ranks(row) -> np.ndarray:
     """Ranks 1..p by descending absolute value; ties go to the lower index."""
     values = np.atleast_2d(np.asarray(row, dtype=float))
@@ -91,15 +72,6 @@ def importance_ranks(row) -> np.ndarray:
     ranks = np.empty_like(order)
     np.put_along_axis(ranks, order, np.arange(1, values.shape[1] + 1)[None, :], axis=1)
     return ranks[0] if np.asarray(row).ndim == 1 else ranks
-
-
-def beta(s: float, k: float, rank_s: int, rank_k: int, params: ScoreParams) -> float:
-    """Per-cell total score lambda1 + lambda2 + lambda3, in (0, 3]."""
-    return (
-        lambda1(s, k, params.theta1)
-        + lambda2(s, k, params.theta2)
-        + lambda3(rank_s, rank_k)
-    )
 
 
 def score_matrices(candidate, reference, params: ScoreParams) -> ScoreBreakdown:

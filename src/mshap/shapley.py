@@ -17,7 +17,7 @@ the attribution row sums to the model prediction for that instance.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial, lgamma
 from typing import Callable, Sequence
 
@@ -33,7 +33,6 @@ class ModelFunction:
     """A deterministic prediction function over ``arity`` real covariates.
 
     ``fn`` must accept a ``(k, arity)`` array and return ``k`` predictions.
-    Use :meth:`from_scalar` to wrap a plain row-at-a-time function.
     """
 
     arity: int
@@ -56,11 +55,6 @@ class ModelFunction:
             )
         return out
 
-    @classmethod
-    def from_scalar(cls, arity: int, fn: Callable[[np.ndarray], float]) -> "ModelFunction":
-        """Wrap a function of a single p-vector into a batched ModelFunction."""
-        return cls(arity, lambda X: np.array([fn(row) for row in X], dtype=float))
-
 
 def constant_model(arity: int, value: float) -> ModelFunction:
     return ModelFunction(arity, lambda X: np.full(X.shape[0], float(value)))
@@ -78,23 +72,8 @@ def product_model(f: ModelFunction, g: ModelFunction) -> ModelFunction:
     return ModelFunction(f.arity, lambda X: f(X) * g(X))
 
 
-@dataclass(frozen=True)
-class BackgroundSet:
-    """Reference observations used for the interventional value function."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != 2 or data.shape[0] < 1:
-            raise DimensionError(
-                f"background must be a nonempty (m, p) matrix, got shape {data.shape}"
-            )
-        object.__setattr__(self, "data", data)
-
-
 def _as_background(background, arity: int) -> np.ndarray:
-    data = background.data if isinstance(background, BackgroundSet) else np.asarray(background, dtype=float)
+    data = np.asarray(background, dtype=float)
     if data.ndim != 2 or data.shape[0] < 1:
         raise DimensionError(f"background must be a nonempty (m, p) matrix, got shape {data.shape}")
     if data.shape[1] != arity:
@@ -105,21 +84,15 @@ def _as_background(background, arity: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ShapRow:
-    """Attributions for one instance: ``prediction == baseline + values.sum()``."""
+class SamplingRow:
+    """Sampled attributions for one instance, with per-feature standard errors."""
 
     values: np.ndarray
     baseline: float
     prediction: float
-
-
-@dataclass(frozen=True)
-class SamplingRow(ShapRow):
-    """A sampled attribution row with per-feature standard errors."""
-
-    stderr: np.ndarray = field(default=None)
-    n_permutations: int = 0
-    exhaustive: bool = False
+    stderr: np.ndarray
+    n_permutations: int
+    exhaustive: bool
 
 
 @dataclass(frozen=True)
@@ -264,7 +237,11 @@ def explain_matrix(
     enum_limit: int = DEFAULT_ENUM_LIMIT,
     feature_names: Sequence[str] | None = None,
 ) -> ShapExplanation:
-    """Exact Shapley attributions for every row of ``X`` by full enumeration."""
+    """Exact Shapley attributions for every row of ``X`` by full enumeration.
+
+    phi_j sums, over all coalitions S not containing j, the factorial weight
+    |S|! (p-|S|-1)! / p! times the value gap v(S + {j}) - v(S).
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     data = _as_background(background, model.arity)
     n, p = X.shape
@@ -283,23 +260,6 @@ def explain_matrix(
         predictions=model(X),
         feature_names=tuple(feature_names) if feature_names is not None else None,
     )
-
-
-def exact_shapley(
-    model: ModelFunction,
-    instance,
-    background,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
-) -> ShapRow:
-    """Exact Shapley attribution row for a single instance.
-
-    phi_j sums, over all coalitions S not containing j, the factorial weight
-    |S|! (p-|S|-1)! / p! times the value gap v(S + {j}) - v(S).  The returned
-    row satisfies sum(phi) == model(instance) - baseline.
-    """
-    x = _check_instance(instance, model.arity)
-    expl = explain_matrix(model, x[None, :], background, enum_limit=enum_limit)
-    return ShapRow(values=expl.values[0], baseline=expl.baseline, prediction=float(expl.predictions[0]))
 
 
 def _sampling_core(

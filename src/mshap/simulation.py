@@ -26,9 +26,7 @@ import numpy as np
 
 from .combine import AlphaMethod, combine
 from .errors import (
-    DenominatorGuardError,
     DimensionError,
-    EnumerationLimitError,
     InvalidInputError,
     ResampleLimitError,
 )
@@ -132,10 +130,6 @@ class CovariateSpec:
     def n_features(self) -> int:
         return len(self.bounds)
 
-    @classmethod
-    def uniform_box(cls, p: int, lo: float = -1.0, hi: float = 1.0) -> "CovariateSpec":
-        return cls(((lo, hi),) * p)
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -220,16 +214,6 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(tuple(int(x) for x in parts)).generate_state(1)[0])
 
 
-def gen_covariates(spec: CovariateSpec, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. rows, each feature uniform on its bounds; reproducible per seed."""
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    lo = np.array([b[0] for b in spec.bounds])
-    hi = np.array([b[1] for b in spec.bounds])
-    return rng.uniform(lo, hi, size=(n, spec.n_features))
-
-
 def _resolve_response(fn) -> ResponseFunction:
     if isinstance(fn, ResponseFunction):
         return fn
@@ -237,21 +221,6 @@ def _resolve_response(fn) -> ResponseFunction:
         return RESPONSE_FUNCTIONS[fn]
     except KeyError:
         raise InvalidInputError(f"unknown response function id: {fn!r}") from None
-
-
-def eval_response(fn, row) -> float:
-    """Evaluate one catalog formula on one row, enforcing the denominator guard."""
-    rf = _resolve_response(fn)
-    x = np.asarray(row, dtype=float).reshape(1, -1)
-    if x.shape[1] < rf.arity:
-        raise DimensionError(f"{rf.id} needs >= {rf.arity} features, row has {x.shape[1]}")
-    if rf.denominator is not None:
-        den = float(rf.denominator(x)[0])
-        if abs(den) < DENOMINATOR_GUARD:
-            raise DenominatorGuardError(
-                f"{rf.id} denominator {den:.3e} below guard {DENOMINATOR_GUARD}; resample the row"
-            )
-    return float(rf.formula(x)[0])
 
 
 def scenario_model(fn, p: int) -> ModelFunction:

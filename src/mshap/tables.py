@@ -14,13 +14,12 @@ import csv
 import json
 import math
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .combine import MshapExplanation
 from .errors import DimensionError, TableFormatError
 from .shapley import ShapExplanation
 
@@ -30,12 +29,17 @@ def fmt17(x: float) -> str:
 
 
 def meta_path(path) -> Path:
-    return Path(path).with_suffix("").with_suffix(".meta.json")
+    """Sidecar of a table: only the last suffix is replaced (run.v1.csv -> run.v1.meta.json)."""
+    path = Path(path)
+    return path.with_name(path.stem + ".meta.json")
 
 
 def _atomic_write_text(path, text: str) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+    # mkstemp would create the file 0600; an exclusive create with 0666 gets
+    # the mode open() gives, i.e. the umask applies
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
@@ -89,18 +93,17 @@ class ShapTable:
 
 
 def explanation_to_table(
-    expl: ShapExplanation | MshapExplanation,
+    expl: ShapExplanation,
     prediction_column: str = "prediction",
     extra_meta: dict | None = None,
 ) -> ShapTable:
-    base = expl.mu_h if isinstance(expl, MshapExplanation) else expl.baseline
     names = expl.feature_names
     if names is None:
         names = tuple(f"x{i + 1}" for i in range(expl.values.shape[1]))
     return ShapTable(
         feature_names=names,
         values=expl.values,
-        baseline=base,
+        baseline=expl.baseline,
         predictions=expl.predictions,
         prediction_column=prediction_column,
         extra_meta=dict(extra_meta or {}),

@@ -17,11 +17,9 @@ from mshap import (
     ScoreParams,
     ShapExplanation,
     additive_model,
-    baseline,
     bench_scaling,
     combine,
     default_grid,
-    exact_shapley,
     explain_matrix,
     explanation_to_table,
     linear_combine_explanations,
@@ -36,7 +34,6 @@ from mshap import (
     write_shap_table,
 )
 from mshap.cli import RESULT_COLUMNS, SCORE_FIELDS, _rows_to_csv, main
-from mshap.scoring import lambda1, lambda2
 from mshap.simulation import ScenarioSpec, grid_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -68,7 +65,7 @@ def test_criterion_1_local_accuracy_randomized():
             mu_h = float(rng.uniform(-1e3, 1e3))
         for method in METHODS:
             out = combine(expl_f, expl_g, mu_h, method)
-            report = validate_local_accuracy(out.as_shap_explanation(), 1e-9)
+            report = validate_local_accuracy(out, 1e-9)
             assert report.passed, (
                 f"row {report.worst_row} of call {calls} ({method.value}) "
                 f"residual {report.residuals[report.worst_row]:.3e}"
@@ -117,14 +114,17 @@ def test_criterion_3_exact_shapley_validation():
     rng = np.random.default_rng(303)
     start = time.perf_counter()
 
+    def explain_row(model, x, background):
+        return explain_matrix(model, x[None, :], background).values[0]
+
     for _ in range(300):
         p = int(rng.integers(1, 9))
         coefs = rng.uniform(-3, 3, p)
         background = rng.uniform(-2, 2, (int(rng.integers(1, 21)), p))
         x = rng.uniform(-2, 2, p)
-        row = exact_shapley(additive_model(coefs, intercept=float(rng.uniform(-1, 1))), x, background)
+        row = explain_row(additive_model(coefs, intercept=float(rng.uniform(-1, 1))), x, background)
         closed = coefs * (x - background.mean(axis=0))
-        assert np.all(np.abs(row.values - closed) <= 1e-9 * np.maximum(1.0, np.abs(closed)))
+        assert np.all(np.abs(row - closed) <= 1e-9 * np.maximum(1.0, np.abs(closed)))
 
     for _ in range(100):
         p = int(rng.integers(2, 9))
@@ -139,8 +139,8 @@ def test_criterion_3_exact_shapley_validation():
         background[:, j] = background[:, i]
         x = rng.uniform(-1, 1, p)
         x[j] = x[i]
-        row = exact_shapley(ModelFunction(p, symmetric), x, background)
-        assert abs(row.values[i] - row.values[j]) <= 1e-12 * max(1.0, abs(row.values[i]))
+        row = explain_row(ModelFunction(p, symmetric), x, background)
+        assert abs(row[i] - row[j]) <= 1e-12 * max(1.0, abs(row[i]))
 
     for _ in range(100):
         p = int(rng.integers(2, 9))
@@ -150,8 +150,8 @@ def test_criterion_3_exact_shapley_validation():
         def ignores(X, live=live):
             return np.sin(X[:, live].sum(axis=1)) + np.prod(X[:, live[:2]], axis=1)
 
-        row = exact_shapley(ModelFunction(p, ignores), rng.uniform(-1, 1, p), rng.uniform(-1, 1, (5, p)))
-        assert row.values[dead] == 0.0
+        row = explain_row(ModelFunction(p, ignores), rng.uniform(-1, 1, p), rng.uniform(-1, 1, (5, p)))
+        assert row[dead] == 0.0
 
     for _ in range(100):
         p = int(rng.integers(1, 7))
@@ -161,8 +161,8 @@ def test_criterion_3_exact_shapley_validation():
         mixed = ModelFunction(p, lambda X: a * f(X) + b * g(X))
         background = rng.uniform(-1, 1, (5, p))
         x = rng.uniform(-1, 1, p)
-        expected = a * exact_shapley(f, x, background).values + b * exact_shapley(g, x, background).values
-        got = exact_shapley(mixed, x, background).values
+        expected = a * explain_row(f, x, background) + b * explain_row(g, x, background)
+        got = explain_row(mixed, x, background)
         assert np.all(np.abs(got - expected) <= 1e-9 * np.maximum(1.0, np.abs(expected)))
 
     elapsed = time.perf_counter() - start
@@ -232,13 +232,18 @@ def test_criterion_6_scoring_bounds_and_identities():
     theta1 = rng.choice(np.arange(1.5, 21.0, 1.0), n_cells)
     theta2 = rng.choice(np.arange(1.0, 47.0, 5.0), n_cells)
 
-    for i in range(0, n_cells, 500):  # spot the scalar path across the range
-        v1 = lambda1(s[i], k[i], theta1[i])
-        v2 = lambda2(s[i], k[i], theta2[i])
-        assert 0.0 < v1 <= 1.0 and 0.0 < v2 <= 1.0
+    def cell(si, ki, t1, t2):
+        # a 1x1 pair scores one cell: direction_score and relative_value_score
+        # are that cell's direction and value pieces
+        return score_matrices([[si]], [[ki]], ScoreParams(t1, t2))
 
-    l1 = np.array([lambda1(si, ki, t1) for si, ki, t1 in zip(s[:2000], k[:2000], theta1[:2000])])
-    l2 = np.array([lambda2(si, ki, t2) for si, ki, t2 in zip(s[:2000], k[:2000], theta2[:2000])])
+    for i in range(0, n_cells, 500):  # spot single cells across the range
+        one = cell(s[i], k[i], theta1[i], theta2[i])
+        assert 0.0 < one.direction_score <= 1.0 and 0.0 < one.relative_value_score <= 1.0
+
+    cells = [cell(*args) for args in zip(s[:2000], k[:2000], theta1[:2000], theta2[:2000])]
+    l1 = np.array([c.direction_score for c in cells])
+    l2 = np.array([c.relative_value_score for c in cells])
     assert np.all((l1 > 0) & (l1 <= 1.0))
     assert np.all((l2 > 0) & (l2 <= 1.0))
 
@@ -253,13 +258,15 @@ def test_criterion_6_scoring_bounds_and_identities():
     )
 
     same_sign = ((s > 0) & (k > 0)) | ((s < 0) & (k < 0))
-    quadrant = np.array([lambda1(si, ki, 1.5) for si, ki in zip(s[same_sign][:2000], k[same_sign][:2000])])
+    quadrant = np.array(
+        [cell(si, ki, 1.5, 1.0).direction_score for si, ki in zip(s[same_sign][:2000], k[same_sign][:2000])]
+    )
     assert np.all(quadrant == 1.0)
 
     for theta in (1.0, 6.0, 46.0):
         base = rng.uniform(-100, 100)
-        assert lambda2(base + theta, base, theta) == 1.0
-        assert lambda2(base + theta * (1 + 1e-9), base, theta) <= 1.0
+        assert cell(base + theta, base, 1.5, theta).relative_value_score == 1.0
+        assert cell(base + theta * (1 + 1e-9), base, 1.5, theta).relative_value_score <= 1.0
 
     elapsed = time.perf_counter() - start
     assert elapsed < budget_s
@@ -300,8 +307,8 @@ def test_criterion_7_linear_combination_consistency():
             gap = np.abs(after.values - before.values)
             bound = 1e-9 * np.maximum(1.0, np.abs(before.values))
             assert np.all(gap <= bound), f"p={p} {method.value}: max gap {gap.max():.3e}"
-            assert validate_local_accuracy(before.as_shap_explanation(), 1e-9).passed
-            assert validate_local_accuracy(after.as_shap_explanation(), 1e-9).passed
+            assert validate_local_accuracy(before, 1e-9).passed
+            assert validate_local_accuracy(after, 1e-9).passed
 
     # nonuniform weightings renormalize per class, so the orders differ at p>1;
     # each order must still satisfy local accuracy on its own
@@ -316,8 +323,8 @@ def test_criterion_7_linear_combination_consistency():
         before = combine(
             linear_combine_explanations(list(zip(weights, classes))), severity, mu_h_total, method
         )
-        assert validate_local_accuracy(before.as_shap_explanation(), 1e-9).passed
-        assert validate_local_accuracy(after.as_shap_explanation(), 1e-9).passed
+        assert validate_local_accuracy(before, 1e-9).passed
+        assert validate_local_accuracy(after, 1e-9).passed
         discrepancies[method.value] = float(np.abs(after.values - before.values).max())
 
     _report(7, "before/after orders identical (1e-9) for uniform at p=4 and all methods at p=1; "

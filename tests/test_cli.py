@@ -142,6 +142,19 @@ def test_combine_parse_failure_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("mu_h", ["nan", "inf"])
+def test_combine_non_finite_mu_h_exits_3(tmp_path, rng, capsys, mu_h):
+    f_path, g_path, _, _, _ = write_pair(tmp_path, rng)
+    out = tmp_path / "out"
+    code = main([
+        "combine", "--f-shap", str(f_path), "--g-shap", str(g_path),
+        "--mu-h", mu_h, "--out-dir", str(out),
+    ])
+    assert code == 3
+    assert "mu_h must be finite" in capsys.readouterr().err
+    assert not (out / "mshap.csv").exists()
+
+
 def test_env_variable_overrides_default(tmp_path, rng, monkeypatch):
     f_path, g_path, *_ = write_pair(tmp_path, rng)
     out = tmp_path / "out"

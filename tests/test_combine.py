@@ -13,16 +13,15 @@ from mshap import (
     baseline,
     combine,
     compute_alpha,
-    distribute_alpha,
-    exact_shapley,
+    explain_matrix,
     linear_combine,
     linear_combine_explanations,
     linear_combine_mshap,
     mean_product_baseline,
-    mshap_prime,
     product_model,
     validate_local_accuracy,
 )
+from mshap.combine import _distribute_rows
 from conftest import make_parts
 
 METHODS = list(AlphaMethod)
@@ -45,15 +44,26 @@ def prime_table_oracle(sx, sy, mu_f, mu_g):
     return out
 
 
-# ---------------------------------------------------------------- mshap_prime
+# ---------------------------------------------------------------- s'
+
+
+def prime(sx, sy, mu_f, mu_g):
+    """s' for one row, through combine: with mu_h = mu_f * mu_g, alpha is 0."""
+    sx = np.atleast_2d(np.asarray(sx, dtype=float))
+    sy = np.atleast_2d(np.asarray(sy, dtype=float))
+    expl_f = ShapExplanation(sx, mu_f, mu_f + sx.sum(axis=1))
+    expl_g = ShapExplanation(sy, mu_g, mu_g + sy.sum(axis=1))
+    out = combine(expl_f, expl_g, mu_h=mu_f * mu_g, method=AlphaMethod.UNIFORM)
+    assert out.alpha == 0.0
+    return out.values[0]
 
 
 def test_prime_single_feature_example():
-    np.testing.assert_allclose(mshap_prime([2.0], [2.0], 1.0, 2.0), [10.0])
+    np.testing.assert_allclose(prime([2.0], [2.0], 1.0, 2.0), [10.0])
 
 
 def test_prime_zero_rows_give_zero():
-    out = mshap_prime(np.zeros(4), np.zeros(4), 3.0, -2.0)
+    out = prime(np.zeros(4), np.zeros(4), 3.0, -2.0)
     assert np.all(out == 0.0)
 
 
@@ -64,7 +74,7 @@ def test_prime_matches_table_oracle(rng):
         sy = rng.uniform(-5, 5, p)
         mu_f, mu_g = rng.uniform(-3, 3, 2)
         np.testing.assert_allclose(
-            mshap_prime(sx, sy, mu_f, mu_g),
+            prime(sx, sy, mu_f, mu_g),
             prime_table_oracle(sx, sy, mu_f, mu_g),
             rtol=1e-12,
             atol=1e-12,
@@ -78,21 +88,21 @@ def test_prime_sum_identity(rng):
     mu_f, mu_g = 1.7, -0.6
     x_hat = mu_f + sx.sum()
     y_hat = mu_g + sy.sum()
-    total = mshap_prime(sx, sy, mu_f, mu_g).sum()
+    total = prime(sx, sy, mu_f, mu_g).sum()
     assert total == pytest.approx(x_hat * y_hat - mu_f * mu_g, abs=1e-12 * max(1, abs(total)))
 
 
 def test_prime_symmetric_in_parts(rng):
     sx = rng.uniform(-5, 5, 6)
     sy = rng.uniform(-5, 5, 6)
-    forward = mshap_prime(sx, sy, 1.3, -2.1)
-    swapped = mshap_prime(sy, sx, -2.1, 1.3)
+    forward = prime(sx, sy, 1.3, -2.1)
+    swapped = prime(sy, sx, -2.1, 1.3)
     np.testing.assert_array_equal(forward, swapped)
 
 
 def test_prime_length_mismatch():
     with pytest.raises(DimensionError):
-        mshap_prime([1.0, 2.0], [1.0], 0.0, 0.0)
+        prime([1.0, 2.0], [1.0], 0.0, 0.0)
 
 
 # ---------------------------------------------------------------- alpha
@@ -112,52 +122,55 @@ def test_alpha_is_negative_covariance(rng):
     assert alpha == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
 
-# ---------------------------------------------------------------- distribute_alpha
+# ---------------------------------------------------------------- alpha weightings
+
+
+def distribute(s_prime, alpha, method, z_hat):
+    """Fold alpha into one s' row; returns (row, fell back to uniform)."""
+    s_z, degenerate = _distribute_rows(
+        np.asarray(s_prime, dtype=float)[None, :], alpha, method, np.array([z_hat])
+    )
+    return s_z[0], bool(degenerate[0])
 
 
 def test_distribute_uniform_example():
-    out = distribute_alpha([3.0, 1.0], 4.0, AlphaMethod.UNIFORM, z_hat=10.0, mu_f_mu_g=6.0)
-    np.testing.assert_allclose(out.values, [5.0, 3.0])
-    assert not out.fallback
+    values, fallback = distribute([3.0, 1.0], 4.0, AlphaMethod.UNIFORM, z_hat=10.0)
+    np.testing.assert_allclose(values, [5.0, 3.0])
+    assert not fallback
 
 
 def test_distribute_absolute_example():
     # weights (3/4, 1/4) on s' = (3, -1); the row total must land on
     # sum(s') + alpha = 6, which pins the second entry at -1 + 1 = 0
-    out = distribute_alpha([3.0, -1.0], 4.0, AlphaMethod.ABSOLUTE, z_hat=8.0, mu_f_mu_g=6.0)
-    np.testing.assert_allclose(out.values, [6.0, 0.0])
-    assert out.values.sum() == pytest.approx(2.0 + 4.0)
+    values, _ = distribute([3.0, -1.0], 4.0, AlphaMethod.ABSOLUTE, z_hat=8.0)
+    np.testing.assert_allclose(values, [6.0, 0.0])
+    assert values.sum() == pytest.approx(2.0 + 4.0)
 
 
 def test_distribute_alpha_zero_is_identity():
     s = [3.0, -1.0, 0.5]
     for method in METHODS:
-        out = distribute_alpha(s, 0.0, method, z_hat=4.5, mu_f_mu_g=2.0)
-        np.testing.assert_array_equal(out.values, s)
+        values, _ = distribute(s, 0.0, method, z_hat=4.5)
+        np.testing.assert_array_equal(values, s)
 
 
 def test_distribute_weights_sum_to_one(rng):
     for method in METHODS:
         s = rng.uniform(-5, 5, 7)
         alpha = 3.7
-        out = distribute_alpha(s, alpha, method, z_hat=float(s.sum() + 2.0), mu_f_mu_g=2.0)
-        assert not out.fallback
-        assert (out.values - s).sum() == pytest.approx(alpha, rel=1e-12)
+        values, fallback = distribute(s, alpha, method, z_hat=float(s.sum() + 2.0))
+        assert not fallback
+        assert (values - s).sum() == pytest.approx(alpha, rel=1e-12)
 
 
 def test_distribute_degenerate_rows_fall_back_to_uniform():
     zero = np.zeros(4)
     for method in (AlphaMethod.ABSOLUTE, AlphaMethod.SQUARED, AlphaMethod.RAW):
-        out = distribute_alpha(zero, 2.0, method, z_hat=3.0, mu_f_mu_g=3.0)
-        assert out.fallback
-        np.testing.assert_allclose(out.values, np.full(4, 0.5))
-    uniform = distribute_alpha(zero, 2.0, AlphaMethod.UNIFORM, z_hat=3.0, mu_f_mu_g=3.0)
-    assert not uniform.fallback
-
-
-def test_distribute_rejects_inconsistent_whole():
-    with pytest.raises(InvalidInputError):
-        distribute_alpha([3.0, 1.0], 1.0, AlphaMethod.RAW, z_hat=100.0, mu_f_mu_g=6.0)
+        values, fallback = distribute(zero, 2.0, method, z_hat=3.0)
+        assert fallback
+        np.testing.assert_allclose(values, np.full(4, 0.5))
+    _, fallback = distribute(zero, 2.0, AlphaMethod.UNIFORM, z_hat=3.0)
+    assert not fallback
 
 
 # ---------------------------------------------------------------- combine
@@ -191,7 +204,7 @@ def test_combine_local_accuracy_all_methods(rng):
     mu_h = mean_product_baseline(expl_f.predictions, expl_g.predictions)
     for method in METHODS:
         out = combine(expl_f, expl_g, mu_h, method)
-        assert validate_local_accuracy(out.as_shap_explanation(), 1e-9).passed
+        assert validate_local_accuracy(out, 1e-9).passed
 
 
 def test_combine_totals_agree_across_methods(rng):
@@ -238,7 +251,7 @@ def test_combine_records_fallback_rows(rng):
     expl_g = ShapExplanation(sy, 0.0, sy.sum(axis=1))
     out = combine(expl_f, expl_g, mu_h=1.0, method=AlphaMethod.ABSOLUTE)
     assert out.fallback_rows == (2,)
-    assert validate_local_accuracy(out.as_shap_explanation(), 1e-9).passed
+    assert validate_local_accuracy(out, 1e-9).passed
 
 
 def test_combine_name_mismatch_names_column(rng):
@@ -253,6 +266,13 @@ def test_combine_shape_mismatch(rng):
     _, expl_g = make_parts(rng, 4, 2)
     with pytest.raises(DimensionError):
         combine(expl_f, expl_g, 0.0, AlphaMethod.UNIFORM)
+
+
+def test_combine_rejects_non_finite_mu_h(rng):
+    expl_f, expl_g = make_parts(rng, 4, 3, scale=1.0)
+    for mu_h in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InvalidInputError, match="mu_h"):
+            combine(expl_f, expl_g, mu_h, AlphaMethod.ABSOLUTE)
 
 
 def test_combine_rejects_broken_local_accuracy(rng):
@@ -291,7 +311,7 @@ def test_combine_local_accuracy_property(data, n, p, method):
     expl_f = ShapExplanation(sx, mu_f, mu_f + sx.sum(axis=1))
     expl_g = ShapExplanation(sy, mu_g, mu_g + sy.sum(axis=1))
     out = combine(expl_f, expl_g, mu_h, method)
-    assert validate_local_accuracy(out.as_shap_explanation(), 1e-9).passed
+    assert validate_local_accuracy(out, 1e-9).passed
 
 
 # ---------------------------------------------------------------- baselines and linear combinations
@@ -351,18 +371,10 @@ def test_expected_value_combination_matches_oracle_at_p1(rng):
     severity = ModelFunction(1, lambda X: 10.0 + 5.0 * X[:, 0] ** 2)
     weights = (0.0, 1.0, 2.0, 3.0)
 
-    sev_expl = ShapExplanation(
-        np.array([exact_shapley(severity, r, background).values for r in rows]),
-        baseline(severity, background),
-        severity(rows),
-    )
+    sev_expl = explain_matrix(severity, rows, background)
     per_class = []
     for model in class_models:
-        expl = ShapExplanation(
-            np.array([exact_shapley(model, r, background).values for r in rows]),
-            baseline(model, background),
-            model(rows),
-        )
+        expl = explain_matrix(model, rows, background)
         mu_h = baseline(product_model(model, severity), background)
         per_class.append(combine(expl, sev_expl, mu_h, AlphaMethod.ABSOLUTE))
     ev_mshap = linear_combine_mshap(list(zip(weights, per_class)))
@@ -370,9 +382,9 @@ def test_expected_value_combination_matches_oracle_at_p1(rng):
     ev_model = ModelFunction(
         1, lambda X: sum(w * m(X) for w, m in zip(weights, class_models)) * severity(X)
     )
-    oracle = np.array([exact_shapley(ev_model, r, background).values for r in rows])
+    oracle = explain_matrix(ev_model, rows, background).values
     np.testing.assert_allclose(ev_mshap.values, oracle, rtol=1e-10, atol=1e-12)
-    assert validate_local_accuracy(ev_mshap.as_shap_explanation(), 1e-9).passed
+    assert validate_local_accuracy(ev_mshap, 1e-9).passed
 
 
 def test_linear_combine_mshap_rejects_mixed_methods(rng):

@@ -7,56 +7,63 @@ from mshap import (
     DimensionError,
     InvalidInputError,
     ScoreParams,
-    beta,
     importance_ranks,
-    lambda1,
-    lambda2,
-    lambda3,
     score_matrices,
 )
 
 # frozen by hand from the definitions:
-#   lambda1(1, -1 | 1.5) = (1 + 1.5) / (1 + 1 + 1.5) = 5/7
-#   lambda2(1, -1 | 1)   = (1 + 1) / (|1 - (-1)| + 1) = 2/3
+#   λ1(1, -1 | 1.5) = (1 + 1.5) / (1 + 1 + 1.5) = 5/7
+#   λ2(1, -1 | 1)   = (1 + 1) / (|1 - (-1)| + 1) = 2/3
 LAMBDA1_OPPOSITE = 5.0 / 7.0
 LAMBDA2_GAP_TWO = 2.0 / 3.0
 
 
+def cell(s, k, theta1=1.0, theta2=1.0):
+    """Score one cell: on a 1x1 pair, direction_score is λ1, relative_value_score
+    is λ2, and score is the cell total λ1 + λ2 + λ3 with both ranks 1."""
+    return score_matrices([[s]], [[k]], ScoreParams(theta1, theta2))
+
+
 def test_lambda1_same_sign_is_one():
     for theta in (0.5, 1.5, 20.5):
-        assert lambda1(2.0, 5.0, theta) == 1.0
-        assert lambda1(-2.0, -5.0, theta) == 1.0
+        assert cell(2.0, 5.0, theta1=theta).direction_score == 1.0
+        assert cell(-2.0, -5.0, theta1=theta).direction_score == 1.0
 
 
 def test_lambda1_opposite_signs():
-    assert lambda1(1.0, -1.0, 1.5) == pytest.approx(LAMBDA1_OPPOSITE, rel=1e-15)
+    assert cell(1.0, -1.0, theta1=1.5).direction_score == pytest.approx(LAMBDA1_OPPOSITE, rel=1e-15)
 
 
 def test_lambda1_zero_pair_saturates():
     # product is not > 0, but the slack branch caps at 1
-    assert lambda1(0.0, 0.0, 1.5) == 1.0
+    assert cell(0.0, 0.0, theta1=1.5).direction_score == 1.0
 
 
 def test_lambda2_identical_values():
-    assert lambda2(3.25, 3.25, 1.0) == 1.0
+    assert cell(3.25, 3.25).relative_value_score == 1.0
 
 
 def test_lambda2_large_gap():
-    assert lambda2(10.0, 0.0, 1.0) == pytest.approx(2.0 / 11.0, rel=1e-15)
+    assert cell(10.0, 0.0).relative_value_score == pytest.approx(2.0 / 11.0, rel=1e-15)
 
 
 def test_lambda2_boundary_inclusive():
     for theta2 in (1.0, 6.0, 46.0, 0.3):
-        assert lambda2(theta2, 0.0, theta2) == 1.0
-        assert lambda2(0.0, theta2, theta2) == 1.0
+        assert cell(theta2, 0.0, theta2=theta2).relative_value_score == 1.0
+        assert cell(0.0, theta2, theta2=theta2).relative_value_score == 1.0
         # a gap one ulp past theta2 still rounds to 1; a resolvable excess does not
-        assert lambda2(theta2 * (1 + 1e-12), 0.0, theta2) < 1.0
+        assert cell(theta2 * (1 + 1e-12), 0.0, theta2=theta2).relative_value_score < 1.0
 
 
 def test_lambda3_values():
-    assert lambda3(2, 2) == 1.0
-    assert lambda3(1, 3) == pytest.approx(1.0 / 3.0)
-    assert lambda3(1, 2) == pytest.approx(1.0 / 2.0)
+    # λ3 = 1 / (|rank gap| + 1), averaged over the cells of a 1xp row pair
+    params = ScoreParams(1.5, 1.0)
+    assert score_matrices([[1.0, 2.0]], [[1.0, 2.0]], params).rank_score == 1.0
+    # ranks (1, 2, 3) vs (3, 2, 1): gaps 2, 0, 2
+    got = score_matrices([[3.0, 2.0, 1.0]], [[1.0, 2.0, 3.0]], params).rank_score
+    assert got == pytest.approx((1.0 / 3.0 + 1.0 + 1.0 / 3.0) / 3.0)
+    # ranks (1, 2) vs (2, 1): gap 1 in both cells
+    assert score_matrices([[2.0, 1.0]], [[1.0, 2.0]], params).rank_score == pytest.approx(1.0 / 2.0)
 
 
 def test_importance_ranks_examples():
@@ -73,18 +80,18 @@ def test_importance_ranks_is_permutation(rng):
 
 
 def test_beta_perfect_agreement():
-    assert beta(1.5, 1.5, 2, 2, ScoreParams(1.5, 1.0)) == 3.0
+    assert cell(1.5, 1.5, 1.5, 1.0).score == 3.0
 
 
 def test_beta_frozen_example():
-    got = beta(1.0, -1.0, 1, 1, ScoreParams(1.5, 1.0))
+    got = cell(1.0, -1.0, 1.5, 1.0).score
     assert got == pytest.approx(LAMBDA1_OPPOSITE + LAMBDA2_GAP_TWO + 1.0, rel=1e-15)
 
 
 def test_beta_boundaries_inclusive():
     # same sign, gap exactly theta2, same rank -> all three pieces saturate
     s, theta2 = 2.0, 6.0
-    assert beta(s, s + theta2, 1, 1, ScoreParams(1.5, theta2)) == 3.0
+    assert cell(s, s + theta2, 1.5, theta2).score == 3.0
 
 
 def test_params_validation():
@@ -92,10 +99,6 @@ def test_params_validation():
         ScoreParams(0.0, 1.0)
     with pytest.raises(InvalidInputError):
         ScoreParams(1.0, -2.0)
-    with pytest.raises(InvalidInputError):
-        lambda1(1.0, 1.0, 0.0)
-    with pytest.raises(InvalidInputError):
-        lambda2(1.0, 1.0, -1.0)
 
 
 # ---------------------------------------------------------------- matrices
@@ -150,35 +153,42 @@ thetas = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
 
 @given(s=wild_floats, k=wild_floats, theta1=thetas)
 def test_lambda1_range_property(s, k, theta1):
-    value = lambda1(s, k, theta1)
+    value = cell(s, k, theta1=theta1).direction_score
     assert 0.0 < value <= 1.0
 
 
 @given(s=wild_floats, k=wild_floats, theta2=thetas)
 def test_lambda2_range_property(s, k, theta2):
-    value = lambda2(s, k, theta2)
+    value = cell(s, k, theta2=theta2).relative_value_score
     assert 0.0 < value <= 1.0
 
 
 @given(s=wild_floats, k=wild_floats, theta1=thetas, theta2=thetas,
        rank_s=st.integers(1, 20), rank_k=st.integers(1, 20))
 def test_beta_range_property(s, k, theta1, theta2, rank_s, rank_k):
-    value = beta(s, k, rank_s, rank_k, ScoreParams(theta1, theta2))
+    # s and k sit among zero cells of a 1xp row pair, at the positions the
+    # drawn ranks give, so the rank gap between the rows varies too
+    p = max(rank_s, rank_k)
+    cand = np.zeros((1, p))
+    ref = np.zeros((1, p))
+    cand[0, rank_s - 1] = s
+    ref[0, rank_k - 1] = k
+    value = score_matrices(cand, ref, ScoreParams(theta1, theta2)).score
     assert 0.0 < value <= 3.0
 
 
 @given(s=wild_floats, k=wild_floats, theta1=thetas)
 def test_lambda1_quadrant_rule(s, k, theta1):
     if (s > 0 and k > 0) or (s < 0 and k < 0):
-        assert lambda1(s, k, theta1) == 1.0
+        assert cell(s, k, theta1=theta1).direction_score == 1.0
 
 
 @given(s=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), theta2=thetas,
        gap_small=st.floats(min_value=0, max_value=1e6, allow_nan=False),
        extra=st.floats(min_value=0, max_value=1e6, allow_nan=False))
 def test_lambda2_monotone_in_gap(s, theta2, gap_small, extra):
-    near = lambda2(s, s + gap_small, theta2)
-    far = lambda2(s, s + gap_small + extra, theta2)
+    near = cell(s, s + gap_small, theta2=theta2).relative_value_score
+    far = cell(s, s + gap_small + extra, theta2=theta2).relative_value_score
     assert far <= near
 
 
@@ -186,7 +196,7 @@ def test_lambda2_monotone_in_gap(s, theta2, gap_small, extra):
        k=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
        theta1=thetas, bump=st.floats(min_value=0, max_value=1e6, allow_nan=False))
 def test_lambda1_monotone_in_slack(s, k, theta1, bump):
-    assert lambda1(s, k, theta1 + bump) >= lambda1(s, k, theta1)
+    assert cell(s, k, theta1=theta1 + bump).direction_score >= cell(s, k, theta1=theta1).direction_score
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=12))

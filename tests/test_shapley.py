@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mshap import (
-    BackgroundSet,
     DimensionError,
     EnumerationLimitError,
     InvalidInputError,
@@ -12,9 +11,7 @@ from mshap import (
     additive_model,
     baseline,
     constant_model,
-    exact_shapley,
     explain_matrix,
-    product_model,
     sampling_explain_matrix,
     sampling_shapley,
     validate_local_accuracy,
@@ -25,6 +22,11 @@ from mshap.shapley import _shapley_weights
 def additive_closed_form(coefs, instance, background):
     """Independent oracle: phi_j = c_j * (x_j - mean background_j)."""
     return np.asarray(coefs) * (np.asarray(instance) - np.asarray(background).mean(axis=0))
+
+
+def explain_row(model, instance, background, **kwargs):
+    """The exact oracle on a single instance: a one-row explain_matrix call."""
+    return explain_matrix(model, np.asarray(instance, dtype=float)[None, :], background, **kwargs)
 
 
 # ---------------------------------------------------------------- baseline
@@ -51,11 +53,6 @@ def test_baseline_matches_independent_mean(rng):
     assert baseline(model, rows) == pytest.approx(expected, rel=1e-12)
 
 
-def test_baseline_accepts_background_set():
-    model = constant_model(2, 1.5)
-    assert baseline(model, BackgroundSet(np.ones((3, 2)))) == 1.5
-
-
 def test_baseline_arity_mismatch():
     with pytest.raises(DimensionError):
         baseline(constant_model(3, 1.0), np.zeros((4, 2)))
@@ -63,17 +60,17 @@ def test_baseline_arity_mismatch():
 
 def test_background_set_rejects_empty():
     with pytest.raises(DimensionError):
-        BackgroundSet(np.zeros((0, 3)))
+        baseline(constant_model(3, 1.0), np.zeros((0, 3)))
 
 
 # ---------------------------------------------------------------- exact enumeration
 
 
 def test_exact_constant_model_all_zero():
-    row = exact_shapley(constant_model(4, 7.0), np.ones(4), np.zeros((3, 4)))
+    row = explain_row(constant_model(4, 7.0), np.ones(4), np.zeros((3, 4)))
     assert np.all(row.values == 0.0)
     assert row.baseline == 7.0
-    assert row.prediction == 7.0
+    assert row.predictions[0] == 7.0
 
 
 def test_exact_additive_closed_form(rng):
@@ -81,17 +78,17 @@ def test_exact_additive_closed_form(rng):
     model = additive_model(coefs)
     background = rng.uniform(-1, 1, (10, 3))
     instance = rng.uniform(-1, 1, 3)
-    row = exact_shapley(model, instance, background)
+    row = explain_row(model, instance, background)
     np.testing.assert_allclose(
-        row.values, additive_closed_form(coefs, instance, background), rtol=1e-12, atol=1e-12
+        row.values[0], additive_closed_form(coefs, instance, background), rtol=1e-12, atol=1e-12
     )
 
 
 def test_exact_two_player_product_hand_enumeration():
     # v(empty)=0, v({1})=0, v({2})=0, v({1,2})=6 -> phi = (3, 3)
     model = ModelFunction(2, lambda X: X[:, 0] * X[:, 1])
-    row = exact_shapley(model, [2.0, 3.0], np.array([[0.0, 0.0]]))
-    np.testing.assert_allclose(row.values, [3.0, 3.0], atol=1e-12)
+    row = explain_row(model, [2.0, 3.0], np.array([[0.0, 0.0]]))
+    np.testing.assert_allclose(row.values[0], [3.0, 3.0], atol=1e-12)
     assert row.baseline == 0.0
 
 
@@ -100,8 +97,8 @@ def test_exact_efficiency(rng):
     background = rng.uniform(-2, 2, (7, 5))
     for _ in range(10):
         x = rng.uniform(-2, 2, 5)
-        row = exact_shapley(model, x, background)
-        total = row.prediction - row.baseline
+        row = explain_row(model, x, background)
+        total = row.predictions[0] - row.baseline
         assert abs(row.values.sum() - total) <= 1e-9 * max(1.0, abs(total))
 
 
@@ -109,14 +106,14 @@ def test_exact_symmetry(rng):
     model = ModelFunction(3, lambda X: (X[:, 0] + X[:, 1]) ** 2 + X[:, 2])
     background = rng.uniform(-1, 1, (6, 3))
     background[:, 1] = background[:, 0]
-    row = exact_shapley(model, [0.7, 0.7, -0.3], background)
-    assert abs(row.values[0] - row.values[1]) <= 1e-12
+    row = explain_row(model, [0.7, 0.7, -0.3], background)
+    assert abs(row.values[0, 0] - row.values[0, 1]) <= 1e-12
 
 
 def test_exact_null_player(rng):
     model = ModelFunction(3, lambda X: X[:, 0] * np.exp(X[:, 1]))
-    row = exact_shapley(model, rng.uniform(-1, 1, 3), rng.uniform(-1, 1, (5, 3)))
-    assert row.values[2] == 0.0
+    row = explain_row(model, rng.uniform(-1, 1, 3), rng.uniform(-1, 1, (5, 3)))
+    assert row.values[0, 2] == 0.0
 
 
 def test_exact_linearity(rng):
@@ -126,8 +123,8 @@ def test_exact_linearity(rng):
     mixed = ModelFunction(3, lambda X: a * f(X) + b * g(X))
     background = rng.uniform(-1, 1, (6, 3))
     x = rng.uniform(-1, 1, 3)
-    expected = a * exact_shapley(f, x, background).values + b * exact_shapley(g, x, background).values
-    got = exact_shapley(mixed, x, background).values
+    expected = a * explain_row(f, x, background).values + b * explain_row(g, x, background).values
+    got = explain_row(mixed, x, background).values
     np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
 
 
@@ -135,26 +132,26 @@ def test_exact_deterministic(rng):
     model = ModelFunction(4, lambda X: X[:, 0] * X[:, 1] + X[:, 2] / (2 + X[:, 3]))
     background = rng.uniform(-1, 1, (8, 4))
     x = rng.uniform(-1, 1, 4)
-    first = exact_shapley(model, x, background)
-    second = exact_shapley(model, x, background)
+    first = explain_row(model, x, background)
+    second = explain_row(model, x, background)
     assert np.array_equal(first.values, second.values)
 
 
 def test_exact_enumeration_limit():
     model = constant_model(17, 1.0)
     with pytest.raises(EnumerationLimitError):
-        exact_shapley(model, np.zeros(17), np.zeros((2, 17)))
+        explain_row(model, np.zeros(17), np.zeros((2, 17)))
     # configurable
     with pytest.raises(EnumerationLimitError):
-        exact_shapley(constant_model(5, 1.0), np.zeros(5), np.zeros((2, 5)), enum_limit=4)
+        explain_row(constant_model(5, 1.0), np.zeros(5), np.zeros((2, 5)), enum_limit=4)
 
 
 def test_exact_dimension_errors():
     model = constant_model(3, 1.0)
     with pytest.raises(DimensionError):
-        exact_shapley(model, np.zeros(2), np.zeros((2, 3)))
+        explain_row(model, np.zeros(2), np.zeros((2, 3)))
     with pytest.raises(DimensionError):
-        exact_shapley(model, np.zeros(3), np.zeros((2, 2)))
+        explain_row(model, np.zeros(3), np.zeros((2, 2)))
 
 
 def test_weights_no_overflow_at_limit():
@@ -172,8 +169,8 @@ def test_explain_matrix_matches_single_rows(rng):
     X = rng.uniform(-1, 1, (4, 3))
     batch = explain_matrix(model, X, background)
     for i in range(4):
-        row = exact_shapley(model, X[i], background)
-        np.testing.assert_array_equal(batch.values[i], row.values)
+        row = explain_row(model, X[i], background)
+        np.testing.assert_array_equal(batch.values[i], row.values[0])
         assert batch.baseline == row.baseline
 
 
@@ -202,9 +199,9 @@ def test_sampling_product_within_three_stderr(rng):
     model = ModelFunction(3, lambda X: X[:, 0] * X[:, 1] * X[:, 2])
     background = rng.uniform(0.5, 2.0, (10, 3))
     instance = rng.uniform(0.5, 2.0, 3)
-    exact = exact_shapley(model, instance, background)
+    exact = explain_row(model, instance, background).values[0]
     sampled = sampling_shapley(model, instance, background, n_permutations=2000, seed=11)
-    gap = np.abs(sampled.values - exact.values)
+    gap = np.abs(sampled.values - exact)
     assert np.all(gap <= 3.0 * sampled.stderr + 1e-12)
 
 
@@ -213,10 +210,10 @@ def test_sampling_monte_carlo_within_three_stderr(rng):
     model = ModelFunction(7, lambda X: np.prod(X[:, :3], axis=1) + X[:, 3:].sum(axis=1))
     background = rng.uniform(0.5, 2.0, (8, 7))
     instance = rng.uniform(0.5, 2.0, 7)
-    exact = exact_shapley(model, instance, background)
+    exact = explain_row(model, instance, background).values[0]
     sampled = sampling_shapley(model, instance, background, n_permutations=2000, seed=11)
     assert not sampled.exhaustive
-    gap = np.abs(sampled.values - exact.values)
+    gap = np.abs(sampled.values - exact)
     assert np.all(gap <= 3.0 * sampled.stderr + 1e-12)
 
 
@@ -224,12 +221,12 @@ def test_sampling_exhaustive_equals_exact(rng):
     model = ModelFunction(3, lambda X: X[:, 0] * X[:, 1] + np.abs(X[:, 2]))
     background = rng.uniform(-1, 1, (4, 3))
     instance = rng.uniform(-1, 1, 3)
-    exact = exact_shapley(model, instance, background)
+    exact = explain_row(model, instance, background).values[0]
     # p! * m = 24 permutations requested; the 6 distinct ones are enumerated once each
     sampled = sampling_shapley(model, instance, background, n_permutations=24, seed=0)
     assert sampled.exhaustive
-    scale = np.maximum(1.0, np.abs(exact.values))
-    assert np.all(np.abs(sampled.values - exact.values) <= 1e-9 * scale)
+    scale = np.maximum(1.0, np.abs(exact))
+    assert np.all(np.abs(sampled.values - exact) <= 1e-9 * scale)
 
 
 def test_sampling_reproducible_under_seed(rng):

@@ -4,16 +4,13 @@ import pytest
 from mshap import (
     AlphaMethod,
     CovariateSpec,
-    DenominatorGuardError,
     DimensionError,
     InvalidInputError,
     ResampleLimitError,
     ScenarioSpec,
     bench_scaling,
     default_grid,
-    eval_response,
     explain_matrix,
-    gen_covariates,
     grid_table,
     mean_scores_by_method,
     product_model,
@@ -22,6 +19,7 @@ from mshap import (
     sample_scenario_rows,
     scenario_model,
 )
+from mshap.simulation import _guard_mask
 
 PAPER_BOX = CovariateSpec()
 SMALL = dict(n=40, background_size=20)
@@ -30,8 +28,16 @@ SMALL = dict(n=40, background_size=20)
 # ---------------------------------------------------------------- covariates
 
 
+def draw(n, seed):
+    """A scenario's covariate rows; Y1A x Y2A has no denominator guard, so no redraws."""
+    spec = ScenarioSpec("Y1A", "Y2A", 1.5, 1.0, n=n, covariates=PAPER_BOX, seed=seed, background_size=1)
+    rows, resampled = sample_scenario_rows(spec)
+    assert resampled == 0
+    return rows
+
+
 def test_gen_covariates_respects_bounds():
-    rows = gen_covariates(PAPER_BOX, 1000, seed=1)
+    rows = draw(1000, seed=1)
     assert rows.shape == (1000, 3)
     lows = rows.min(axis=0)
     highs = rows.max(axis=0)
@@ -39,15 +45,11 @@ def test_gen_covariates_respects_bounds():
         assert lo <= lows[j] and highs[j] <= hi
 
 
-def test_gen_covariates_single_row():
-    assert gen_covariates(PAPER_BOX, 1, seed=0).shape == (1, 3)
-
-
 def test_gen_covariates_deterministic():
-    a = gen_covariates(PAPER_BOX, 50, seed=9)
-    b = gen_covariates(PAPER_BOX, 50, seed=9)
+    a = draw(50, seed=9)
+    b = draw(50, seed=9)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, gen_covariates(PAPER_BOX, 50, seed=10))
+    assert not np.array_equal(a, draw(50, seed=10))
 
 
 def test_covariate_spec_validation():
@@ -55,34 +57,41 @@ def test_covariate_spec_validation():
         CovariateSpec(((2.0, 1.0),))
     with pytest.raises(InvalidInputError):
         CovariateSpec(())
-    with pytest.raises(InvalidInputError):
-        gen_covariates(PAPER_BOX, 0, seed=0)
 
 
 # ---------------------------------------------------------------- responses
 
 
+def respond(fn_id, row):
+    return float(scenario_model(fn_id, 3)(np.array([row], dtype=float))[0])
+
+
 def test_eval_response_examples():
-    assert eval_response("Y1A", [1.0, 2.0, 3.0]) == 6.0
-    assert eval_response("Y1B", [1.0, 2.0, 3.0]) == 2 + 4 + 9
-    assert eval_response("Y2C", [2.0, 3.0, -1.0]) == -6.0
-    assert eval_response("Y2D", [1.0, 1.0, -1.0]) == 1.0  # x1^2 x2^3 x3^4 by hand
-    assert eval_response("Y2E", [1.0, 1.0, -1.0]) == 2.0  # (1+1)/(1+1-1)
-    assert eval_response("CONST1", [9.0, 9.0, 9.0]) == 1.0
+    assert respond("Y1A", [1.0, 2.0, 3.0]) == 6.0
+    assert respond("Y1B", [1.0, 2.0, 3.0]) == 2 + 4 + 9
+    assert respond("Y2C", [2.0, 3.0, -1.0]) == -6.0
+    assert respond("Y2D", [1.0, 1.0, -1.0]) == 1.0  # x1^2 x2^3 x3^4 by hand
+    assert respond("Y2E", [1.0, 1.0, -1.0]) == 2.0  # (1+1)/(1+1-1)
+    assert respond("CONST1", [9.0, 9.0, 9.0]) == 1.0
 
 
 def test_eval_response_guard_raises():
-    with pytest.raises(DenominatorGuardError):
-        eval_response("Y2E", [1.0, -1.0, 0.0])  # denominator exactly 0
-    with pytest.raises(DenominatorGuardError):
-        eval_response("Y2F", [1e-6, 1.0, 1.0])  # x1-dominated denominator ~ 2e-6
+    rows = np.array([
+        [1.0, -1.0, 0.0],  # both denominators exactly 0
+        [1e-6, 1.0, 1.0],  # Y2F only: x1-dominated denominator ~ 2e-6
+        [1.0, 1.0, -1.0],  # both denominators well clear of the guard
+    ])
+    y2e = ScenarioSpec("Y1A", "Y2E", 1.5, 1.0)
+    y2f = ScenarioSpec("Y1A", "Y2F", 1.5, 1.0)
+    np.testing.assert_array_equal(_guard_mask(y2e, rows), [True, False, False])
+    np.testing.assert_array_equal(_guard_mask(y2f, rows), [True, True, False])
 
 
 def test_eval_response_unknown_id_and_arity():
     with pytest.raises(InvalidInputError):
-        eval_response("Y9Z", [1.0, 2.0, 3.0])
+        scenario_model("Y9Z", 3)
     with pytest.raises(DimensionError):
-        eval_response("Y1A", [1.0, 2.0])
+        scenario_model("Y1A", 2)
 
 
 def test_scenario_model_ignores_extra_columns():
@@ -222,7 +231,7 @@ def test_scores_invariant_to_consistent_feature_relabeling():
 def test_run_scenario_sampling_fallback_past_limit():
     spec = ScenarioSpec(
         "Y1A", "Y2A", 1.5, 1.0, n=20, background_size=10,
-        covariates=CovariateSpec.uniform_box(5), seed=2,
+        covariates=CovariateSpec(((-1.0, 1.0),) * 5), seed=2,
     )
     result = run_scenario(spec, enum_limit=4, sampling_permutations=40)
     for method in AlphaMethod:

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -59,6 +61,24 @@ def test_written_files_and_sidecar_naming(tmp_path):
     assert path.exists()
     assert (tmp_path / "expl.meta.json").exists()
     assert meta_path(path).name == "expl.meta.json"
+
+
+def test_dotted_names_keep_separate_sidecars(tmp_path):
+    write_shap_table(tmp_path / "run.v1.csv", ShapTable(("x",), np.array([[1.0]]), 1.0))
+    write_shap_table(tmp_path / "run.v2.csv", ShapTable(("x",), np.array([[1.0]]), 2.0))
+    assert meta_path(tmp_path / "run.v1.csv").name == "run.v1.meta.json"
+    assert read_shap_table(tmp_path / "run.v1.csv").baseline == 1.0
+    assert read_shap_table(tmp_path / "run.v2.csv").baseline == 2.0
+
+
+def test_written_files_follow_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        write_shap_table(tmp_path / "t.csv", ShapTable(("x",), np.array([[1.0]]), 0.0))
+    finally:
+        os.umask(old)
+    for name in ("t.csv", "t.meta.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644
 
 
 def test_to_explanation_reconstructs_predictions(tmp_path):
