@@ -90,6 +90,13 @@ def _as_int(v) -> int:
     return out
 
 
+def _as_positive_int(v) -> int:
+    out = _as_int(v)
+    if out < 1:
+        raise UsageError(f"expected an integer >= 1, got {v!r}")
+    return out
+
+
 def _as_mu_h(v):
     if isinstance(v, str) and v.strip().lower() == "auto":
         return "auto"
@@ -120,6 +127,10 @@ def _as_int_list(v) -> list[int]:
     if not isinstance(v, (list, tuple)):
         raise UsageError(f"expected a list of integers, got {v!r}")
     return [_as_int(x) for x in v]
+
+
+def _as_positive_int_list(v) -> list[int]:
+    return [_as_positive_int(x) for x in _as_int_list(v)]
 
 
 @dataclass(frozen=True)
@@ -154,9 +165,9 @@ OPTIONS: dict[str, list[Option]] = {
     ],
     "simulate": _COMMON + [
         Option("seed", _as_int, default=0, help="grid seed; per-cell seeds derive from it"),
-        Option("threads", _as_int, default=1, help="parallel scenario workers"),
+        Option("threads", _as_positive_int, default=1, help="parallel scenario workers"),
         Option("enum_limit", _as_int, default=DEFAULT_ENUM_LIMIT, help="max features for exact enumeration"),
-        Option("sampling_permutations", _as_int, default=500,
+        Option("sampling_permutations", _as_positive_int, default=500,
                help="permutations for the sampling oracle past the enumeration limit"),
         Option("reference", _as_reference, default="auto", flag=False,
                help="config-only: 'auto' falls back to sampling past the enumeration limit, 'exact' refuses"),
@@ -167,7 +178,7 @@ OPTIONS: dict[str, list[Option]] = {
         Option("seed", _as_int, default=0),
         Option("enum_limit", _as_int, default=DEFAULT_ENUM_LIMIT),
         Option("p_values", _as_int_list, default=list(range(2, 13)), help="feature counts to benchmark"),
-        Option("n_values", _as_int_list, default=[50], help="row counts to benchmark"),
+        Option("n_values", _as_positive_int_list, default=[50], help="row counts to benchmark"),
         Option("background_size", _as_int, default=100),
         Option("n_permutations", _as_int, default=100),
         Option("repetitions", _as_int, default=5),
@@ -463,6 +474,8 @@ def cmd_bench(resolved: dict) -> int:
             "machine": platform.platform(),
             "processor": platform.processor() or "unknown",
             "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
         },
     )
     _echo_config("bench", resolved, out)

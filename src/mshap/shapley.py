@@ -26,6 +26,10 @@ import numpy as np
 from .errors import DimensionError, EnumerationLimitError, InvalidInputError
 
 DEFAULT_ENUM_LIMIT = 16
+# Byte budget of one (rows, m, p) float64 splice block.  The exact and the
+# sampling estimators cut the instance axis into chunks that fit it, so a
+# large n never materialises the whole (n, m, p) tensor.
+SPLICE_BUDGET_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -187,26 +191,52 @@ def _shapley_weights(p: int) -> np.ndarray:
     return np.exp([lgamma(k + 1) + lgamma(p - k) - lgamma(p + 1) for k in s])
 
 
-def _coalition_values(model: ModelFunction, X: np.ndarray, background: np.ndarray) -> np.ndarray:
-    """Interventional value of every coalition for every instance, shape (2**p, n).
+def _splice_chunk(m: int, p: int) -> int:
+    """Instance rows per (rows, m, p) splice block under SPLICE_BUDGET_BYTES.
 
+    Never less than one row: a single row whose block alone exceeds the
+    budget still runs, as a chunk of one.
+    """
+    return max(1, SPLICE_BUDGET_BYTES // (m * p * 8))
+
+
+def _coalition_values(
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+    X: np.ndarray,
+    background: np.ndarray,
+) -> np.ndarray:
+    """Interventional value of every coalition for every instance, shape (k, 2**p, n).
+
+    ``evaluate`` maps a (rows, p) matrix to a tuple of k output vectors, one
+    per explained model, so several models share each spliced block.
     Coalitions are visited in Gray-code order so each step re-splices a single
-    feature column of the (n, m, p) evaluation tensor.
+    feature column of the (rows, m, p) evaluation block.  Instance rows are
+    taken in chunks whose block fits SPLICE_BUDGET_BYTES; each row's value is
+    a mean over its own m spliced rows, so chunking changes no value.
     """
     n, p = X.shape
     m = background.shape[0]
-    spliced = np.broadcast_to(background, (n, m, p)).copy()
-    values = np.empty((1 << p, n))
-    values[0] = model(background).mean()
-    mask = 0
-    for t in range(1, 1 << p):
-        flip = (t & -t).bit_length() - 1
-        mask ^= 1 << flip
-        if mask & (1 << flip):
-            spliced[:, :, flip] = X[:, None, flip]
-        else:
-            spliced[:, :, flip] = background[None, :, flip]
-        values[mask] = model(spliced.reshape(n * m, p)).reshape(n, m).mean(axis=1)
+    empty = [out.mean() for out in evaluate(background)]
+    values = np.empty((len(empty), 1 << p, n))
+    values[:, 0] = np.array(empty)[:, None]
+    step = _splice_chunk(m, p)
+    buffer = np.empty((min(step, n), m, p))
+    for lo in range(0, n, step):
+        rows = X[lo : lo + step]
+        c = rows.shape[0]
+        spliced = buffer[:c]
+        spliced[...] = background
+        flat = spliced.reshape(c * m, p)
+        mask = 0
+        for t in range(1, 1 << p):
+            flip = (t & -t).bit_length() - 1
+            mask ^= 1 << flip
+            if mask & (1 << flip):
+                spliced[:, :, flip] = rows[:, None, flip]
+            else:
+                spliced[:, :, flip] = background[None, :, flip]
+            for k, out in enumerate(evaluate(flat)):
+                values[k, mask, lo : lo + c] = out.reshape(c, m).mean(axis=1)
     return values
 
 
@@ -223,11 +253,40 @@ def _attributions_from_values(values: np.ndarray, p: int) -> np.ndarray:
     return phi
 
 
-def _check_instance(instance, arity: int) -> np.ndarray:
-    x = np.asarray(instance, dtype=float).reshape(-1)
-    if x.shape[0] != arity:
-        raise DimensionError(f"instance has {x.shape[0]} features but the model arity is {arity}")
-    return x
+def _instances(X, arity: int) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    n, p = X.shape
+    if n < 1:
+        raise DimensionError(f"need at least one instance row, got shape {X.shape}")
+    if p != arity:
+        raise DimensionError(f"instances have {p} features but the model arity is {arity}")
+    return X
+
+
+def _explain_exact(
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+    X: np.ndarray,
+    data: np.ndarray,
+    enum_limit: int,
+    feature_names: Sequence[str] | None = None,
+) -> tuple[ShapExplanation, ...]:
+    p = X.shape[1]
+    if p > enum_limit:
+        raise EnumerationLimitError(
+            f"{p} features exceeds the enumeration limit of {enum_limit} "
+            f"(2**{p} coalitions); raise the limit or use sampling"
+        )
+    values = _coalition_values(evaluate, X, data)
+    names = tuple(feature_names) if feature_names is not None else None
+    return tuple(
+        ShapExplanation(
+            values=_attributions_from_values(v, p),
+            baseline=float(v[0, 0]),
+            predictions=pred,
+            feature_names=names,
+        )
+        for v, pred in zip(values, evaluate(X))
+    )
 
 
 def explain_matrix(
@@ -242,24 +301,36 @@ def explain_matrix(
     phi_j sums, over all coalitions S not containing j, the factorial weight
     |S|! (p-|S|-1)! / p! times the value gap v(S + {j}) - v(S).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     data = _as_background(background, model.arity)
-    n, p = X.shape
-    if p != model.arity:
-        raise DimensionError(f"instances have {p} features but the model arity is {model.arity}")
-    if p > enum_limit:
-        raise EnumerationLimitError(
-            f"{p} features exceeds the enumeration limit of {enum_limit} "
-            f"(2**{p} coalitions); raise the limit or use sampling"
-        )
-    values = _coalition_values(model, X, data)
-    phi = _attributions_from_values(values, p)
-    return ShapExplanation(
-        values=phi,
-        baseline=float(values[0, 0]),
-        predictions=model(X),
-        feature_names=tuple(feature_names) if feature_names is not None else None,
-    )
+    X = _instances(X, model.arity)
+    (expl,) = _explain_exact(lambda rows: (model(rows),), X, data, enum_limit, feature_names)
+    return expl
+
+
+def explain_product(
+    f: ModelFunction,
+    g: ModelFunction,
+    X: np.ndarray,
+    background,
+    enum_limit: int = DEFAULT_ENUM_LIMIT,
+) -> tuple[ShapExplanation, ShapExplanation, ShapExplanation]:
+    """Exact explanations of f, g and h = f * g from one coalition pass.
+
+    Each spliced block goes through f and g once and h's outputs are their
+    elementwise product, the arithmetic ``product_model`` performs, so the
+    three results equal three ``explain_matrix`` calls bit for bit at the
+    cost of two.
+    """
+    if f.arity != g.arity:
+        raise DimensionError(f"part arities differ: {f.arity} vs {g.arity}")
+    data = _as_background(background, f.arity)
+    X = _instances(X, f.arity)
+
+    def evaluate(rows):
+        a, b = f(rows), g(rows)
+        return a, b, a * b
+
+    return _explain_exact(evaluate, X, data, enum_limit)
 
 
 def _sampling_core(
@@ -273,27 +344,37 @@ def _sampling_core(
     m = background.shape[0]
     exhaustive = p <= 20 and n_permutations >= factorial(p)
     if exhaustive:
-        perms = itertools.permutations(range(p))
+        drawn = None
         count = factorial(p)
     else:
+        # drawn once, before the row chunks, so every chunk sees the same orders
         rng = np.random.Generator(np.random.PCG64(seed))
-        perms = (rng.permutation(p) for _ in range(n_permutations))
+        drawn = [rng.permutation(p) for _ in range(n_permutations)]
         count = n_permutations
 
     v_empty = model(background).mean()
     total = np.zeros((n, p))
     total_sq = np.zeros((n, p))
-    contrib = np.empty((n, p))
-    for perm in perms:
-        spliced = np.broadcast_to(background, (n, m, p)).copy()
-        v_prev = np.full(n, v_empty)
-        for j in perm:
-            spliced[:, :, j] = X[:, None, j]
-            v = model(spliced.reshape(n * m, p)).reshape(n, m).mean(axis=1)
-            contrib[:, j] = v - v_prev
-            v_prev = v
-        total += contrib
-        total_sq += contrib * contrib
+    step = _splice_chunk(m, p)
+    buffer = np.empty((min(step, n), m, p))
+    for lo in range(0, n, step):
+        rows = X[lo : lo + step]
+        c = rows.shape[0]
+        spliced = buffer[:c]
+        flat = spliced.reshape(c * m, p)
+        contrib = np.empty((c, p))
+        chunk_total = total[lo : lo + c]
+        chunk_total_sq = total_sq[lo : lo + c]
+        for perm in itertools.permutations(range(p)) if exhaustive else drawn:
+            spliced[...] = background
+            v_prev = np.full(c, v_empty)
+            for j in perm:
+                spliced[:, :, j] = rows[:, None, j]
+                v = model(flat).reshape(c, m).mean(axis=1)
+                contrib[:, j] = v - v_prev
+                v_prev = v
+            chunk_total += contrib
+            chunk_total_sq += contrib * contrib
 
     phi = total / count
     if count > 1:
@@ -321,15 +402,13 @@ def sampling_shapley(
     """
     if n_permutations < 1:
         raise InvalidInputError(f"n_permutations must be >= 1, got {n_permutations}")
-    x = _check_instance(instance, model.arity)
+    x = _instances(np.reshape(instance, (1, -1)), model.arity)
     data = _as_background(background, model.arity)
-    phi, v_empty, stderr, count, exhaustive = _sampling_core(
-        model, x[None, :], data, n_permutations, seed
-    )
+    phi, v_empty, stderr, count, exhaustive = _sampling_core(model, x, data, n_permutations, seed)
     return SamplingRow(
         values=phi[0],
         baseline=float(v_empty),
-        prediction=float(model(x[None, :])[0]),
+        prediction=float(model(x)[0]),
         stderr=stderr[0],
         n_permutations=count,
         exhaustive=exhaustive,
@@ -351,10 +430,8 @@ def sampling_explain_matrix(
     """
     if n_permutations < 1:
         raise InvalidInputError(f"n_permutations must be >= 1, got {n_permutations}")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     data = _as_background(background, model.arity)
-    if X.shape[1] != model.arity:
-        raise DimensionError(f"instances have {X.shape[1]} features but the model arity is {model.arity}")
+    X = _instances(X, model.arity)
     phi, v_empty, _, _, _ = _sampling_core(model, X, data, n_permutations, seed)
     return ShapExplanation(
         values=phi,

@@ -37,6 +37,7 @@ from .shapley import (
     ShapExplanation,
     additive_model,
     explain_matrix,
+    explain_product,
     product_model,
     sampling_explain_matrix,
 )
@@ -279,17 +280,17 @@ def _explain_three(
     p = spec.n_features
     f = scenario_model(spec.y1, p)
     g = scenario_model(spec.y2, p)
-    h = product_model(f, g)
     if reference not in ("auto", "exact"):
         raise InvalidInputError(f"reference must be 'auto' or 'exact', got {reference!r}")
     use_sampling = reference == "auto" and p > enum_limit
     if use_sampling:
-        # past the enumeration limit the oracle itself becomes an estimate
+        # past the enumeration limit the oracle itself becomes an estimate;
+        # each model keeps its own seeded permutation stream
         return tuple(
             sampling_explain_matrix(m, rows, background, sampling_permutations, derive_seed(spec.seed, k))
-            for k, m in enumerate((f, g, h))
+            for k, m in enumerate((f, g, product_model(f, g)))
         )
-    return tuple(explain_matrix(m, rows, background, enum_limit=enum_limit) for m in (f, g, h))
+    return explain_product(f, g, rows, background, enum_limit=enum_limit)
 
 
 def run_scenario(
@@ -301,7 +302,8 @@ def run_scenario(
     """Run one simulation cell and score all four alpha weightings.
 
     Pipeline: sample guarded covariates, take the leading rows as the
-    background set, explain both parts and the product with the oracle,
+    background set, explain both parts and the product with the oracle (one
+    coalition pass for all three on the exact path),
     combine the part explanations under each weighting with mu_h set to the
     product's background baseline, and score each combined matrix against the
     product's oracle attribution at the cell's thetas.

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -287,6 +288,26 @@ def test_bench_writes_records_and_machine_meta(tmp_path):
     assert len(lines) == 7  # header + 3 methods x 2 p values
     meta = json.loads((out / "bench.meta.json").read_text())
     assert "machine" in meta and "python" in meta
+    assert meta["numpy"] == np.__version__
+    assert meta["cpu_count"] == os.cpu_count()
+
+
+def test_bench_zero_rows_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["bench", "--p-values", "2", "--n-values", "0", "--out-dir", str(out)]) == 2
+    assert ">= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--threads", "0"), ("--threads", "-5"), ("--sampling-permutations", "0")],
+)
+def test_simulate_non_positive_counts_are_usage_errors(tmp_path, capsys, flag, value):
+    out = tmp_path / "o"
+    assert main(["simulate", flag, value, "--out-dir", str(out)]) == 2
+    assert ">= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_summary_data_outputs(tmp_path, rng):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from mshap import (
     sampling_shapley,
     validate_local_accuracy,
 )
-from mshap.shapley import _shapley_weights
+from mshap import shapley
+from mshap.shapley import _shapley_weights, explain_product
 
 
 def additive_closed_form(coefs, instance, background):
@@ -154,6 +156,20 @@ def test_exact_dimension_errors():
         explain_row(model, np.zeros(3), np.zeros((2, 2)))
 
 
+def test_oracle_rejects_zero_rows():
+    model = additive_model([1.0, 2.0])
+    bg = np.zeros((4, 2))
+    with pytest.raises(DimensionError):
+        explain_matrix(model, np.zeros((0, 2)), bg)
+    with pytest.raises(DimensionError):
+        explain_product(model, model, np.zeros((0, 2)), bg)
+
+
+def test_explain_product_rejects_part_arity_mismatch():
+    with pytest.raises(DimensionError):
+        explain_product(constant_model(2, 1.0), constant_model(3, 1.0), np.zeros((1, 2)), np.zeros((2, 2)))
+
+
 def test_weights_no_overflow_at_limit():
     # sum over subset sizes of C(p-1, s) * w(s) must be 1 for any p
     for p in (1, 5, 12, 16):
@@ -255,6 +271,44 @@ def test_sampling_matrix_local_accuracy(rng):
     X = rng.uniform(-1, 1, (10, 5))
     expl = sampling_explain_matrix(model, X, background, n_permutations=30, seed=5)
     assert validate_local_accuracy(expl, 1e-9).passed
+
+
+# ---------------------------------------------------------------- splice budget
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_splice_budget_bounds_peak_memory_and_keeps_values(rng, monkeypatch):
+    # n * m * p * 8 = 9.6 MB unchunked; a 256 kB budget takes 106 rows a block,
+    # so the last of 38 blocks is a short one
+    budget = 256 << 10
+    slack = 2 << 20
+    f = ModelFunction(3, lambda X: X[:, 0] * X[:, 1] + X[:, 2] ** 2)
+    g = additive_model([1.0, -2.0, 0.5], intercept=3.0)
+    X = rng.uniform(-1, 1, (4000, 3))
+    background = rng.uniform(-1, 1, (100, 3))
+    calls = {
+        "oracle": lambda: (explain_matrix(f, X, background),),
+        "fused": lambda: explain_product(f, g, X, background),
+        "sampler": lambda: (sampling_explain_matrix(f, X, background, n_permutations=4, seed=9),),
+    }
+    whole = {name: call() for name, call in calls.items()}
+    assert X.nbytes * background.shape[0] > slack + budget
+    monkeypatch.setattr(shapley, "SPLICE_BUDGET_BYTES", budget)
+    for name, call in calls.items():
+        chunked, peak = _peak_bytes(call)
+        assert peak < budget + slack, name
+        for got, want in zip(chunked, whole[name]):
+            assert np.array_equal(got.values, want.values), name
+            assert got.baseline == want.baseline, name
+            assert np.array_equal(got.predictions, want.predictions), name
 
 
 # ---------------------------------------------------------------- validator

@@ -6,6 +6,7 @@ from mshap import (
     CovariateSpec,
     DimensionError,
     InvalidInputError,
+    ModelFunction,
     ResampleLimitError,
     ScenarioSpec,
     bench_scaling,
@@ -19,7 +20,8 @@ from mshap import (
     sample_scenario_rows,
     scenario_model,
 )
-from mshap.simulation import _guard_mask
+from mshap.shapley import explain_product
+from mshap.simulation import Y1_IDS, Y2_IDS, _guard_mask
 
 PAPER_BOX = CovariateSpec()
 SMALL = dict(n=40, background_size=20)
@@ -182,6 +184,38 @@ def test_run_scenario_mshap_totals_match_reference_totals():
         ours = combine(expl_f, expl_g, ref.baseline, method)
         gap = np.abs(ours.values.sum(axis=1) - ref.values.sum(axis=1))
         assert np.all(gap <= 1e-6 * np.maximum(1.0, np.abs(ref.values.sum(axis=1))))
+
+
+@pytest.mark.parametrize("y1", Y1_IDS)
+@pytest.mark.parametrize("y2", Y2_IDS + ("CONST1",))
+def test_explain_product_equals_three_oracle_calls(y1, y2):
+    spec = ScenarioSpec(y1, y2, 1.5, 1.0, seed=13, **SMALL)
+    rows, _ = sample_scenario_rows(spec)
+    background = rows[: spec.background_size]
+    f = scenario_model(y1, 3)
+    g = scenario_model(y2, 3)
+    fused = explain_product(f, g, rows, background)
+    for got, model in zip(fused, (f, g, product_model(f, g)), strict=True):
+        want = explain_matrix(model, rows, background)
+        assert np.array_equal(got.values, want.values)
+        assert got.baseline == want.baseline
+        assert np.array_equal(got.predictions, want.predictions)
+
+
+def test_run_scenario_evaluates_each_part_once_per_coalition(monkeypatch):
+    # f and g each see the 100 background rows, 7 non-empty coalitions of
+    # n * m = 10,000 spliced rows, and the 100 instances for predictions;
+    # the product is formed from those outputs, never evaluated again
+    rows_seen = []
+    evaluate = ModelFunction.__call__
+
+    def counting(self, X):
+        rows_seen.append(len(X))
+        return evaluate(self, X)
+
+    monkeypatch.setattr(ModelFunction, "__call__", counting)
+    run_scenario(ScenarioSpec("Y1B", "Y2C", 1.5, 1.0, n=100, background_size=100, seed=3))
+    assert sum(rows_seen) == 2 * (100 + 7 * 10_000 + 100) == 140_400
 
 
 def test_scores_invariant_to_consistent_feature_relabeling():
