@@ -11,13 +11,11 @@ validation error, 4 resource limit.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -40,14 +38,20 @@ from .simulation import (
     grid_table,
     run_grid,
 )
+from . import tables
 from .tables import (
-    _atomic_write_text,
     explanation_to_table,
     fmt17,
     read_shap_table,
     read_value_table,
+    write_csv,
+    write_json,
+    write_records,
     write_shap_table,
 )
+
+# only for benchmarks/layer_trace.py, which wraps this name; cli writes through tables
+_atomic_write_text = tables._atomic_write_text
 
 ENV_PREFIX = "MSHAP_"
 
@@ -90,11 +94,17 @@ def _as_int(v) -> int:
     return out
 
 
-def _as_positive_int(v) -> int:
-    out = _as_int(v)
-    if out < 1:
-        raise UsageError(f"expected an integer >= 1, got {v!r}")
-    return out
+def _as_int_from(low: int) -> Callable[[Any], int]:
+    def parse(v) -> int:
+        out = _as_int(v)
+        if out < low:
+            raise UsageError(f"expected an integer >= {low}, got {v!r}")
+        return out
+    return parse
+
+
+_as_positive_int = _as_int_from(1)
+_as_seed = _as_int_from(0)
 
 
 def _as_mu_h(v):
@@ -121,16 +131,17 @@ def _as_reference(v) -> str:
     return name
 
 
-def _as_int_list(v) -> list[int]:
+def _as_list(v, parse) -> list:
+    """A list, or a comma- or space-separated string, each item through ``parse``."""
     if isinstance(v, str):
         v = [part for part in v.replace(",", " ").split() if part]
     if not isinstance(v, (list, tuple)):
-        raise UsageError(f"expected a list of integers, got {v!r}")
-    return [_as_int(x) for x in v]
+        raise UsageError(f"expected a list, got {v!r}")
+    return [parse(x) for x in v]
 
 
 def _as_positive_int_list(v) -> list[int]:
-    return [_as_positive_int(x) for x in _as_int_list(v)]
+    return _as_list(v, _as_positive_int)
 
 
 @dataclass(frozen=True)
@@ -155,7 +166,7 @@ OPTIONS: dict[str, list[Option]] = {
         Option("mu_h", _as_mu_h, default="auto",
                help="mean product prediction, or 'auto' to average the tables' prediction products"),
         Option("method", _as_method, default="absolute", help="uniform|raw|absolute|squared"),
-        Option("threads", _as_int, default=1, help="worker threads (composition is vectorized; kept for parity)"),
+        Option("threads", _as_positive_int, default=1, help="worker threads (composition is vectorized; kept for parity)"),
     ],
     "score": _COMMON + [
         Option("candidate", _as_str, required=True, help="candidate SHAP table"),
@@ -164,7 +175,7 @@ OPTIONS: dict[str, list[Option]] = {
         Option("theta2", _as_float, default=1.0, help="value slack"),
     ],
     "simulate": _COMMON + [
-        Option("seed", _as_int, default=0, help="grid seed; per-cell seeds derive from it"),
+        Option("seed", _as_seed, default=0, help="grid seed; per-cell seeds derive from it"),
         Option("threads", _as_positive_int, default=1, help="parallel scenario workers"),
         Option("enum_limit", _as_int, default=DEFAULT_ENUM_LIMIT, help="max features for exact enumeration"),
         Option("sampling_permutations", _as_positive_int, default=500,
@@ -175,13 +186,13 @@ OPTIONS: dict[str, list[Option]] = {
         Option("scenarios", _as_json, flag=False, help="config-only: explicit scenario list"),
     ],
     "bench": _COMMON + [
-        Option("seed", _as_int, default=0),
+        Option("seed", _as_seed, default=0),
         Option("enum_limit", _as_int, default=DEFAULT_ENUM_LIMIT),
-        Option("p_values", _as_int_list, default=list(range(2, 13)), help="feature counts to benchmark"),
+        Option("p_values", _as_positive_int_list, default=list(range(2, 13)), help="feature counts to benchmark"),
         Option("n_values", _as_positive_int_list, default=[50], help="row counts to benchmark"),
-        Option("background_size", _as_int, default=100),
-        Option("n_permutations", _as_int, default=100),
-        Option("repetitions", _as_int, default=5),
+        Option("background_size", _as_positive_int, default=100),
+        Option("n_permutations", _as_positive_int, default=100),
+        Option("repetitions", _as_positive_int, default=5),
     ],
     "summary-data": _COMMON + [
         Option("mshap", _as_str, required=True, help="combined attribution table"),
@@ -267,29 +278,10 @@ def _out_dir(resolved: dict) -> Path:
     return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _echo_config(subcommand: str, resolved: dict, out: Path) -> None:
     payload = {"subcommand": subcommand}
     payload.update((k, v) for k, v in resolved.items() if v is not None)
-    _write_json(out / "resolved_config.json", payload)
-
-
-def _rows_to_csv(columns, records) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for record in records:
-        row = []
-        for col in columns:
-            value = record.get(col, "")
-            if isinstance(value, float):
-                value = fmt17(value)
-            row.append(value)
-        writer.writerow(row)
-    return buffer.getvalue()
+    write_json(out / "resolved_config.json", payload)
 
 
 def cmd_combine(resolved: dict) -> int:
@@ -347,7 +339,7 @@ def cmd_score(resolved: dict) -> int:
     payload = {field: getattr(breakdown, field) for field in SCORE_FIELDS}
     payload["theta1"] = resolved["theta1"]
     payload["theta2"] = resolved["theta2"]
-    _write_json(out / "score.json", payload)
+    write_json(out / "score.json", payload)
     _echo_config("score", resolved, out)
     for field in SCORE_FIELDS:
         print(f"{field} = {getattr(breakdown, field):.6f}")
@@ -383,12 +375,12 @@ def _specs_from_config(resolved: dict) -> list[ScenarioSpec]:
                     ScenarioSpec(
                         y1=cell["y1"],
                         y2=cell["y2"],
-                        theta1=float(cell["theta1"]),
-                        theta2=float(cell["theta2"]),
-                        n=int(cell.get("n", 100)),
+                        theta1=_as_float(cell["theta1"]),
+                        theta2=_as_float(cell["theta2"]),
+                        n=_as_int(cell.get("n", 100)),
                         covariates=_covariates_from_config(cell.get("covariates")),
-                        seed=int(cell.get("seed", resolved["seed"])),
-                        background_size=int(cell.get("background_size", 100)),
+                        seed=_as_seed(cell.get("seed", resolved["seed"])),
+                        background_size=_as_int(cell.get("background_size", 100)),
                     )
                 )
             except KeyError as exc:
@@ -402,17 +394,17 @@ def _specs_from_config(resolved: dict) -> list[ScenarioSpec]:
         if unknown:
             raise UsageError(f"grid: unknown keys: {', '.join(sorted(unknown))}")
         if "y1" in grid:
-            kwargs["y1_ids"] = tuple(grid["y1"])
+            kwargs["y1_ids"] = tuple(_as_list(grid["y1"], _as_str))
         if "y2" in grid:
-            kwargs["y2_ids"] = tuple(grid["y2"])
+            kwargs["y2_ids"] = tuple(_as_list(grid["y2"], _as_str))
         if "theta1" in grid:
-            kwargs["theta1_values"] = tuple(float(v) for v in grid["theta1"])
+            kwargs["theta1_values"] = tuple(_as_list(grid["theta1"], _as_float))
         if "theta2" in grid:
-            kwargs["theta2_values"] = tuple(float(v) for v in grid["theta2"])
+            kwargs["theta2_values"] = tuple(_as_list(grid["theta2"], _as_float))
         if "n" in grid:
-            kwargs["n"] = int(grid["n"])
+            kwargs["n"] = _as_int(grid["n"])
         if "background_size" in grid:
-            kwargs["background_size"] = int(grid["background_size"])
+            kwargs["background_size"] = _as_int(grid["background_size"])
         if "covariates" in grid:
             kwargs["covariates"] = _covariates_from_config(grid["covariates"])
     return default_grid(**kwargs)
@@ -436,8 +428,7 @@ def cmd_simulate(resolved: dict) -> int:
         sampling_permutations=resolved["sampling_permutations"],
         n_jobs=resolved["threads"],
     )
-    records = grid_table(outcomes)
-    _atomic_write_text(out / "results.csv", _rows_to_csv(RESULT_COLUMNS, records))
+    write_records(out / "results.csv", RESULT_COLUMNS, grid_table(outcomes))
     _echo_config("simulate", resolved, out)
     failed = sum(1 for o in outcomes if o.error is not None)
     print(f"ran {len(specs)} scenarios ({failed} failed) -> {out / 'results.csv'}")
@@ -455,20 +446,10 @@ def cmd_bench(resolved: dict) -> int:
         repetitions=resolved["repetitions"],
         enum_limit=resolved["enum_limit"],
     )
-    rows = [
-        {
-            "p": r.p, "n": r.n, "method": r.method,
-            "wall_seconds": r.wall_seconds,
-            "per_observation_seconds": r.per_observation_seconds,
-            "error": "",
-        }
-        for r in records
-    ]
-    rows.extend(
-        {"p": e.p, "n": e.n, "method": e.method, "error": e.message} for e in bench_errors
-    )
-    _atomic_write_text(out / "bench.csv", _rows_to_csv(BENCH_COLUMNS, rows))
-    _write_json(
+    rows = [asdict(r) | {"error": ""} for r in records]
+    rows += [asdict(e) | {"error": e.message} for e in bench_errors]
+    write_records(out / "bench.csv", BENCH_COLUMNS, rows)
+    write_json(
         out / "bench.meta.json",
         {
             "machine": platform.platform(),
@@ -495,26 +476,14 @@ def cmd_summary_data(resolved: dict) -> int:
         raise DimensionError(
             f"covariate columns {cov_names} do not match attribution features {table.feature_names}"
         )
+    n, p = cov.shape
     mean_abs = np.abs(table.values).mean(axis=0)
-    order = sorted(range(len(cov_names)), key=lambda j: (-mean_abs[j], cov_names[j]))
-    importance = [
-        {"feature": cov_names[j], "mean_abs_value": float(mean_abs[j])} for j in order
-    ]
-    _atomic_write_text(out / "importance.csv", _rows_to_csv(("feature", "mean_abs_value"), importance))
-    observations = [
-        {
-            "row": i,
-            "feature": cov_names[j],
-            "covariate_value": float(cov[i, j]),
-            "mshap_value": float(table.values[i, j]),
-        }
-        for i in range(cov.shape[0])
-        for j in range(len(cov_names))
-    ]
-    _atomic_write_text(
-        out / "observations.csv",
-        _rows_to_csv(("row", "feature", "covariate_value", "mshap_value"), observations),
-    )
+    order = sorted(range(p), key=lambda j: (-mean_abs[j], cov_names[j]))
+    names = [cov_names[j] for j in order]
+    write_csv(out / "importance.csv", ("feature", "mean_abs_value"), (names, mean_abs[order]))
+    # long format, row-major: one line per (row, feature) cell
+    cells = (np.repeat(np.arange(n), p), np.tile(cov_names, n), cov.ravel(), table.values.ravel())
+    write_csv(out / "observations.csv", ("row", "feature", "covariate_value", "mshap_value"), cells)
     _echo_config("summary-data", resolved, out)
     print(f"wrote {out / 'importance.csv'} and {out / 'observations.csv'}")
     return 0

@@ -1,11 +1,11 @@
-"""Delimited attribution tables with a metadata sidecar.
+"""The file formats: every CSV file goes through ``render_csv``, every JSON file
+through ``write_json``, and both write through a temp file plus rename.
 
-A SHAP table is a comma-delimited text file with a header of feature names,
-one observation per row, and an optional prediction column.  The baseline is
-not inferable from the matrix, so it travels in a JSON sidecar next to the
-table (``foo.csv`` pairs with ``foo.meta.json``).  Cells are written with 17
-significant digits, which round-trips 64-bit floats losslessly, and all
-writes go through a temp file plus rename.
+A SHAP table has a header of feature names, one observation per row, and an
+optional prediction column.  Its baseline travels in a JSON sidecar
+(``foo.csv`` pairs with ``foo.meta.json``).  Float cells carry 17 significant
+digits, which round-trips 64-bit floats; header and text cells are quoted
+the way ``csv.writer`` quotes them.
 """
 
 from __future__ import annotations
@@ -48,6 +48,44 @@ def _atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, payload: dict) -> None:
+    _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _text_cell(value) -> str:
+    """One cell as ``csv.writer`` writes it: None empty, floats with 17 digits."""
+    text = "" if value is None else fmt17(value) if isinstance(value, float) else str(value)
+    # a bare carriage return is quoted too, so csv.reader reads the cell back whole
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def render_csv(header, columns) -> str:
+    """CSV text: the header, then one line per row of ``columns`` (1-D, one per header cell).
+
+    Float arrays are written with ``%.17g`` and integer arrays with ``%d``, one
+    formatting call per row; any other column is text, made by ``_text_cell``.
+    """
+    fmts, body = [], []
+    for col in columns:
+        kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
+        fmts.append({"f": "%.17g", "i": "%d", "u": "%d"}.get(kind, "%s"))
+        body.append(col.tolist() if kind in "fiu" else [_text_cell(v) for v in col])
+    row = ",".join(fmts) + "\n"
+    head = ",".join(map(_text_cell, header)) + "\n"
+    return "".join([head] + [row % cells for cells in zip(*body)])
+
+
+def write_csv(path, header, columns) -> None:
+    _atomic_write_text(path, render_csv(header, columns))
+
+
+def write_records(path, fields, records) -> None:
+    """One row per record and one column per field; a missing field is empty."""
+    write_csv(path, fields, [[r.get(f, "") for r in records] for f in fields])
 
 
 @dataclass(frozen=True)
@@ -110,30 +148,23 @@ def explanation_to_table(
     )
 
 
-def render_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt17(cell) for cell in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def write_shap_table(path, table: ShapTable) -> None:
-    path = Path(path)
     header = list(table.feature_names)
-    body = table.values
+    columns = list(table.values.T)
     if table.predictions is not None:
         if table.prediction_column in table.feature_names:
             raise TableFormatError(
                 f"prediction column {table.prediction_column!r} collides with a feature name"
             )
         header.append(table.prediction_column)
-        body = np.column_stack([table.values, table.predictions])
+        columns.append(table.predictions)
     meta = {
         "baseline": table.baseline,
         "prediction_column": table.prediction_column,
         **table.extra_meta,
     }
-    _atomic_write_text(path, render_csv(header, body))
-    _atomic_write_text(meta_path(path), json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    write_csv(path, header, columns)
+    write_json(meta_path(path), meta)
 
 
 def _parse_cells(path, reader) -> tuple[list[str], np.ndarray]:
@@ -141,22 +172,30 @@ def _parse_cells(path, reader) -> tuple[list[str], np.ndarray]:
         header = next(reader)
     except StopIteration:
         raise TableFormatError(f"{path}: empty table") from None
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
+    rows = list(reader)
+    if not rows:
+        raise TableFormatError(f"{path}: table has a header but no data rows")
+    try:
+        data = np.array(rows, dtype=float)
+    except ValueError:  # a ragged row, or a cell that float() rejects
+        pass
+    else:
+        if data.shape[1:] == (len(header),) and np.isfinite(data).all():
+            return header, data
+    # only a bad table gets here: scan it so that its first bad row is reported
+    parsed = []
+    for lineno, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise TableFormatError(
                 f"{path}:{lineno}: expected {len(header)} columns, found {len(row)}"
             )
         try:
-            parsed = [float(cell) for cell in row]
+            parsed.append([float(cell) for cell in row])
         except ValueError as exc:
             raise TableFormatError(f"{path}:{lineno}: {exc}") from None
-        if not all(math.isfinite(v) for v in parsed):
+        if not all(math.isfinite(v) for v in parsed[-1]):
             raise TableFormatError(f"{path}:{lineno}: non-finite value")
-        rows.append(parsed)
-    if not rows:
-        raise TableFormatError(f"{path}: table has a header but no data rows")
-    return header, np.array(rows, dtype=float)
+    return header, np.array(parsed)
 
 
 def read_value_table(path) -> tuple[tuple[str, ...], np.ndarray]:
@@ -174,7 +213,7 @@ def write_value_table(path, feature_names, values) -> None:
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[1] != len(feature_names):
         raise DimensionError(f"{len(feature_names)} names for {values.shape[1]} columns")
-    _atomic_write_text(Path(path), render_csv(list(feature_names), values))
+    write_csv(path, feature_names, values.T)
 
 
 def read_shap_table(path) -> ShapTable:

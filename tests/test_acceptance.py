@@ -33,8 +33,9 @@ from mshap import (
     validate_local_accuracy,
     write_shap_table,
 )
-from mshap.cli import RESULT_COLUMNS, SCORE_FIELDS, _rows_to_csv, main
+from mshap.cli import RESULT_COLUMNS, SCORE_FIELDS, main
 from mshap.simulation import ScenarioSpec, grid_table
+from mshap.tables import write_records
 
 FIXTURES = Path(__file__).parent / "fixtures"
 METHODS = list(AlphaMethod)
@@ -401,8 +402,8 @@ def test_criterion_8_cli_parity_and_round_trip(tmp_path):
     ]) == 0
     cell = json.loads((FIXTURES / "sim_config.json").read_text())["scenarios"][0]
     spec = ScenarioSpec(**cell)
-    expected_csv = _rows_to_csv(RESULT_COLUMNS, grid_table(run_grid([spec])))
-    assert (out / "results.csv").read_text() == expected_csv
+    write_records(tmp_path / "sim_lib.csv", RESULT_COLUMNS, grid_table(run_grid([spec])))
+    assert (out / "results.csv").read_bytes() == (tmp_path / "sim_lib.csv").read_bytes()
     checks += 1
     assert checks == 5
 

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from mshap import (
     AlphaMethod,
     ScoreParams,
+    ShapTable,
     additive_model,
     combine,
     explain_matrix,
@@ -263,7 +266,8 @@ def test_simulate_exact_reference_past_limit_exits_4(tmp_path):
 
 def test_simulate_library_parity(tmp_path):
     from mshap import ScenarioSpec, grid_table, run_grid
-    from mshap.cli import RESULT_COLUMNS, _rows_to_csv
+    from mshap.cli import RESULT_COLUMNS
+    from mshap.tables import write_records
 
     config = {"scenarios": [{"y1": "Y1B", "y2": "Y2D", "theta1": 2.5, "theta2": 6.0,
                              "n": 25, "background_size": 10, "seed": 5}]}
@@ -272,8 +276,8 @@ def test_simulate_library_parity(tmp_path):
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
     spec = ScenarioSpec("Y1B", "Y2D", 2.5, 6.0, n=25, background_size=10, seed=5)
-    expected = _rows_to_csv(RESULT_COLUMNS, grid_table(run_grid([spec])))
-    assert (out / "results.csv").read_text() == expected
+    write_records(tmp_path / "lib.csv", RESULT_COLUMNS, grid_table(run_grid([spec])))
+    assert (out / "results.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
 
 def test_bench_writes_records_and_machine_meta(tmp_path):
@@ -401,3 +405,139 @@ def test_console_entry_subprocess(tmp_path):
     assert "error:" in proc.stderr
     proc = subprocess.run([sys.executable, "-m", "mshap"], capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+# Outputs of the parent revision's per-cell writers for the fixed input below.
+FROZEN_OUTPUTS = {
+    "mshap.csv": (
+        'x1,x2,x3,prediction\n'
+        '-58688.117448430174,-791.63120228107027,-2242.7645468513274,12.386245545737321\n'
+        '-7091.5973953024286,-4.1815883287891483e-05,-54634.673434556396,8.6285714335939172\n'
+        '30863.914772474323,92591.119329789508,-6.2500330265591639,185183.6835123456\n'
+    ),
+    "importance.csv": 'feature,mean_abs_value\nx1,32214.543205402308\nx2,31127.583524628819\nx3,18961.229338144763\n',
+    "observations.csv": (
+        'row,feature,covariate_value,mshap_value\n'
+        '0,x1,1.7976931348623157e+308,-58688.117448430174\n'
+        '0,x2,-0,-791.63120228107027\n'
+        '0,x3,4.9406564584124654e-324,-2242.7645468513274\n'
+        '1,x1,0.33333333333333331,-7091.5973953024286\n'
+        '1,x2,2.7182818284590451,-4.1815883287891483e-05\n'
+        '1,x3,-7,-54634.673434556396\n'
+        '2,x1,9007199254740992,30863.914772474323\n'
+        '2,x2,1e+22,92591.119329789508\n'
+        '2,x3,-9.9999999999999995e-08,-6.2500330265591639\n'
+    ),
+}
+
+
+def test_combine_and_summary_data_bytes_are_frozen(tmp_path):
+    names = ("x1", "x2", "x3")
+    f = np.array([[math.pi, -1.0 / 3.0, 5e-324], [0.1, 2.0**-30, -0.0], [1e-300, 123456.789, -2.5]])
+    g = np.array([[0.5, 0.25, -0.125], [1.0 / 7.0, -0.0, 3.0], [0.75, -1.5, 1e-10]])
+    write_shap_table(tmp_path / "f.csv", ShapTable(names, f, 1.5, 1.5 + f.sum(axis=1), "prediction"))
+    write_shap_table(tmp_path / "g.csv", ShapTable(names, g, 2.25, 2.25 + g.sum(axis=1), "prediction"))
+    cov = np.array([[1.7976931348623157e308, -0.0, 5e-324], [1.0 / 3.0, math.e, -7.0],
+                    [2.0**53 + 1.0, 1e22, -1e-7]])
+    write_value_table(tmp_path / "cov.csv", names, cov)
+    out = tmp_path / "o"
+    assert main(["combine", "--f-shap", str(tmp_path / "f.csv"), "--g-shap", str(tmp_path / "g.csv"),
+                 "--mu-h", "auto", "--out-dir", str(out)]) == 0
+    assert main(["summary-data", "--mshap", str(out / "mshap.csv"),
+                 "--covariates", str(tmp_path / "cov.csv"), "--out-dir", str(out)]) == 0
+    for name, text in FROZEN_OUTPUTS.items():
+        assert (out / name).read_text() == text, name
+
+
+def test_every_output_file_is_written_through_the_tables_module(tmp_path, rng, monkeypatch):
+    from mshap import tables
+
+    f_path, g_path, *_, X = write_pair(tmp_path, rng, n=8)
+    write_value_table(tmp_path / "cov.csv", NAMES, X)
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps({"scenarios": [{"y1": "Y1A", "y2": "Y2A", "theta1": 1.5, "theta2": 1.0,
+                                              "n": 10, "background_size": 5}]}))
+    written = []
+    original = tables._atomic_write_text
+
+    def record(path, text):
+        written.append(Path(path))
+        original(path, text)
+
+    monkeypatch.setattr(tables, "_atomic_write_text", record)
+    runs = tmp_path / "runs"
+    calls = {
+        "combine": ["--f-shap", str(f_path), "--g-shap", str(g_path)],
+        "score": ["--candidate", str(f_path), "--reference", str(g_path)],
+        "simulate": ["--config", str(sim)],
+        "bench": ["--p-values", "2", "--n-values", "5", "--background-size", "5",
+                  "--n-permutations", "3", "--repetitions", "1"],
+        "summary-data": ["--mshap", str(runs / "combine" / "mshap.csv"), "--covariates", str(tmp_path / "cov.csv")],
+    }
+    for name, args in calls.items():
+        assert main([name, *args, "--out-dir", str(runs / name)]) == 0, name
+    files = {path for path in runs.rglob("*") if path.is_file()}
+    assert len(files) == 13
+    assert files == set(written)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"scenarios": [{"y1": "Y1A", "y2": "Y2A", "theta1": 1.5, "theta2": 1.0, "n": "abc"}]},
+        {"scenarios": [{"y1": "Y1A", "y2": "Y2A", "theta1": "abc", "theta2": 1.0}]},
+        {"scenarios": [{"y1": "Y1A", "y2": "Y2A", "theta1": 1.5, "theta2": 1.0, "seed": -1}]},
+        {"grid": {"theta1": "abc"}},
+        {"grid": {"y1": 5}},
+        {"grid": {"n": [20]}},
+    ],
+    ids=["scenario-n", "scenario-theta1", "scenario-seed", "grid-theta1", "grid-y1", "grid-n"],
+)
+def test_simulate_malformed_config_is_usage_error(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_simulate_grid_string_is_a_list_not_characters(tmp_path):
+    config = {"grid": {"y1": "Y1A", "y2": ["Y2A"], "theta1": "15", "theta2": [1.0],
+                       "n": 20, "background_size": 10}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    lines = (out / "results.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert {line.split(",")[header.index("theta1")] for line in lines[1:]} == {"15"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--seed", "-1"],
+        ["bench", "--seed", "-3"],
+        ["bench", "--p-values", "0"],
+        ["bench", "--p-values", "2,0"],
+        ["bench", "--background-size", "0"],
+        ["bench", "--n-permutations", "0"],
+        ["bench", "--repetitions", "0"],
+        ["combine", "--threads", "-4"],
+    ],
+    ids=lambda argv: "_".join(argv).lstrip("-"),
+)
+def test_counts_and_seeds_out_of_range_are_usage_errors(tmp_path, rng, capsys, argv):
+    f_path, g_path, *_ = write_pair(tmp_path, rng)
+    small = {
+        "simulate": ["--threads", "1"],
+        "bench": ["--p-values", "2", "--n-values", "5", "--background-size", "5",
+                  "--n-permutations", "3", "--repetitions", "1"],
+        "combine": ["--f-shap", str(f_path), "--g-shap", str(g_path)],
+    }[argv[0]]
+    out = tmp_path / "o"
+    # the flag under test comes last, so it overrides the small defaults
+    assert main([argv[0], *small, *argv[1:], "--out-dir", str(out)]) == 2
+    assert ">= " in capsys.readouterr().err
+    assert not out.exists()

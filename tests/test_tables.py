@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -20,7 +22,7 @@ from mshap import (
     write_shap_table,
     write_value_table,
 )
-from mshap.tables import meta_path
+from mshap.tables import meta_path, render_csv, write_records
 
 NASTY = [math.pi, 1.0 / 3.0, 5e-324, 1.7976931348623157e308, -0.0, 1.0, -123456.789, 2**53 + 1.0]
 
@@ -190,3 +192,110 @@ def test_atomic_overwrite(tmp_path):
     assert back.values[0, 0] == 2.0 and back.baseline == 5.0
     leftovers = [p for p in path.parent.iterdir() if p.suffix == ".tmp"]
     assert not leftovers
+
+
+def _fmt17_reference(header, body) -> str:
+    """The renderer's contract, one cell at a time: plain header, 17-digit cells."""
+    lines = [",".join(header)] + [",".join(fmt17(cell) for cell in row) for row in body]
+    return "\n".join(lines) + "\n"
+
+
+def _csv_writer_reference(fields, records) -> str:
+    """csv.writer with floats as fmt17 and a missing field as an empty cell."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(fields)
+    for record in records:
+        cells = [record.get(f, "") for f in fields]
+        writer.writerow([fmt17(v) if isinstance(v, float) else v for v in cells])
+    return buffer.getvalue()
+
+
+# every 64-bit pattern: NaN payloads, infinities, subnormals and signed zeros
+_BITS = st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+_BODIES = st.integers(1, 5).flatmap(
+    lambda k: st.lists(st.lists(st.one_of(st.sampled_from(NASTY), _BITS), min_size=k, max_size=k),
+                       min_size=1, max_size=6)
+)
+
+
+def test_render_csv_matches_per_cell_fmt17_on_nasty_values():
+    body = np.array([NASTY, NASTY[::-1], [-x for x in NASTY]])
+    header = [f"c{j}" for j in range(body.shape[1])]
+    assert render_csv(header, list(body.T)) == _fmt17_reference(header, body)
+
+
+@given(_BODIES)
+def test_render_csv_matches_per_cell_fmt17(rows):
+    body = np.array(rows, dtype=float)
+    header = [f"x{j}" for j in range(body.shape[1])]
+    assert render_csv(header, list(body.T)) == _fmt17_reference(header, body)
+
+
+_TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\n;')), max_size=6)
+_CELLS = st.one_of(st.none(), _TEXT, st.integers(-10**20, 10**20), st.sampled_from(NASTY), _BITS)
+
+
+@given(st.lists(st.fixed_dictionaries({"a": _CELLS, "b": _CELLS}), max_size=5), _TEXT)
+def test_record_cells_are_quoted_like_csv_writer(records, name):
+    fields = ("a", "b", name or "c")
+    records = [{**r, fields[2]: r["a"]} for r in records]
+    assert render_csv(fields, [[r.get(f, "") for r in records] for f in fields]) == (
+        _csv_writer_reference(fields, records)
+    )
+
+
+def test_write_records_leaves_missing_fields_empty(tmp_path):
+    write_records(tmp_path / "r.csv", ("p", "t", "error"), [{"p": 2, "t": 0.5}, {"p": 3, "error": "x, y"}])
+    assert (tmp_path / "r.csv").read_text() == 'p,t,error\n2,0.5,\n3,,"x, y"\n'
+
+
+def test_string_array_cells_are_quoted():
+    names = np.tile(np.array(["a,b", "c"]), 3)
+    text = render_csv(["f"], [names])
+    assert text == 'f\n"a,b"\nc\n"a,b"\nc\n"a,b"\nc\n'
+
+
+def test_header_names_with_commas_and_quotes_round_trip(tmp_path):
+    names = ("a,b", 'say "hi"', "c")
+    table = ShapTable(names, np.ones((2, 3)), 0.0, np.full(2, 3.0), "prediction")
+    write_shap_table(tmp_path / "t.csv", table)
+    assert (tmp_path / "t.csv").read_text().splitlines()[0] == '"a,b","say ""hi""",c,prediction'
+    back = read_shap_table(tmp_path / "t.csv")
+    assert back.feature_names == names
+    assert np.array_equal(back.values, table.values)
+    assert np.array_equal(back.predictions, table.predictions)
+
+
+def test_carriage_return_in_a_name_is_quoted(tmp_path):
+    write_value_table(tmp_path / "v.csv", ("a\rb", "c"), np.ones((1, 2)))
+    assert (tmp_path / "v.csv").read_bytes().startswith(b'"a\rb",c\n')
+    assert read_value_table(tmp_path / "v.csv")[0] == ("a\rb", "c")
+
+
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("1,2\n3\n", 3, "expected 2 columns, found 1"),
+        ("1,2\n3,4,5\n", 3, "expected 2 columns, found 3"),
+        ("1,zebra\n3\n", 2, "could not convert string to float: 'zebra'"),
+        ("1,2\n3,inf\n", 3, "non-finite value"),
+        ("1,nan\n3\n", 2, "non-finite value"),
+        ("1,2\n\n3,4\n", 3, "expected 2 columns, found 0"),
+        ("1,2\n3,4\n\n", 4, "expected 2 columns, found 0"),
+    ],
+)
+def test_read_errors_name_the_first_bad_line(tmp_path, body, line, message):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n" + body)
+    with pytest.raises(TableFormatError) as err:
+        read_value_table(path)
+    assert str(err.value) == f"{path}:{line}: {message}"
+
+
+def test_reader_accepts_what_float_accepts(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b'a,"b"\r\n 1_000 ,"2.5"\r\n-0,1e-320\r\n')
+    names, data = read_value_table(path)
+    assert names == ("a", "b")
+    assert data.tolist() == [[1000.0, 2.5], [-0.0, 1e-320]]
