@@ -23,12 +23,12 @@ print(f"efficiency check: sum(phi) = {phi.sum():+.6f} "
 
 print(f"{'permutations':>12} {'max |error|':>12} {'max stderr':>12}")
 for budget in (10, 40, 160, 640, 2560):
-    sampled = mshap.sampling_shapley(model, instance, background, budget, seed=7)
-    err = np.abs(sampled.values - phi).max()
+    sampled = mshap.sampling_explain_matrix(model, instance[None, :], background, budget, seed=7)
+    err = np.abs(sampled.values[0] - phi).max()
     tag = " (exhaustive)" if sampled.exhaustive else ""
     print(f"{sampled.n_permutations:12d} {err:12.2e} {np.nanmax(sampled.stderr):12.2e}{tag}")
 
 # past p! = 720 requested permutations, each distinct ordering runs exactly once
-full = mshap.sampling_shapley(model, instance, background, 720, seed=0)
+full = mshap.sampling_explain_matrix(model, instance[None, :], background, 720, seed=0)
 print(f"\nwith all {full.n_permutations} orderings enumerated, max gap to the oracle: "
-      f"{np.abs(full.values - phi).max():.2e}")
+      f"{np.abs(full.values[0] - phi).max():.2e}")

@@ -10,8 +10,6 @@ from .combine import (
     AlphaMethod,
     MshapExplanation,
     combine,
-    compute_alpha,
-    linear_combine,
     linear_combine_explanations,
     linear_combine_mshap,
     mean_product_baseline,
@@ -24,50 +22,29 @@ from .errors import (
     ResampleLimitError,
     TableFormatError,
 )
-from .scoring import (
-    ScoreBreakdown,
-    ScoreParams,
-    importance_ranks,
-    score_matrices,
-)
+from .scoring import ScoreParams, score_matrices
 from .shapley import (
-    DEFAULT_ENUM_LIMIT,
-    LocalAccuracyReport,
     ModelFunction,
-    SamplingRow,
     ShapExplanation,
     additive_model,
     baseline,
-    constant_model,
     explain_matrix,
     product_model,
     sampling_explain_matrix,
-    sampling_shapley,
     validate_local_accuracy,
 )
 from .simulation import (
-    BenchError,
-    BenchRecord,
     CovariateSpec,
-    GridOutcome,
-    ResponseFunction,
-    RESPONSE_FUNCTIONS,
-    ScenarioResult,
     ScenarioSpec,
     bench_scaling,
     default_grid,
-    derive_seed,
-    grid_table,
     mean_scores_by_method,
     run_grid,
     run_scenario,
-    sample_scenario_rows,
-    scenario_model,
 )
 from .tables import (
     ShapTable,
     explanation_to_table,
-    fmt17,
     read_shap_table,
     read_value_table,
     write_shap_table,
@@ -78,25 +55,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphaMethod",
-    "BenchError",
-    "BenchRecord",
     "CovariateSpec",
-    "DEFAULT_ENUM_LIMIT",
     "DimensionError",
     "EnumerationLimitError",
-    "GridOutcome",
     "InvalidInputError",
-    "LocalAccuracyReport",
     "ModelFunction",
     "MshapError",
     "MshapExplanation",
-    "RESPONSE_FUNCTIONS",
     "ResampleLimitError",
-    "ResponseFunction",
-    "SamplingRow",
-    "ScenarioResult",
     "ScenarioSpec",
-    "ScoreBreakdown",
     "ScoreParams",
     "ShapExplanation",
     "ShapTable",
@@ -105,16 +72,9 @@ __all__ = [
     "baseline",
     "bench_scaling",
     "combine",
-    "compute_alpha",
-    "constant_model",
     "default_grid",
-    "derive_seed",
     "explain_matrix",
     "explanation_to_table",
-    "fmt17",
-    "grid_table",
-    "importance_ranks",
-    "linear_combine",
     "linear_combine_explanations",
     "linear_combine_mshap",
     "mean_product_baseline",
@@ -124,10 +84,7 @@ __all__ = [
     "read_value_table",
     "run_grid",
     "run_scenario",
-    "sample_scenario_rows",
     "sampling_explain_matrix",
-    "sampling_shapley",
-    "scenario_model",
     "score_matrices",
     "validate_local_accuracy",
     "write_shap_table",

@@ -226,10 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(path: str, subcommand: str) -> dict:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             config = json.load(handle)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(config, dict):
@@ -289,19 +291,14 @@ def cmd_combine(resolved: dict) -> int:
     table_f = read_shap_table(resolved["f_shap"])
     table_g = read_shap_table(resolved["g_shap"])
     if resolved["mu_h"] == "auto":
-        if table_f.predictions is None or table_g.predictions is None:
+        if table_f.prediction_column is None or table_g.prediction_column is None:
             raise InvalidInputError(
                 "--mu-h auto requires prediction columns in both input tables"
             )
         mu_h = mean_product_baseline(table_f.predictions, table_g.predictions)
     else:
         mu_h = resolved["mu_h"]
-    result = combine(
-        table_f.to_explanation(),
-        table_g.to_explanation(),
-        mu_h,
-        AlphaMethod(resolved["method"]),
-    )
+    result = combine(table_f, table_g, mu_h, AlphaMethod(resolved["method"]))
     out_table = explanation_to_table(
         result,
         extra_meta={
@@ -322,6 +319,7 @@ def cmd_combine(resolved: dict) -> int:
 
 
 def cmd_score(resolved: dict) -> int:
+    params = ScoreParams(resolved["theta1"], resolved["theta2"])
     out = _out_dir(resolved)
     candidate = read_shap_table(resolved["candidate"])
     reference = read_shap_table(resolved["reference"])
@@ -331,11 +329,7 @@ def cmd_score(resolved: dict) -> int:
             min(len(candidate.feature_names), len(reference.feature_names)),
         )
         raise DimensionError(f"feature names disagree starting at column {bad}")
-    breakdown = score_matrices(
-        candidate.values,
-        reference.values,
-        ScoreParams(resolved["theta1"], resolved["theta2"]),
-    )
+    breakdown = score_matrices(candidate.values, reference.values, params)
     payload = {field: getattr(breakdown, field) for field in SCORE_FIELDS}
     payload["theta1"] = resolved["theta1"]
     payload["theta2"] = resolved["theta2"]

@@ -25,14 +25,14 @@ or a raw denominator indistinguishable from zero) fall back to the uniform
 rule and are flagged on the result, since only the uniform rule is defined
 there.  Expected-value models that take a linear combination of several
 product models are handled by applying the same linear combination to the
-attribution matrices (:func:`linear_combine`).
+attribution matrices (:func:`linear_combine_explanations`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,11 +75,6 @@ class MshapExplanation(ShapExplanation):
     def as_shap_explanation(self) -> ShapExplanation:
         """The explanation itself; it already is one with baseline mu_h."""
         return self
-
-
-def compute_alpha(mu_f: float, mu_g: float, mu_h: float) -> float:
-    """Correction between the product of part baselines and the product baseline."""
-    return mu_f * mu_g - mu_h
 
 
 def mean_product_baseline(preds_f: np.ndarray, preds_g: np.ndarray) -> float:
@@ -189,7 +184,7 @@ def combine(
             )
     mu_f, mu_g = expl_f.baseline, expl_g.baseline
     s_prime = _prime_rows(expl_f.values, expl_g.values, mu_f, mu_g)
-    alpha = compute_alpha(mu_f, mu_g, mu_h)
+    alpha = mu_f * mu_g - mu_h
     z_hat = expl_f.predictions * expl_g.predictions
     s_z, degenerate = _distribute_rows(s_prime, alpha, method, z_hat)
     return MshapExplanation(
@@ -203,37 +198,26 @@ def combine(
     )
 
 
-def linear_combine(
-    parts: Iterable[tuple[float, np.ndarray, float]],
-) -> tuple[np.ndarray, float]:
-    """Weighted sum of attribution matrices and their baselines.
-
-    Local accuracy is preserved: if each part reconstructs its own prediction,
-    the combined matrix reconstructs the same weighted sum of predictions.
-    """
-    parts = list(parts)
-    if not parts:
-        raise InvalidInputError("linear_combine needs at least one part")
-    shape = np.asarray(parts[0][1], dtype=float).shape
-    out = np.zeros(shape)
-    base = 0.0
-    for weight, values, part_baseline in parts:
-        values = np.asarray(values, dtype=float)
-        if values.shape != shape:
-            raise DimensionError(f"part shapes differ: {values.shape} vs {shape}")
-        out += float(weight) * values
-        base += float(weight) * float(part_baseline)
-    return out, base
-
-
 def linear_combine_explanations(
     parts: Sequence[tuple[float, ShapExplanation]],
 ) -> ShapExplanation:
-    """linear_combine lifted to whole explanations (predictions combine too)."""
-    matrix, base = linear_combine((w, e.values, e.baseline) for w, e in parts)
-    preds = sum(w * e.predictions for w, e in parts)
-    names = parts[0][1].feature_names
-    return ShapExplanation(values=matrix, baseline=base, predictions=preds, feature_names=names)
+    """Weighted sum of explanations: values, baselines and predictions.
+
+    Local accuracy is preserved: if each part reconstructs its own prediction,
+    the combined values reconstruct the same weighted sum of predictions.
+    """
+    if not parts:
+        raise InvalidInputError("a linear combination needs at least one part")
+    shape = parts[0][1].values.shape
+    for _, e in parts:
+        if e.values.shape != shape:
+            raise DimensionError(f"part shapes differ: {e.values.shape} vs {shape}")
+    return ShapExplanation(
+        values=sum(float(w) * e.values for w, e in parts),
+        baseline=sum(float(w) * e.baseline for w, e in parts),
+        predictions=sum(w * e.predictions for w, e in parts),
+        feature_names=parts[0][1].feature_names,
+    )
 
 
 def linear_combine_mshap(
@@ -241,24 +225,21 @@ def linear_combine_mshap(
 ) -> MshapExplanation:
     """Weighted sum of combined explanations, e.g. expected-value class models.
 
-    All parts must share the distribution method; baselines, alphas and
-    predictions combine with the same weights, so local accuracy carries over.
+    All parts must share the distribution method; alphas combine with the same
+    weights as the values, baselines and predictions, so local accuracy carries
+    over.
     """
-    if not parts:
-        raise InvalidInputError("linear_combine_mshap needs at least one part")
+    total = linear_combine_explanations(parts)
     methods = {e.method for _, e in parts}
     if len(methods) > 1:
         raise InvalidInputError(f"parts mix alpha methods: {sorted(m.value for m in methods)}")
-    matrix, mu_h = linear_combine((w, e.values, e.baseline) for w, e in parts)
-    alpha = sum(w * e.alpha for w, e in parts)
-    preds = sum(w * e.predictions for w, e in parts)
     fallback = sorted({i for _, e in parts for i in e.fallback_rows})
     return MshapExplanation(
-        values=matrix,
-        baseline=mu_h,
-        predictions=preds,
-        feature_names=parts[0][1].feature_names,
-        alpha=alpha,
+        values=total.values,
+        baseline=total.baseline,
+        predictions=total.predictions,
+        feature_names=total.feature_names,
+        alpha=sum(w * e.alpha for w, e in parts),
         method=parts[0][1].method,
         fallback_rows=tuple(fallback),
     )

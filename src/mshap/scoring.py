@@ -7,6 +7,7 @@ Dataset-level results average over all n*p cells.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,15 +17,15 @@ from .errors import DimensionError, InvalidInputError
 
 @dataclass(frozen=True)
 class ScoreParams:
-    """Slack parameters: theta1 for direction, theta2 for value, both > 0."""
+    """Slack parameters: theta1 for direction, theta2 for value, both finite and > 0."""
 
     theta1: float
     theta2: float
 
     def __post_init__(self):
-        if not (self.theta1 > 0 and self.theta2 > 0):
+        if not (0 < self.theta1 < math.inf and 0 < self.theta2 < math.inf):
             raise InvalidInputError(
-                f"thetas must be strictly positive, got ({self.theta1}, {self.theta2})"
+                f"thetas must be finite and strictly positive, got ({self.theta1}, {self.theta2})"
             )
 
 

@@ -88,18 +88,6 @@ def _as_background(background, arity: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SamplingRow:
-    """Sampled attributions for one instance, with per-feature standard errors."""
-
-    values: np.ndarray
-    baseline: float
-    prediction: float
-    stderr: np.ndarray
-    n_permutations: int
-    exhaustive: bool
-
-
-@dataclass(frozen=True)
 class ShapExplanation:
     """Per-feature contributions for a batch of instances of one model part.
 
@@ -140,6 +128,20 @@ class ShapExplanation:
     @property
     def n_features(self) -> int:
         return self.values.shape[1]
+
+
+@dataclass(frozen=True, kw_only=True)
+class SamplingExplanation(ShapExplanation):
+    """Permutation-sampling attributions with their per-cell standard errors.
+
+    ``stderr`` is (n, p), NaN when a single permutation was drawn;
+    ``n_permutations`` counts the orderings actually used and ``exhaustive``
+    says they were all p! of them, so ``values`` are exact.
+    """
+
+    stderr: np.ndarray
+    n_permutations: int
+    exhaustive: bool
 
 
 @dataclass(frozen=True)
@@ -385,36 +387,6 @@ def _sampling_core(
     return phi, v_empty, stderr, count, exhaustive
 
 
-def sampling_shapley(
-    model: ModelFunction,
-    instance,
-    background,
-    n_permutations: int,
-    seed: int,
-) -> SamplingRow:
-    """Permutation-sampling estimate of the exact Shapley row.
-
-    Each random feature ordering contributes one marginal-contribution vector;
-    the estimate is their mean, which is unbiased for the exact values and
-    reproducible under a fixed seed.  When ``n_permutations`` covers all p!
-    orderings, each distinct ordering is enumerated exactly once and the
-    result coincides with exact enumeration.
-    """
-    if n_permutations < 1:
-        raise InvalidInputError(f"n_permutations must be >= 1, got {n_permutations}")
-    x = _instances(np.reshape(instance, (1, -1)), model.arity)
-    data = _as_background(background, model.arity)
-    phi, v_empty, stderr, count, exhaustive = _sampling_core(model, x, data, n_permutations, seed)
-    return SamplingRow(
-        values=phi[0],
-        baseline=float(v_empty),
-        prediction=float(model(x)[0]),
-        stderr=stderr[0],
-        n_permutations=count,
-        exhaustive=exhaustive,
-    )
-
-
 def sampling_explain_matrix(
     model: ModelFunction,
     X: np.ndarray,
@@ -422,20 +394,28 @@ def sampling_explain_matrix(
     n_permutations: int,
     seed: int,
     feature_names: Sequence[str] | None = None,
-) -> ShapExplanation:
-    """Permutation-sampling attributions for every row of ``X``.
+) -> SamplingExplanation:
+    """Permutation-sampling estimate of the exact Shapley values of every row of ``X``.
 
-    All rows share the same permutation draws, so the whole batch costs
-    ``n_permutations * p`` model evaluations regardless of n.
+    Each random feature ordering contributes one marginal-contribution vector
+    per row; the estimate is their mean, which is unbiased for the exact
+    values and reproducible under a fixed seed.  All rows share the same
+    permutation draws, so the whole batch costs ``n_permutations * p`` model
+    evaluations regardless of n.  When ``n_permutations`` covers all p!
+    orderings, each distinct ordering is enumerated exactly once and the
+    result coincides with exact enumeration.
     """
     if n_permutations < 1:
         raise InvalidInputError(f"n_permutations must be >= 1, got {n_permutations}")
     data = _as_background(background, model.arity)
     X = _instances(X, model.arity)
-    phi, v_empty, _, _, _ = _sampling_core(model, X, data, n_permutations, seed)
-    return ShapExplanation(
+    phi, v_empty, stderr, count, exhaustive = _sampling_core(model, X, data, n_permutations, seed)
+    return SamplingExplanation(
         values=phi,
         baseline=float(v_empty),
         predictions=model(X),
         feature_names=tuple(feature_names) if feature_names is not None else None,
+        stderr=stderr,
+        n_permutations=count,
+        exhaustive=exhaustive,
     )

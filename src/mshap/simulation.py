@@ -215,18 +215,12 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(tuple(int(x) for x in parts)).generate_state(1)[0])
 
 
-def _resolve_response(fn) -> ResponseFunction:
-    if isinstance(fn, ResponseFunction):
-        return fn
-    try:
-        return RESPONSE_FUNCTIONS[fn]
-    except KeyError:
-        raise InvalidInputError(f"unknown response function id: {fn!r}") from None
-
-
-def scenario_model(fn, p: int) -> ModelFunction:
+def scenario_model(fn_id: str, p: int) -> ModelFunction:
     """Wrap a catalog response as a p-ary model; columns past the arity are inert."""
-    rf = _resolve_response(fn)
+    try:
+        rf = RESPONSE_FUNCTIONS[fn_id]
+    except KeyError:
+        raise InvalidInputError(f"unknown response function id: {fn_id!r}") from None
     if p < rf.arity:
         raise DimensionError(f"{rf.id} needs >= {rf.arity} features, got p={p}")
     return ModelFunction(p, rf.formula)

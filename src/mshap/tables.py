@@ -41,7 +41,7 @@ def _atomic_write_text(path, text: str) -> None:
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -54,13 +54,17 @@ def write_json(path, payload: dict) -> None:
     _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _text_cell(value) -> str:
-    """One cell as ``csv.writer`` writes it: None empty, floats with 17 digits."""
+def _text_cell(value, alone: bool = False) -> str:
+    """One cell as ``csv.writer`` writes it: None empty, floats with 17 digits.
+
+    An empty cell ``alone`` on its line is written ``""``: a blank line would
+    read back as a row of no cells.
+    """
     text = "" if value is None else fmt17(value) if isinstance(value, float) else str(value)
     # a bare carriage return is quoted too, so csv.reader reads the cell back whole
     if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
-    return text
+    return text or ('""' if alone else "")
 
 
 def render_csv(header, columns) -> str:
@@ -69,13 +73,14 @@ def render_csv(header, columns) -> str:
     Float arrays are written with ``%.17g`` and integer arrays with ``%d``, one
     formatting call per row; any other column is text, made by ``_text_cell``.
     """
+    alone = len(header) == 1
     fmts, body = [], []
     for col in columns:
         kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
         fmts.append({"f": "%.17g", "i": "%d", "u": "%d"}.get(kind, "%s"))
-        body.append(col.tolist() if kind in "fiu" else [_text_cell(v) for v in col])
+        body.append(col.tolist() if kind in "fiu" else [_text_cell(v, alone) for v in col])
     row = ",".join(fmts) + "\n"
-    head = ",".join(map(_text_cell, header)) + "\n"
+    head = ",".join(_text_cell(name, alone) for name in header) + "\n"
     return "".join([head] + [row % cells for cells in zip(*body)])
 
 
@@ -88,46 +93,35 @@ def write_records(path, fields, records) -> None:
     write_csv(path, fields, [[r.get(f, "") for r in records] for f in fields])
 
 
-@dataclass(frozen=True)
-class ShapTable:
-    """In-memory form of one table file plus its sidecar fields."""
+@dataclass(frozen=True, kw_only=True)
+class ShapTable(ShapExplanation):
+    """One table file and its sidecar fields, as a :class:`ShapExplanation`.
 
-    feature_names: tuple[str, ...]
-    values: np.ndarray
-    baseline: float
-    predictions: np.ndarray | None = None
+    ``predictions`` and ``prediction_column`` are given together or not at
+    all.  Without them the table has no prediction column, and the
+    predictions are the baseline plus the row sums.  Feature names default
+    to ``x1..xp``.
+    """
+
+    predictions: np.ndarray | None = field(default=None, kw_only=False)
     prediction_column: str | None = None
     extra_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        names = tuple(str(s) for s in self.feature_names)
-        if len(names) != values.shape[1]:
-            raise DimensionError(f"{len(names)} feature names for {values.shape[1]} columns")
         if (self.predictions is None) != (self.prediction_column is None):
             raise DimensionError("predictions and prediction_column must be given together")
-        if self.predictions is not None:
-            preds = np.asarray(self.predictions, dtype=float).reshape(-1)
-            if preds.shape[0] != values.shape[0]:
-                raise DimensionError(
-                    f"{preds.shape[0]} predictions for {values.shape[0]} rows"
-                )
-            object.__setattr__(self, "predictions", preds)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "feature_names", names)
-        object.__setattr__(self, "baseline", float(self.baseline))
+        values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        if self.predictions is None:
+            # local accuracy pins the prediction once the baseline is known
+            object.__setattr__(self, "predictions", float(self.baseline) + values.sum(axis=1))
+        if self.feature_names is None:
+            names = tuple(f"x{j + 1}" for j in range(values.shape[1]))
+            object.__setattr__(self, "feature_names", names)
+        super().__post_init__()
 
     def to_explanation(self) -> ShapExplanation:
-        preds = self.predictions
-        if preds is None:
-            # local accuracy pins the prediction once the baseline is known
-            preds = self.baseline + self.values.sum(axis=1)
-        return ShapExplanation(
-            values=self.values,
-            baseline=self.baseline,
-            predictions=preds,
-            feature_names=self.feature_names,
-        )
+        """The table itself; it already is one."""
+        return self
 
 
 def explanation_to_table(
@@ -135,14 +129,11 @@ def explanation_to_table(
     prediction_column: str = "prediction",
     extra_meta: dict | None = None,
 ) -> ShapTable:
-    names = expl.feature_names
-    if names is None:
-        names = tuple(f"x{i + 1}" for i in range(expl.values.shape[1]))
     return ShapTable(
-        feature_names=names,
         values=expl.values,
         baseline=expl.baseline,
         predictions=expl.predictions,
+        feature_names=expl.feature_names,
         prediction_column=prediction_column,
         extra_meta=dict(extra_meta or {}),
     )
@@ -151,7 +142,7 @@ def explanation_to_table(
 def write_shap_table(path, table: ShapTable) -> None:
     header = list(table.feature_names)
     columns = list(table.values.T)
-    if table.predictions is not None:
+    if table.prediction_column is not None:
         if table.prediction_column in table.feature_names:
             raise TableFormatError(
                 f"prediction column {table.prediction_column!r} collides with a feature name"
@@ -202,10 +193,12 @@ def read_value_table(path) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a plain headed CSV of finite reals (no sidecar)."""
     path = Path(path)
     try:
-        with open(path, newline="") as handle:
+        with open(path, encoding="utf-8", newline="") as handle:
             header, data = _parse_cells(path, csv.reader(handle))
     except OSError as exc:
         raise TableFormatError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise TableFormatError(f"{path}: not UTF-8 text: {exc}") from None
     return tuple(header), data
 
 
@@ -222,21 +215,23 @@ def read_shap_table(path) -> ShapTable:
     header, data = read_value_table(path)
     side = meta_path(path)
     try:
-        with open(side) as handle:
+        with open(side, encoding="utf-8") as handle:
             meta = json.load(handle)
     except OSError as exc:
         raise TableFormatError(f"cannot read metadata sidecar {side}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise TableFormatError(f"{side}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise TableFormatError(f"{side}: invalid JSON: {exc}") from None
     if not isinstance(meta, dict) or "baseline" not in meta:
         raise TableFormatError(f"{side}: metadata must be an object with a 'baseline' field")
     baseline = meta["baseline"]
-    if not isinstance(baseline, (int, float)) or not math.isfinite(baseline):
+    if isinstance(baseline, bool) or not isinstance(baseline, (int, float)) or not math.isfinite(baseline):
         raise TableFormatError(f"{side}: baseline must be a finite number, got {baseline!r}")
     pred_col = meta.get("prediction_column")
     extra = {k: v for k, v in meta.items() if k not in ("baseline", "prediction_column")}
     if pred_col is None:
-        return ShapTable(tuple(header), data, baseline, extra_meta=extra)
+        return ShapTable(values=data, baseline=baseline, feature_names=tuple(header), extra_meta=extra)
     if pred_col not in header:
         raise TableFormatError(f"{path}: prediction column {pred_col!r} not in header")
     idx = header.index(pred_col)

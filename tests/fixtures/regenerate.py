@@ -1,9 +1,11 @@
 """Regenerate the stored CLI parity fixtures (deterministic).
 
-Run from the repository root:  python3 tests/fixtures/regenerate.py
+Run from the repository root:  python3 tests/fixtures/regenerate.py [OUT_DIR]
+OUT_DIR defaults to this directory.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,19 +22,19 @@ from mshap import (
 HERE = Path(__file__).parent
 
 
-def main():
+def main(out: Path = HERE):
     rng = np.random.default_rng(977)
 
     # fixture 1: single-feature pair
     expl_f, expl_g = _pair(rng, n=6, p=1, names=("mileage",))
-    write_shap_table(HERE / "single_f.csv", explanation_to_table(expl_f))
-    write_shap_table(HERE / "single_g.csv", explanation_to_table(expl_g))
+    write_shap_table(out / "single_f.csv", explanation_to_table(expl_f))
+    write_shap_table(out / "single_g.csv", explanation_to_table(expl_g))
 
     # fixture 2: identity pair (second part constant 1)
     expl_f, _ = _pair(rng, n=8, p=3, names=("age", "zone", "power"))
     ident = ShapExplanation(np.zeros((8, 3)), 1.0, np.ones(8), ("age", "zone", "power"))
-    write_shap_table(HERE / "identity_f.csv", explanation_to_table(expl_f))
-    write_shap_table(HERE / "identity_g.csv", explanation_to_table(ident))
+    write_shap_table(out / "identity_f.csv", explanation_to_table(expl_f))
+    write_shap_table(out / "identity_g.csv", explanation_to_table(ident))
 
     # fixture 3: 20 x 3 pair from exactly-explained additive models
     names = ("x1", "x2", "x3")
@@ -41,11 +43,11 @@ def main():
     f = additive_model(rng.uniform(-2, 2, 3), intercept=0.7)
     g = additive_model(rng.uniform(-2, 2, 3), intercept=1.9)
     write_shap_table(
-        HERE / "additive_f.csv",
+        out / "additive_f.csv",
         explanation_to_table(explain_matrix(f, X, background, feature_names=names)),
     )
     write_shap_table(
-        HERE / "additive_g.csv",
+        out / "additive_g.csv",
         explanation_to_table(explain_matrix(g, X, background, feature_names=names)),
     )
 
@@ -53,11 +55,11 @@ def main():
     reference = rng.uniform(-5, 5, (15, 4))
     candidate = reference + rng.normal(0, 0.8, (15, 4))
     cols = ("a", "b", "c", "d")
-    write_shap_table(HERE / "score_candidate.csv", ShapTable(cols, candidate, 0.25))
-    write_shap_table(HERE / "score_reference.csv", ShapTable(cols, reference, 0.25))
+    for name, values in (("score_candidate", candidate), ("score_reference", reference)):
+        write_shap_table(out / f"{name}.csv", ShapTable(values=values, baseline=0.25, feature_names=cols))
 
     # fixture 5: one-cell simulation config
-    (HERE / "sim_config.json").write_text(
+    (out / "sim_config.json").write_text(
         json.dumps(
             {
                 "scenarios": [
@@ -89,4 +91,4 @@ def _pair(rng, n, p, names):
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else HERE)

@@ -350,8 +350,7 @@ def test_criterion_8_cli_parity_and_round_trip(tmp_path):
             if mu_h_flag == "auto"
             else float(mu_h_flag)
         )
-        expected = combine(table_f.to_explanation(), table_g.to_explanation(),
-                           mu_h, AlphaMethod(method))
+        expected = combine(table_f, table_g, mu_h, AlphaMethod(method))
         lib = tmp_path / (out_name + "_lib")
         lib.mkdir()
         write_shap_table(
@@ -411,7 +410,7 @@ def test_criterion_8_cli_parity_and_round_trip(tmp_path):
     nasty = np.array([[np.pi, 1.0 / 3.0, 5e-324], [1.7976931348623157e308, -0.0, 2**53 + 1.0]])
     from mshap import ShapTable
 
-    write_shap_table(tmp_path / "rt.csv", ShapTable(("a", "b", "c"), nasty, np.e))
+    write_shap_table(tmp_path / "rt.csv", ShapTable(values=nasty, baseline=np.e, feature_names=("a", "b", "c")))
     back = read_shap_table(tmp_path / "rt.csv")
     assert np.array_equal(back.values, nasty) and back.baseline == np.e
 

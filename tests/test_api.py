@@ -1,0 +1,42 @@
+"""The package namespace holds what the demos, the README and the CLI use."""
+
+import numpy as np
+
+import mshap
+
+PUBLIC = [
+    # types
+    "AlphaMethod", "CovariateSpec", "ModelFunction", "MshapExplanation",
+    "ScenarioSpec", "ScoreParams", "ShapExplanation", "ShapTable",
+    # errors
+    "DimensionError", "EnumerationLimitError", "InvalidInputError", "MshapError",
+    "ResampleLimitError", "TableFormatError",
+    # functions
+    "additive_model", "baseline", "bench_scaling", "combine", "default_grid",
+    "explain_matrix", "explanation_to_table", "linear_combine_explanations",
+    "linear_combine_mshap", "mean_product_baseline", "mean_scores_by_method",
+    "product_model", "read_shap_table", "read_value_table", "run_grid",
+    "run_scenario", "sampling_explain_matrix", "score_matrices",
+    "validate_local_accuracy", "write_shap_table", "write_value_table",
+]
+
+
+def test_public_names_are_exactly_the_used_ones():
+    assert len(PUBLIC) == 35
+    assert sorted(mshap.__all__) == sorted(PUBLIC)
+    for name in PUBLIC:
+        assert getattr(mshap, name) is not None, name
+
+
+def test_every_attribution_result_is_a_shap_explanation(tmp_path):
+    f = mshap.additive_model([1.0, -2.0])
+    g = mshap.additive_model([0.5, 3.0], intercept=2.0)
+    X = np.array([[0.5, 1.0], [-1.0, 2.0]])
+    expl_f = mshap.explain_matrix(f, X, X)
+    expl_g = mshap.sampling_explain_matrix(g, X, X, n_permutations=2, seed=0)
+    combined = mshap.combine(expl_f, expl_g, 1.0)
+    mshap.write_shap_table(tmp_path / "f.csv", mshap.explanation_to_table(expl_f))
+    read = mshap.read_shap_table(tmp_path / "f.csv")
+    for expl in (expl_f, expl_g, combined, read):
+        assert isinstance(expl, mshap.ShapExplanation)
+        assert mshap.validate_local_accuracy(expl, 1e-9).passed

@@ -126,8 +126,9 @@ def test_combine_auto_requires_prediction_columns(tmp_path, rng):
     expl_f, expl_g = make_parts(rng, 4, 2, names=("a", "b"))
     from mshap import ShapTable
 
-    write_shap_table(tmp_path / "f.csv", ShapTable(("a", "b"), expl_f.values, expl_f.baseline))
-    write_shap_table(tmp_path / "g.csv", ShapTable(("a", "b"), expl_g.values, expl_g.baseline))
+    for name, expl in (("f", expl_f), ("g", expl_g)):
+        table = ShapTable(values=expl.values, baseline=expl.baseline, feature_names=("a", "b"))
+        write_shap_table(tmp_path / f"{name}.csv", table)
     code = main([
         "combine", "--f-shap", str(tmp_path / "f.csv"), "--g-shap", str(tmp_path / "g.csv"),
         "--mu-h", "auto", "--out-dir", str(tmp_path / "out"),
@@ -265,7 +266,8 @@ def test_simulate_exact_reference_past_limit_exits_4(tmp_path):
 
 
 def test_simulate_library_parity(tmp_path):
-    from mshap import ScenarioSpec, grid_table, run_grid
+    from mshap import ScenarioSpec, run_grid
+    from mshap.simulation import grid_table
     from mshap.cli import RESULT_COLUMNS
     from mshap.tables import write_records
 
@@ -342,7 +344,7 @@ def test_summary_data_tied_importance_ordered_by_name(tmp_path):
     from mshap import ShapTable, write_shap_table
 
     values = np.array([[1.0, -1.0], [-1.0, 1.0]])  # equal mean |value| per column
-    write_shap_table(tmp_path / "m.csv", ShapTable(("bb", "aa"), values, 0.0))
+    write_shap_table(tmp_path / "m.csv", ShapTable(values=values, baseline=0.0, feature_names=("bb", "aa")))
     write_value_table(tmp_path / "cov.csv", ("bb", "aa"), np.zeros((2, 2)))
     out = tmp_path / "out"
     assert main(["summary-data", "--mshap", str(tmp_path / "m.csv"),
@@ -352,7 +354,7 @@ def test_summary_data_tied_importance_ordered_by_name(tmp_path):
 
 
 def test_summary_data_order_matches_importance_ranks(tmp_path, rng):
-    from mshap import importance_ranks
+    from mshap.scoring import importance_ranks
 
     f_path, g_path, *_ , X = write_pair(tmp_path, rng, n=10)
     out = tmp_path / "out"
@@ -435,8 +437,15 @@ def test_combine_and_summary_data_bytes_are_frozen(tmp_path):
     names = ("x1", "x2", "x3")
     f = np.array([[math.pi, -1.0 / 3.0, 5e-324], [0.1, 2.0**-30, -0.0], [1e-300, 123456.789, -2.5]])
     g = np.array([[0.5, 0.25, -0.125], [1.0 / 7.0, -0.0, 3.0], [0.75, -1.5, 1e-10]])
-    write_shap_table(tmp_path / "f.csv", ShapTable(names, f, 1.5, 1.5 + f.sum(axis=1), "prediction"))
-    write_shap_table(tmp_path / "g.csv", ShapTable(names, g, 2.25, 2.25 + g.sum(axis=1), "prediction"))
+    for name, values, base in (("f", f, 1.5), ("g", g, 2.25)):
+        table = ShapTable(
+            values=values,
+            baseline=base,
+            predictions=base + values.sum(axis=1),
+            feature_names=names,
+            prediction_column="prediction",
+        )
+        write_shap_table(tmp_path / f"{name}.csv", table)
     cov = np.array([[1.7976931348623157e308, -0.0, 5e-324], [1.0 / 3.0, math.e, -7.0],
                     [2.0**53 + 1.0, 1e22, -1e-7]])
     write_value_table(tmp_path / "cov.csv", names, cov)
@@ -541,3 +550,53 @@ def test_counts_and_seeds_out_of_range_are_usage_errors(tmp_path, rng, capsys, a
     assert main([argv[0], *small, *argv[1:], "--out-dir", str(out)]) == 2
     assert ">= " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "bad, code",
+    [("table", 3), ("sidecar", 3), ("config", 2)],
+)
+def test_non_utf8_input_is_a_typed_error(tmp_path, rng, capsys, bad, code):
+    f_path, g_path, _, _, _ = write_pair(tmp_path, rng)
+    out = tmp_path / "out"
+    if bad == "table":
+        f_path.write_bytes(b"a,b\n\xff,1\n")
+    elif bad == "sidecar":
+        f_path.with_name("f.meta.json").write_bytes(b'{"baseline": 0.0, "note": "\xff"}')
+    if bad == "config":
+        config = tmp_path / "bad.json"
+        config.write_bytes(b'{"seed": "\xff"}')
+        argv = ["simulate", "--config", str(config), "--out-dir", str(out)]
+    else:
+        argv = ["score", "--candidate", str(f_path), "--reference", str(g_path), "--out-dir", str(out)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8 text" in err
+    assert not (out / "score.json").exists() and not (out / "results.csv").exists()
+
+
+def test_score_infinite_theta_is_rejected(tmp_path, rng, capsys):
+    f_path, g_path, _, _, _ = write_pair(tmp_path, rng)
+    out = tmp_path / "out"
+    assert main([
+        "score", "--candidate", str(f_path), "--reference", str(g_path),
+        "--theta1", "inf", "--out-dir", str(out),
+    ]) == 3
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_regenerated_fixtures_equal_the_committed_ones(tmp_path):
+    fixtures = Path(__file__).resolve().parent / "fixtures"
+    pythonpath = [str(fixtures.parent.parent / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    proc = subprocess.run(
+        [sys.executable, str(fixtures / "regenerate.py"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    committed = sorted(p.name for p in fixtures.iterdir() if p.suffix in (".csv", ".json"))
+    assert len(committed) == 17
+    assert sorted(p.name for p in tmp_path.iterdir()) == committed
+    for name in committed:
+        assert (tmp_path / name).read_bytes() == (fixtures / name).read_bytes(), name

@@ -12,9 +12,7 @@ from mshap import (
     ShapExplanation,
     baseline,
     combine,
-    compute_alpha,
     explain_matrix,
-    linear_combine,
     linear_combine_explanations,
     linear_combine_mshap,
     mean_product_baseline,
@@ -108,16 +106,27 @@ def test_prime_length_mismatch():
 # ---------------------------------------------------------------- alpha
 
 
+def centred(preds):
+    """A one-feature explanation with baseline mean(preds)."""
+    mu = preds.mean()
+    return ShapExplanation(values=(preds - mu)[:, None], baseline=mu, predictions=preds)
+
+
 def test_alpha_examples():
-    assert compute_alpha(1.0, 2.0, 2.0) == 0.0
-    assert compute_alpha(2.0, 3.0, 5.0) == 1.0
+    def alpha(mu_f, mu_g, mu_h):
+        f = ShapExplanation(values=[[0.0]], baseline=mu_f, predictions=[mu_f])
+        g = ShapExplanation(values=[[0.0]], baseline=mu_g, predictions=[mu_g])
+        return combine(f, g, mu_h).alpha
+
+    assert alpha(1.0, 2.0, 2.0) == 0.0
+    assert alpha(2.0, 3.0, 5.0) == 1.0
 
 
 def test_alpha_is_negative_covariance(rng):
     # mu_f, mu_g, mu_h over the same rows: alpha = -cov(x_hat, y_hat)
     x_hat = rng.uniform(-4, 4, 500)
     y_hat = rng.uniform(-4, 4, 500)
-    alpha = compute_alpha(x_hat.mean(), y_hat.mean(), mean_product_baseline(x_hat, y_hat))
+    alpha = combine(centred(x_hat), centred(y_hat), mean_product_baseline(x_hat, y_hat)).alpha
     oracle = -np.cov(x_hat, y_hat, bias=True)[0, 1]
     assert alpha == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
@@ -332,25 +341,34 @@ def test_mean_product_baseline_matches_product_model(rng):
     assert mean_product_baseline(f(rows), g(rows)) == pytest.approx(direct, rel=1e-12)
 
 
+def explanation(values, base):
+    return ShapExplanation(values=values, baseline=base, predictions=base + values.sum(axis=1))
+
+
 def test_linear_combine_identity(rng):
     values = rng.uniform(-1, 1, (5, 3))
-    out, base = linear_combine([(1.0, values, 2.5)])
-    np.testing.assert_array_equal(out, values)
-    assert base == 2.5
+    out = linear_combine_explanations([(1.0, explanation(values, 2.5))])
+    np.testing.assert_array_equal(out.values, values)
+    assert out.baseline == 2.5
 
 
 def test_linear_combine_averaging_two_copies(rng):
-    values = rng.uniform(-1, 1, (5, 3))
-    out, base = linear_combine([(0.5, values, 2.0), (0.5, values, 2.0)])
-    np.testing.assert_allclose(out, values)
-    assert base == 2.0
+    part = explanation(rng.uniform(-1, 1, (5, 3)), 2.0)
+    out = linear_combine_explanations([(0.5, part), (0.5, part)])
+    np.testing.assert_allclose(out.values, part.values)
+    np.testing.assert_allclose(out.predictions, part.predictions)
+    assert out.baseline == 2.0
 
 
 def test_linear_combine_shape_mismatch(rng):
+    narrow = explanation(rng.uniform(size=(2, 2)), 0.0)
+    wide = explanation(rng.uniform(size=(2, 3)), 0.0)
     with pytest.raises(DimensionError):
-        linear_combine([(1.0, rng.uniform(size=(2, 2)), 0.0), (1.0, rng.uniform(size=(2, 3)), 0.0)])
+        linear_combine_explanations([(1.0, narrow), (1.0, wide)])
     with pytest.raises(InvalidInputError):
-        linear_combine([])
+        linear_combine_explanations([])
+    with pytest.raises(InvalidInputError):
+        linear_combine_mshap([])
 
 
 def test_linear_combine_preserves_local_accuracy(rng):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,9 +9,9 @@ from mshap import (
     DimensionError,
     InvalidInputError,
     ScoreParams,
-    importance_ranks,
     score_matrices,
 )
+from mshap.scoring import importance_ranks
 
 # frozen by hand from the definitions:
 #   λ1(1, -1 | 1.5) = (1 + 1.5) / (1 + 1 + 1.5) = 5/7
@@ -99,6 +101,9 @@ def test_params_validation():
         ScoreParams(0.0, 1.0)
     with pytest.raises(InvalidInputError):
         ScoreParams(1.0, -2.0)
+    for thetas in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(InvalidInputError, match="finite"):
+            ScoreParams(*thetas)
 
 
 # ---------------------------------------------------------------- matrices

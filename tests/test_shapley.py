@@ -9,16 +9,15 @@ from mshap import (
     EnumerationLimitError,
     InvalidInputError,
     ModelFunction,
+    ShapExplanation,
     additive_model,
     baseline,
-    constant_model,
     explain_matrix,
     sampling_explain_matrix,
-    sampling_shapley,
     validate_local_accuracy,
 )
 from mshap import shapley
-from mshap.shapley import _shapley_weights, explain_product
+from mshap.shapley import _shapley_weights, constant_model, explain_product
 
 
 def additive_closed_form(coefs, instance, background):
@@ -193,10 +192,15 @@ def test_explain_matrix_matches_single_rows(rng):
 # ---------------------------------------------------------------- sampling
 
 
+def sample_row(model, instance, background, n_permutations, seed):
+    """The sampler on a single instance: a one-row sampling_explain_matrix call."""
+    return sampling_explain_matrix(model, np.reshape(instance, (1, -1)), background, n_permutations, seed)
+
+
 def test_sampling_constant_model_exactly_zero():
     model = constant_model(3, 4.0)
     for seed in (0, 1, 99):
-        row = sampling_shapley(model, np.ones(3), np.zeros((2, 3)), 10, seed)
+        row = sample_row(model, np.ones(3), np.zeros((2, 3)), 10, seed)
         assert np.all(row.values == 0.0)
 
 
@@ -205,9 +209,9 @@ def test_sampling_additive_equals_closed_form(rng):
     model = additive_model(coefs, intercept=1.0)
     background = rng.uniform(-1, 1, (6, 4))
     instance = rng.uniform(-1, 1, 4)
-    row = sampling_shapley(model, instance, background, n_permutations=5, seed=3)
+    row = sample_row(model, instance, background, n_permutations=5, seed=3)
     np.testing.assert_allclose(
-        row.values, additive_closed_form(coefs, instance, background), rtol=1e-12, atol=1e-12
+        row.values[0], additive_closed_form(coefs, instance, background), rtol=1e-12, atol=1e-12
     )
 
 
@@ -216,9 +220,9 @@ def test_sampling_product_within_three_stderr(rng):
     background = rng.uniform(0.5, 2.0, (10, 3))
     instance = rng.uniform(0.5, 2.0, 3)
     exact = explain_row(model, instance, background).values[0]
-    sampled = sampling_shapley(model, instance, background, n_permutations=2000, seed=11)
-    gap = np.abs(sampled.values - exact)
-    assert np.all(gap <= 3.0 * sampled.stderr + 1e-12)
+    sampled = sample_row(model, instance, background, n_permutations=2000, seed=11)
+    gap = np.abs(sampled.values[0] - exact)
+    assert np.all(gap <= 3.0 * sampled.stderr[0] + 1e-12)
 
 
 def test_sampling_monte_carlo_within_three_stderr(rng):
@@ -227,10 +231,11 @@ def test_sampling_monte_carlo_within_three_stderr(rng):
     background = rng.uniform(0.5, 2.0, (8, 7))
     instance = rng.uniform(0.5, 2.0, 7)
     exact = explain_row(model, instance, background).values[0]
-    sampled = sampling_shapley(model, instance, background, n_permutations=2000, seed=11)
+    sampled = sample_row(model, instance, background, n_permutations=2000, seed=11)
     assert not sampled.exhaustive
-    gap = np.abs(sampled.values - exact)
-    assert np.all(gap <= 3.0 * sampled.stderr + 1e-12)
+    assert sampled.n_permutations == 2000
+    gap = np.abs(sampled.values[0] - exact)
+    assert np.all(gap <= 3.0 * sampled.stderr[0] + 1e-12)
 
 
 def test_sampling_exhaustive_equals_exact(rng):
@@ -239,10 +244,11 @@ def test_sampling_exhaustive_equals_exact(rng):
     instance = rng.uniform(-1, 1, 3)
     exact = explain_row(model, instance, background).values[0]
     # p! * m = 24 permutations requested; the 6 distinct ones are enumerated once each
-    sampled = sampling_shapley(model, instance, background, n_permutations=24, seed=0)
+    sampled = sample_row(model, instance, background, n_permutations=24, seed=0)
     assert sampled.exhaustive
+    assert sampled.n_permutations == 6
     scale = np.maximum(1.0, np.abs(exact))
-    assert np.all(np.abs(sampled.values - exact) <= 1e-9 * scale)
+    assert np.all(np.abs(sampled.values[0] - exact) <= 1e-9 * scale)
 
 
 def test_sampling_reproducible_under_seed(rng):
@@ -250,9 +256,9 @@ def test_sampling_reproducible_under_seed(rng):
     model = ModelFunction(5, lambda X: X[:, 0] * X[:, 1] - X[:, 2] * X[:, 3] * X[:, 4])
     background = rng.uniform(-1, 1, (5, 5))
     instance = rng.uniform(-1, 1, 5)
-    one = sampling_shapley(model, instance, background, 50, seed=7)
-    two = sampling_shapley(model, instance, background, 50, seed=7)
-    other = sampling_shapley(model, instance, background, 50, seed=8)
+    one = sample_row(model, instance, background, 50, seed=7)
+    two = sample_row(model, instance, background, 50, seed=7)
+    other = sample_row(model, instance, background, 50, seed=8)
     assert np.array_equal(one.values, two.values)
     assert not np.array_equal(one.values, other.values)
 
@@ -260,9 +266,9 @@ def test_sampling_reproducible_under_seed(rng):
 def test_sampling_validates_inputs():
     model = constant_model(2, 1.0)
     with pytest.raises(InvalidInputError):
-        sampling_shapley(model, np.zeros(2), np.zeros((2, 2)), 0, seed=0)
+        sample_row(model, np.zeros(2), np.zeros((2, 2)), 0, seed=0)
     with pytest.raises(DimensionError):
-        sampling_shapley(model, np.zeros(3), np.zeros((2, 2)), 5, seed=0)
+        sample_row(model, np.zeros(3), np.zeros((2, 2)), 5, seed=0)
 
 
 def test_sampling_matrix_local_accuracy(rng):
@@ -271,6 +277,29 @@ def test_sampling_matrix_local_accuracy(rng):
     X = rng.uniform(-1, 1, (10, 5))
     expl = sampling_explain_matrix(model, X, background, n_permutations=30, seed=5)
     assert validate_local_accuracy(expl, 1e-9).passed
+
+
+def test_sampling_matrix_rows_equal_one_row_calls(rng):
+    # the batch shares its permutation draws, so each row (values and stderr)
+    # is the one-row estimate under the same seed
+    model = ModelFunction(5, lambda X: X[:, 0] * X[:, 1] + X[:, 2] ** 2 - X[:, 3] * X[:, 4])
+    background = rng.uniform(-1, 1, (8, 5))
+    X = rng.uniform(-1, 1, (6, 5))
+    batch = sampling_explain_matrix(model, X, background, n_permutations=30, seed=5)
+    assert isinstance(batch, ShapExplanation)
+    assert batch.stderr.shape == batch.values.shape == (6, 5)
+    assert (batch.n_permutations, batch.exhaustive) == (30, False)
+    for i in range(6):
+        row = sample_row(model, X[i], background, 30, seed=5)
+        np.testing.assert_array_equal(batch.values[i], row.values[0])
+        np.testing.assert_array_equal(batch.stderr[i], row.stderr[0])
+
+
+def test_sampling_single_permutation_has_nan_stderr():
+    model = additive_model([1.0, 2.0])
+    row = sample_row(model, np.ones(2), np.zeros((3, 2)), 1, seed=0)
+    assert row.n_permutations == 1
+    assert np.isnan(row.stderr).all()
 
 
 # ---------------------------------------------------------------- splice budget

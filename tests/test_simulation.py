@@ -12,16 +12,20 @@ from mshap import (
     bench_scaling,
     default_grid,
     explain_matrix,
-    grid_table,
     mean_scores_by_method,
     product_model,
     run_grid,
     run_scenario,
+)
+from mshap.shapley import explain_product
+from mshap.simulation import (
+    Y1_IDS,
+    Y2_IDS,
+    _guard_mask,
+    grid_table,
     sample_scenario_rows,
     scenario_model,
 )
-from mshap.shapley import explain_product
-from mshap.simulation import Y1_IDS, Y2_IDS, _guard_mask
 
 PAPER_BOX = CovariateSpec()
 SMALL = dict(n=40, background_size=20)

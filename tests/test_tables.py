@@ -16,13 +16,12 @@ from mshap import (
     ShapTable,
     TableFormatError,
     explanation_to_table,
-    fmt17,
     read_shap_table,
     read_value_table,
     write_shap_table,
     write_value_table,
 )
-from mshap.tables import meta_path, render_csv, write_records
+from mshap.tables import fmt17, meta_path, render_csv, write_records
 
 NASTY = [math.pi, 1.0 / 3.0, 5e-324, 1.7976931348623157e308, -0.0, 1.0, -123456.789, 2**53 + 1.0]
 
@@ -34,7 +33,8 @@ def test_fmt17_round_trips_floats(x):
 
 def test_round_trip_preserves_exact_values(tmp_path):
     values = np.array([NASTY, NASTY[::-1]])
-    table = ShapTable(tuple(f"c{i}" for i in range(values.shape[1])), values, baseline=math.pi)
+    names = tuple(f"c{i}" for i in range(values.shape[1]))
+    table = ShapTable(values=values, baseline=math.pi, feature_names=names)
     path = tmp_path / "t.csv"
     write_shap_table(path, table)
     back = read_shap_table(path)
@@ -46,7 +46,14 @@ def test_round_trip_preserves_exact_values(tmp_path):
 def test_round_trip_with_prediction_column(tmp_path):
     values = np.array([[1.5, -2.5], [0.25, 0.75]])
     preds = np.array([10.0, 20.0])
-    table = ShapTable(("a", "b"), values, 3.0, preds, "prediction", {"alpha": 0.5})
+    table = ShapTable(
+        values=values,
+        baseline=3.0,
+        predictions=preds,
+        feature_names=("a", "b"),
+        prediction_column="prediction",
+        extra_meta={"alpha": 0.5},
+    )
     path = tmp_path / "t.csv"
     write_shap_table(path, table)
     back = read_shap_table(path)
@@ -59,15 +66,15 @@ def test_round_trip_with_prediction_column(tmp_path):
 
 def test_written_files_and_sidecar_naming(tmp_path):
     path = tmp_path / "expl.csv"
-    write_shap_table(path, ShapTable(("x1",), np.array([[1.0]]), 0.0))
+    write_shap_table(path, ShapTable(values=[[1.0]], baseline=0.0, feature_names=("x1",)))
     assert path.exists()
     assert (tmp_path / "expl.meta.json").exists()
     assert meta_path(path).name == "expl.meta.json"
 
 
 def test_dotted_names_keep_separate_sidecars(tmp_path):
-    write_shap_table(tmp_path / "run.v1.csv", ShapTable(("x",), np.array([[1.0]]), 1.0))
-    write_shap_table(tmp_path / "run.v2.csv", ShapTable(("x",), np.array([[1.0]]), 2.0))
+    write_shap_table(tmp_path / "run.v1.csv", ShapTable(values=[[1.0]], baseline=1.0, feature_names=("x",)))
+    write_shap_table(tmp_path / "run.v2.csv", ShapTable(values=[[1.0]], baseline=2.0, feature_names=("x",)))
     assert meta_path(tmp_path / "run.v1.csv").name == "run.v1.meta.json"
     assert read_shap_table(tmp_path / "run.v1.csv").baseline == 1.0
     assert read_shap_table(tmp_path / "run.v2.csv").baseline == 2.0
@@ -76,18 +83,20 @@ def test_dotted_names_keep_separate_sidecars(tmp_path):
 def test_written_files_follow_umask(tmp_path):
     old = os.umask(0o022)
     try:
-        write_shap_table(tmp_path / "t.csv", ShapTable(("x",), np.array([[1.0]]), 0.0))
+        write_shap_table(tmp_path / "t.csv", ShapTable(values=[[1.0]], baseline=0.0, feature_names=("x",)))
     finally:
         os.umask(old)
     for name in ("t.csv", "t.meta.json"):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644
 
 
-def test_to_explanation_reconstructs_predictions(tmp_path):
+def test_to_explanation_reconstructs_predictions():
     values = np.array([[1.0, 2.0], [3.0, -1.0]])
-    table = ShapTable(("a", "b"), values, baseline=10.0)
-    expl = table.to_explanation()
-    np.testing.assert_array_equal(expl.predictions, [13.0, 12.0])
+    table = ShapTable(values=values, baseline=10.0)
+    assert isinstance(table, ShapExplanation)
+    assert table.to_explanation() is table
+    assert table.feature_names == ("x1", "x2")
+    np.testing.assert_array_equal(table.predictions, [13.0, 12.0])
 
 
 def test_explanation_to_table_and_back(tmp_path):
@@ -160,6 +169,10 @@ def test_bad_metadata(tmp_path):
     with pytest.raises(TableFormatError, match="finite"):
         read_shap_table(path)
 
+    side.write_text(json.dumps({"baseline": True}))
+    with pytest.raises(TableFormatError, match="baseline must be a finite number"):
+        read_shap_table(path)
+
     side.write_text(json.dumps({"baseline": 0.0, "prediction_column": "nope"}))
     with pytest.raises(TableFormatError, match="nope"):
         read_shap_table(path)
@@ -170,24 +183,32 @@ def test_bad_metadata(tmp_path):
 
 
 def test_prediction_column_collision(tmp_path):
-    table = ShapTable(("a", "prediction"), np.ones((1, 2)), 0.0, np.ones(1), "prediction")
+    table = ShapTable(
+        values=np.ones((1, 2)),
+        baseline=0.0,
+        predictions=np.ones(1),
+        feature_names=("a", "prediction"),
+        prediction_column="prediction",
+    )
     with pytest.raises(TableFormatError, match="collides"):
         write_shap_table(tmp_path / "t.csv", table)
 
 
 def test_table_shape_validation():
     with pytest.raises(DimensionError):
-        ShapTable(("a",), np.ones((2, 2)), 0.0)
+        ShapTable(values=np.ones((2, 2)), baseline=0.0, feature_names=("a",))
     with pytest.raises(DimensionError):
-        ShapTable(("a", "b"), np.ones((2, 2)), 0.0, np.ones(3), "p")
+        ShapTable(values=np.ones((2, 2)), baseline=0.0, predictions=np.ones(3), prediction_column="p")
     with pytest.raises(DimensionError):
-        ShapTable(("a", "b"), np.ones((2, 2)), 0.0, predictions=np.ones(2))  # no column name
+        ShapTable(values=np.ones((2, 2)), baseline=0.0, predictions=np.ones(2))  # no column name
+    with pytest.raises(DimensionError):
+        ShapTable(values=np.ones((2, 2)), baseline=0.0, prediction_column="p")  # no predictions
 
 
 def test_atomic_overwrite(tmp_path):
     path = tmp_path / "t.csv"
-    write_shap_table(path, ShapTable(("x",), np.array([[1.0]]), 0.0))
-    write_shap_table(path, ShapTable(("x",), np.array([[2.0]]), 5.0))
+    write_shap_table(path, ShapTable(values=[[1.0]], baseline=0.0, feature_names=("x",)))
+    write_shap_table(path, ShapTable(values=[[2.0]], baseline=5.0, feature_names=("x",)))
     back = read_shap_table(path)
     assert back.values[0, 0] == 2.0 and back.baseline == 5.0
     leftovers = [p for p in path.parent.iterdir() if p.suffix == ".tmp"]
@@ -258,13 +279,31 @@ def test_string_array_cells_are_quoted():
 
 def test_header_names_with_commas_and_quotes_round_trip(tmp_path):
     names = ("a,b", 'say "hi"', "c")
-    table = ShapTable(names, np.ones((2, 3)), 0.0, np.full(2, 3.0), "prediction")
+    table = ShapTable(
+        values=np.ones((2, 3)),
+        baseline=0.0,
+        predictions=np.full(2, 3.0),
+        feature_names=names,
+        prediction_column="prediction",
+    )
     write_shap_table(tmp_path / "t.csv", table)
     assert (tmp_path / "t.csv").read_text().splitlines()[0] == '"a,b","say ""hi""",c,prediction'
     back = read_shap_table(tmp_path / "t.csv")
     assert back.feature_names == names
     assert np.array_equal(back.values, table.values)
     assert np.array_equal(back.predictions, table.predictions)
+
+
+def test_lone_empty_column_name_round_trips(tmp_path):
+    # a blank line would read back as a row of no cells; csv.writer writes ""
+    path = tmp_path / "v.csv"
+    write_value_table(path, ("",), np.ones((2, 1)))
+    assert path.read_bytes() == b'""\n1\n1\n'
+    names, values = read_value_table(path)
+    assert names == ("",)
+    assert np.array_equal(values, np.ones((2, 1)))
+    assert render_csv(["f"], [["", "a"]]) == 'f\n""\na\n'
+    assert render_csv(["a", "b"], [["", "x"], [None, ""]]) == "a,b\n,\nx,\n"
 
 
 def test_carriage_return_in_a_name_is_quoted(tmp_path):
