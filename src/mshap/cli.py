@@ -287,7 +287,6 @@ def _echo_config(subcommand: str, resolved: dict, out: Path) -> None:
 
 
 def cmd_combine(resolved: dict) -> int:
-    out = _out_dir(resolved)
     table_f = read_shap_table(resolved["f_shap"])
     table_g = read_shap_table(resolved["g_shap"])
     if resolved["mu_h"] == "auto":
@@ -308,6 +307,7 @@ def cmd_combine(resolved: dict) -> int:
             "fallback_rows": list(result.fallback_rows),
         },
     )
+    out = _out_dir(resolved)
     write_shap_table(out / "mshap.csv", out_table)
     _echo_config("combine", resolved, out)
     print(
@@ -320,7 +320,6 @@ def cmd_combine(resolved: dict) -> int:
 
 def cmd_score(resolved: dict) -> int:
     params = ScoreParams(resolved["theta1"], resolved["theta2"])
-    out = _out_dir(resolved)
     candidate = read_shap_table(resolved["candidate"])
     reference = read_shap_table(resolved["reference"])
     if candidate.feature_names != reference.feature_names:
@@ -333,6 +332,7 @@ def cmd_score(resolved: dict) -> int:
     payload = {field: getattr(breakdown, field) for field in SCORE_FIELDS}
     payload["theta1"] = resolved["theta1"]
     payload["theta2"] = resolved["theta2"]
+    out = _out_dir(resolved)
     write_json(out / "score.json", payload)
     _echo_config("score", resolved, out)
     for field in SCORE_FIELDS:
@@ -459,7 +459,6 @@ def cmd_bench(resolved: dict) -> int:
 
 
 def cmd_summary_data(resolved: dict) -> int:
-    out = _out_dir(resolved)
     table = read_shap_table(resolved["mshap"])
     cov_names, cov = read_value_table(resolved["covariates"])
     if cov.shape[0] != table.values.shape[0]:
@@ -474,6 +473,7 @@ def cmd_summary_data(resolved: dict) -> int:
     mean_abs = np.abs(table.values).mean(axis=0)
     order = sorted(range(p), key=lambda j: (-mean_abs[j], cov_names[j]))
     names = [cov_names[j] for j in order]
+    out = _out_dir(resolved)
     write_csv(out / "importance.csv", ("feature", "mean_abs_value"), (names, mean_abs[order]))
     # long format, row-major: one line per (row, feature) cell
     cells = (np.repeat(np.arange(n), p), np.tile(cov_names, n), cov.ravel(), table.values.ravel())

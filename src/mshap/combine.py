@@ -57,7 +57,7 @@ class AlphaMethod(Enum):
     SQUARED = "squared"
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class MshapExplanation(ShapExplanation):
     """Combined attributions for a product model.
 

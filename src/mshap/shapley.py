@@ -87,7 +87,7 @@ def _as_background(background, arity: int) -> np.ndarray:
     return data
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShapExplanation:
     """Per-feature contributions for a batch of instances of one model part.
 
@@ -130,7 +130,7 @@ class ShapExplanation:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class SamplingExplanation(ShapExplanation):
     """Permutation-sampling attributions with their per-cell standard errors.
 
@@ -206,22 +206,35 @@ def _coalition_values(
     evaluate: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     X: np.ndarray,
     background: np.ndarray,
+    predictions: tuple[np.ndarray, ...],
 ) -> np.ndarray:
     """Interventional value of every coalition for every instance, shape (k, 2**p, n).
 
     ``evaluate`` maps a (rows, p) matrix to a tuple of k output vectors, one
-    per explained model, so several models share each spliced block.
+    per explained model, so several models share each spliced block;
+    ``predictions`` is ``evaluate(X)``.
     Coalitions are visited in Gray-code order so each step re-splices a single
     feature column of the (rows, m, p) evaluation block.  Instance rows are
     taken in chunks whose block fits SPLICE_BUDGET_BYTES; each row's value is
     a mean over its own m spliced rows, so chunking changes no value.
+    When X is bit for bit its own background and fits one chunk, the
+    predictions are the background's outputs and the block of coalition S is
+    the transpose of the block of its complement, so only the coalitions
+    without the last feature are spliced; a complement's value averages the
+    same model outputs in the same order, so it is bit-identical.
     """
     n, p = X.shape
     m = background.shape[0]
-    empty = [out.mean() for out in evaluate(background)]
-    values = np.empty((len(empty), 1 << p, n))
-    values[:, 0] = np.array(empty)[:, None]
     step = _splice_chunk(m, p)
+    full = (1 << p) - 1
+    mirrored = X.shape == background.shape and n <= step and X.tobytes() == background.tobytes()
+    base = predictions if mirrored else evaluate(background)
+    values = np.empty((len(base), 1 << p, n))
+    values[:, 0] = np.array([out.mean() for out in base])[:, None]
+    if mirrored:
+        # the full coalition's block is m copies of each x_i
+        for k, out in enumerate(predictions):
+            values[k, full] = np.repeat(out, m).reshape(n, m).mean(axis=1)
     buffer = np.empty((min(step, n), m, p))
     for lo in range(0, n, step):
         rows = X[lo : lo + step]
@@ -230,7 +243,7 @@ def _coalition_values(
         spliced[...] = background
         flat = spliced.reshape(c * m, p)
         mask = 0
-        for t in range(1, 1 << p):
+        for t in range(1, 1 << (p - mirrored)):
             flip = (t & -t).bit_length() - 1
             mask ^= 1 << flip
             if mask & (1 << flip):
@@ -238,7 +251,10 @@ def _coalition_values(
             else:
                 spliced[:, :, flip] = background[None, :, flip]
             for k, out in enumerate(evaluate(flat)):
-                values[k, mask, lo : lo + c] = out.reshape(c, m).mean(axis=1)
+                block = out.reshape(c, m)
+                values[k, mask, lo : lo + c] = block.mean(axis=1)
+                if mirrored:
+                    values[k, full ^ mask] = np.ascontiguousarray(block.T).mean(axis=1)
     return values
 
 
@@ -278,7 +294,8 @@ def _explain_exact(
             f"{p} features exceeds the enumeration limit of {enum_limit} "
             f"(2**{p} coalitions); raise the limit or use sampling"
         )
-    values = _coalition_values(evaluate, X, data)
+    predictions = evaluate(X)
+    values = _coalition_values(evaluate, X, data, predictions)
     names = tuple(feature_names) if feature_names is not None else None
     return tuple(
         ShapExplanation(
@@ -287,7 +304,7 @@ def _explain_exact(
             predictions=pred,
             feature_names=names,
         )
-        for v, pred in zip(values, evaluate(X))
+        for v, pred in zip(values, predictions)
     )
 
 

@@ -93,7 +93,7 @@ def write_records(path, fields, records) -> None:
     write_csv(path, fields, [[r.get(f, "") for r in records] for f in fields])
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class ShapTable(ShapExplanation):
     """One table file and its sidecar fields, as a :class:`ShapExplanation`.
 

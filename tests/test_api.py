@@ -40,3 +40,26 @@ def test_every_attribution_result_is_a_shap_explanation(tmp_path):
     for expl in (expl_f, expl_g, combined, read):
         assert isinstance(expl, mshap.ShapExplanation)
         assert mshap.validate_local_accuracy(expl, 1e-9).passed
+
+
+def test_comparing_two_equal_explanations_gives_a_bool(tmp_path):
+    # array fields make a field-wise __eq__ raise; equality is identity instead
+    f = mshap.additive_model([1.0, -2.0])
+    g = mshap.additive_model([0.5, 3.0], intercept=2.0)
+    X = np.array([[0.5, 1.0], [-1.0, 2.0]])
+    mshap.write_shap_table(tmp_path / "f.csv", mshap.explanation_to_table(mshap.explain_matrix(f, X, X)))
+    builds = {
+        "ShapExplanation": lambda: mshap.explain_matrix(f, X, X),
+        "SamplingExplanation": lambda: mshap.sampling_explain_matrix(g, X, X, n_permutations=2, seed=0),
+        "MshapExplanation": lambda: mshap.combine(
+            mshap.explain_matrix(f, X, X), mshap.explain_matrix(g, X, X), 1.0
+        ),
+        "ShapTable": lambda: mshap.read_shap_table(tmp_path / "f.csv"),
+    }
+    for name, build in builds.items():
+        a, b = build(), build()
+        assert type(a).__name__ == name
+        assert np.array_equal(a.values, b.values), name
+        assert (a == b) is False, name
+        assert (a == a) is True, name
+        assert (a != b) is True, name

@@ -575,6 +575,23 @@ def test_non_utf8_input_is_a_typed_error(tmp_path, rng, capsys, bad, code):
     assert not (out / "score.json").exists() and not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "subcommand, first, second",
+    [("combine", "--f-shap", "--g-shap"), ("score", "--candidate", "--reference"),
+     ("summary-data", "--mshap", "--covariates")],
+    ids=["combine", "score", "summary-data"],
+)
+def test_unreadable_input_leaves_no_out_dir(tmp_path, rng, capsys, subcommand, first, second):
+    # the second input is the bad one, so the first is read before the failure
+    f_path, g_path, _, _, _ = write_pair(tmp_path, rng)
+    g_path.write_bytes(b"a,b\n\xff,1\n")
+    out = tmp_path / "out"
+    argv = [subcommand, first, str(f_path), second, str(g_path), "--out-dir", str(out)]
+    assert main(argv) == 3
+    assert "not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_score_infinite_theta_is_rejected(tmp_path, rng, capsys):
     f_path, g_path, _, _, _ = write_pair(tmp_path, rng)
     out = tmp_path / "out"

@@ -9,6 +9,7 @@ from mshap import (
     EnumerationLimitError,
     InvalidInputError,
     ModelFunction,
+    ScenarioSpec,
     ShapExplanation,
     additive_model,
     baseline,
@@ -18,6 +19,7 @@ from mshap import (
 )
 from mshap import shapley
 from mshap.shapley import _shapley_weights, constant_model, explain_product
+from mshap.simulation import Y1_IDS, Y2_IDS, sample_scenario_rows, scenario_model
 
 
 def additive_closed_form(coefs, instance, background):
@@ -338,6 +340,81 @@ def test_splice_budget_bounds_peak_memory_and_keeps_values(rng, monkeypatch):
             assert np.array_equal(got.values, want.values), name
             assert got.baseline == want.baseline, name
             assert np.array_equal(got.predictions, want.predictions), name
+
+
+# ---------------------------------------------------------------- mirrored pass
+
+
+def _count_rows(monkeypatch, call):
+    rows_seen = []
+    evaluate = ModelFunction.__call__
+
+    def counting(self, X):
+        rows_seen.append(len(X))
+        return evaluate(self, X)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ModelFunction, "__call__", counting)
+        result = call()
+    return result, sum(rows_seen)
+
+
+def _general_path(monkeypatch, call):
+    # an 8-byte budget cuts the instances into one-row chunks, which the
+    # mirrored pass never takes
+    with monkeypatch.context() as patched:
+        patched.setattr(shapley, "SPLICE_BUDGET_BYTES", 8)
+        return call()
+
+
+def _assert_bit_equal(got, want):
+    for a, b in zip(got, want):
+        assert np.array_equal(a.values, b.values)
+        assert a.baseline == b.baseline
+        assert np.array_equal(a.predictions, b.predictions)
+
+
+def test_mirrored_pass_equals_general_path_on_every_scenario_pair(monkeypatch):
+    for y1 in Y1_IDS:
+        for y2 in Y2_IDS + ("CONST1",):
+            spec = ScenarioSpec(y1, y2, 1.5, 1.0, n=100, background_size=100, seed=11)
+            rows, _ = sample_scenario_rows(spec)
+            f, g = scenario_model(y1, 3), scenario_model(y2, 3)
+
+            def call():
+                return explain_product(f, g, rows, rows[: spec.background_size])
+
+            # f and g each see 3 spliced (100, 100) blocks instead of 7 and
+            # the instances, whose outputs also serve as the background's
+            mirrored, rows_seen = _count_rows(monkeypatch, call)
+            assert rows_seen == 2 * (3 * 10_000 + 100), (y1, y2)
+            _assert_bit_equal(mirrored, _general_path(monkeypatch, call))
+
+
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_mirrored_pass_equals_general_path_for_explain_matrix(rng, monkeypatch, p):
+    coefs = rng.uniform(-1, 1, p)
+    model = ModelFunction(p, lambda X: np.exp(X @ coefs) * X[:, 0] - X[:, -1] ** 3)
+    X = rng.uniform(-2, 2, (40, p))
+    n = X.shape[0]
+
+    mirrored, rows_seen = _count_rows(monkeypatch, lambda: explain_matrix(model, X, X))
+    assert rows_seen == ((1 << (p - 1)) - 1) * n * n + n
+    _assert_bit_equal([mirrored], [_general_path(monkeypatch, lambda: explain_matrix(model, X, X))])
+
+
+def test_negative_zero_against_zero_background_takes_general_path(monkeypatch):
+    # equal as numbers, different as bits: a sign-reading model tells them apart
+    model = ModelFunction(2, lambda X: np.copysign(1.0, X[:, 0]) + X[:, 1])
+    X = np.array([[-0.0, 1.0], [2.0, -1.0], [-0.0, 3.0]])
+    background = X.copy()
+    background[X[:, 0] == 0, 0] = 0.0
+    assert np.array_equal(X, background) and X.tobytes() != background.tobytes()
+
+    expl, rows_seen = _count_rows(monkeypatch, lambda: explain_matrix(model, X, background))
+    assert rows_seen == 3 + 3 * 9 + 3
+    _assert_bit_equal([expl], [_general_path(monkeypatch, lambda: explain_matrix(model, X, background))])
+    assert validate_local_accuracy(expl, 1e-12).passed
 
 
 # ---------------------------------------------------------------- validator

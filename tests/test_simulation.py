@@ -207,9 +207,13 @@ def test_explain_product_equals_three_oracle_calls(y1, y2):
 
 
 def test_run_scenario_evaluates_each_part_once_per_coalition(monkeypatch):
-    # f and g each see the 100 background rows, 7 non-empty coalitions of
-    # n * m = 10,000 spliced rows, and the 100 instances for predictions;
-    # the product is formed from those outputs, never evaluated again
+    # the instances are their own background, so f and g each see the 3
+    # non-empty coalitions without the last feature (of 2**(3-1) = 4) as
+    # blocks of n * m = 10,000 spliced rows, and the 100 instances, whose
+    # outputs are the predictions and the empty coalition's background
+    # outputs; the 3 complements are those blocks transposed, the full
+    # coalition is the predictions repeated, and the product is formed from
+    # the part outputs, never evaluated again
     rows_seen = []
     evaluate = ModelFunction.__call__
 
@@ -219,7 +223,7 @@ def test_run_scenario_evaluates_each_part_once_per_coalition(monkeypatch):
 
     monkeypatch.setattr(ModelFunction, "__call__", counting)
     run_scenario(ScenarioSpec("Y1B", "Y2C", 1.5, 1.0, n=100, background_size=100, seed=3))
-    assert sum(rows_seen) == 2 * (100 + 7 * 10_000 + 100) == 140_400
+    assert sum(rows_seen) == 2 * (3 * 10_000 + 100) == 60_200
 
 
 def test_scores_invariant_to_consistent_feature_relabeling():
