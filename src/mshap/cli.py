@@ -5,7 +5,7 @@ JSON config file; precedence is flag > environment > config > default, and
 the fully-resolved configuration of each run is echoed into the output
 directory so the run can be reproduced by feeding that file back through
 ``--config``.  Exit codes: 0 success, 2 usage or config error, 3 data or
-validation error, 4 resource limit.
+validation error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 from .combine import AlphaMethod, combine, mean_product_baseline
 from .errors import (
     DimensionError,
-    EnumerationLimitError,
     InvalidInputError,
     MshapError,
 )
@@ -124,13 +123,6 @@ def _as_json(v):
     return v
 
 
-def _as_reference(v) -> str:
-    name = str(v).lower()
-    if name not in ("auto", "exact"):
-        raise UsageError(f"reference must be 'auto' or 'exact', got {v!r}")
-    return name
-
-
 def _as_list(v, parse) -> list:
     """A list, or a comma- or space-separated string, each item through ``parse``."""
     if isinstance(v, str):
@@ -177,11 +169,6 @@ OPTIONS: dict[str, list[Option]] = {
     "simulate": _COMMON + [
         Option("seed", _as_seed, default=0, help="grid seed; per-cell seeds derive from it"),
         Option("threads", _as_positive_int, default=1, help="parallel scenario workers"),
-        Option("enum_limit", _as_int, default=DEFAULT_ENUM_LIMIT, help="max features for exact enumeration"),
-        Option("sampling_permutations", _as_positive_int, default=500,
-               help="permutations for the sampling oracle past the enumeration limit"),
-        Option("reference", _as_reference, default="auto", flag=False,
-               help="config-only: 'auto' falls back to sampling past the enumeration limit, 'exact' refuses"),
         Option("grid", _as_json, flag=False, help="config-only: cartesian grid parameters"),
         Option("scenarios", _as_json, flag=False, help="config-only: explicit scenario list"),
     ],
@@ -344,7 +331,7 @@ def _covariates_from_config(raw) -> CovariateSpec:
     if raw is None:
         return CovariateSpec()
     try:
-        return CovariateSpec(tuple((float(lo), float(hi)) for lo, hi in raw))
+        return CovariateSpec(tuple((_as_float(lo), _as_float(hi)) for lo, hi in raw))
     except (TypeError, ValueError):
         raise UsageError(f"covariates must be a list of [lo, hi] pairs, got {raw!r}") from None
 
@@ -387,14 +374,13 @@ def _specs_from_config(resolved: dict) -> list[ScenarioSpec]:
         unknown = set(grid) - _GRID_KEYS
         if unknown:
             raise UsageError(f"grid: unknown keys: {', '.join(sorted(unknown))}")
-        if "y1" in grid:
-            kwargs["y1_ids"] = tuple(_as_list(grid["y1"], _as_str))
-        if "y2" in grid:
-            kwargs["y2_ids"] = tuple(_as_list(grid["y2"], _as_str))
-        if "theta1" in grid:
-            kwargs["theta1_values"] = tuple(_as_list(grid["theta1"], _as_float))
-        if "theta2" in grid:
-            kwargs["theta2_values"] = tuple(_as_list(grid["theta2"], _as_float))
+        axes = (("y1", "y1_ids", _as_str), ("y2", "y2_ids", _as_str),
+                ("theta1", "theta1_values", _as_float), ("theta2", "theta2_values", _as_float))
+        for key, kwarg, parse in axes:
+            if key in grid:
+                kwargs[kwarg] = tuple(_as_list(grid[key], parse))
+                if not kwargs[kwarg]:
+                    raise UsageError(f"grid: '{key}' must list at least one value")
         if "n" in grid:
             kwargs["n"] = _as_int(grid["n"])
         if "background_size" in grid:
@@ -406,22 +392,8 @@ def _specs_from_config(resolved: dict) -> list[ScenarioSpec]:
 
 def cmd_simulate(resolved: dict) -> int:
     specs = _specs_from_config(resolved)
-    if resolved["reference"] == "exact":
-        # an exact oracle past the limit can never succeed; refuse up front
-        over = max((s.n_features for s in specs), default=0)
-        if over > resolved["enum_limit"]:
-            raise EnumerationLimitError(
-                f"grid needs {over} features but the exact reference is capped at "
-                f"{resolved['enum_limit']}; raise --enum-limit or use reference='auto'"
-            )
     out = _out_dir(resolved)
-    outcomes = run_grid(
-        specs,
-        enum_limit=resolved["enum_limit"],
-        reference=resolved["reference"],
-        sampling_permutations=resolved["sampling_permutations"],
-        n_jobs=resolved["threads"],
-    )
+    outcomes = run_grid(specs, n_jobs=resolved["threads"])
     write_records(out / "results.csv", RESULT_COLUMNS, grid_table(outcomes))
     _echo_config("simulate", resolved, out)
     failed = sum(1 for o in outcomes if o.error is not None)
@@ -504,9 +476,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EnumerationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except MshapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -208,6 +208,8 @@ def linear_combine_explanations(
     """
     if not parts:
         raise InvalidInputError("a linear combination needs at least one part")
+    if not np.isfinite([float(w) for w, _ in parts]).all():
+        raise InvalidInputError("linear combination weights must be finite")
     shape = parts[0][1].values.shape
     for _, e in parts:
         if e.values.shape != shape:

@@ -108,7 +108,7 @@ class ShapExplanation:
             raise DimensionError(
                 f"{values.shape[0]} attribution rows but {preds.shape[0]} predictions"
             )
-        if values.shape[0] < 1 or values.shape[1] < 1:
+        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise DimensionError(f"attribution matrix must be (n>=1, p>=1), got {values.shape}")
         if self.feature_names is not None:
             names = tuple(str(s) for s in self.feature_names)

@@ -112,6 +112,11 @@ DESK_THETA1_GRID = (1.5, 10.5, 20.5)
 DESK_THETA2_GRID = (1.0, 21.0, 46.0)
 
 
+def _pair_arity(y1: str, y2: str) -> int:
+    """How many leading columns a response pair reads."""
+    return max(RESPONSE_FUNCTIONS[y1].arity, RESPONSE_FUNCTIONS[y2].arity)
+
+
 @dataclass(frozen=True)
 class CovariateSpec:
     """Per-feature uniform sampling bounds."""
@@ -123,8 +128,11 @@ class CovariateSpec:
         if not bounds:
             raise InvalidInputError("covariate spec needs at least one feature")
         for i, (lo, hi) in enumerate(bounds):
-            if not lo < hi:
-                raise InvalidInputError(f"feature {i} bounds must satisfy lo < hi, got ({lo}, {hi})")
+            # a finite width implies finite bounds; the uniform sampler needs both
+            if not (lo < hi and np.isfinite(hi - lo)):
+                raise InvalidInputError(
+                    f"feature {i} bounds need lo < hi and a finite hi - lo, got ({lo}, {hi})"
+                )
         object.__setattr__(self, "bounds", bounds)
 
     @property
@@ -159,7 +167,7 @@ class ScenarioSpec:
                 f"background_size {self.background_size} exceeds sample size {self.n}"
             )
         ScoreParams(self.theta1, self.theta2)
-        needed = max(RESPONSE_FUNCTIONS[self.y1].arity, RESPONSE_FUNCTIONS[self.y2].arity)
+        needed = _pair_arity(self.y1, self.y2)
         if self.covariates.n_features < needed:
             raise DimensionError(
                 f"response pair needs >= {needed} covariates, spec has {self.covariates.n_features}"
@@ -264,49 +272,33 @@ def sample_scenario_rows(spec: ScenarioSpec) -> tuple[np.ndarray, int]:
 
 
 def _explain_three(
-    spec: ScenarioSpec,
-    rows: np.ndarray,
-    background: np.ndarray,
-    enum_limit: int,
-    reference: str,
-    sampling_permutations: int,
+    spec: ScenarioSpec, rows: np.ndarray, background: np.ndarray
 ) -> tuple[ShapExplanation, ShapExplanation, ShapExplanation]:
-    p = spec.n_features
-    f = scenario_model(spec.y1, p)
-    g = scenario_model(spec.y2, p)
-    if reference not in ("auto", "exact"):
-        raise InvalidInputError(f"reference must be 'auto' or 'exact', got {reference!r}")
-    use_sampling = reference == "auto" and p > enum_limit
-    if use_sampling:
-        # past the enumeration limit the oracle itself becomes an estimate;
-        # each model keeps its own seeded permutation stream
-        return tuple(
-            sampling_explain_matrix(m, rows, background, sampling_permutations, derive_seed(spec.seed, k))
-            for k, m in enumerate((f, g, product_model(f, g)))
+    """Exact explanations of f, g and f * g, padded with zeros to the cell's p columns."""
+    # a column neither part reads is a null player, so its exact value is 0 (Shapley 1953)
+    k = _pair_arity(spec.y1, spec.y2)
+    zeros = np.zeros((rows.shape[0], spec.n_features - k))
+    return tuple(
+        ShapExplanation(np.concatenate((e.values, zeros), axis=1), e.baseline, e.predictions)
+        for e in explain_product(
+            scenario_model(spec.y1, k), scenario_model(spec.y2, k), rows[:, :k], background[:, :k]
         )
-    return explain_product(f, g, rows, background, enum_limit=enum_limit)
+    )
 
 
-def run_scenario(
-    spec: ScenarioSpec,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
-    reference: str = "auto",
-    sampling_permutations: int = 500,
-) -> ScenarioResult:
+def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Run one simulation cell and score all four alpha weightings.
 
     Pipeline: sample guarded covariates, take the leading rows as the
-    background set, explain both parts and the product with the oracle (one
-    coalition pass for all three on the exact path),
-    combine the part explanations under each weighting with mu_h set to the
-    product's background baseline, and score each combined matrix against the
-    product's oracle attribution at the cell's thetas.
+    background set, explain both parts and the product with the exact oracle
+    (one coalition pass for all three), combine the part explanations under
+    each weighting with mu_h set to the product's background baseline, and
+    score each combined matrix against the product's oracle attribution at
+    the cell's thetas.
     """
     rows, resampled = sample_scenario_rows(spec)
     background = rows[: spec.background_size]
-    expl_f, expl_g, reference_expl = _explain_three(
-        spec, rows, background, enum_limit, reference, sampling_permutations
-    )
+    expl_f, expl_g, reference_expl = _explain_three(spec, rows, background)
     for label, expl in (("parts", expl_f), ("parts", expl_g), ("reference", reference_expl)):
         if not np.isfinite(expl.values).all():
             raise InvalidInputError(
@@ -329,13 +321,7 @@ def run_scenario(
     return ScenarioResult(spec=spec, scores=scores, advisories=tuple(advisories))
 
 
-def run_grid(
-    specs: Sequence[ScenarioSpec],
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
-    reference: str = "auto",
-    sampling_permutations: int = 500,
-    n_jobs: int = 1,
-) -> list[GridOutcome]:
+def run_grid(specs: Sequence[ScenarioSpec], n_jobs: int = 1) -> list[GridOutcome]:
     """Run scenarios independently; failures are recorded, not raised.
 
     Results depend only on each cell's own seed, so the outcome list is
@@ -347,7 +333,7 @@ def run_grid(
     def cell(item):
         index, spec = item
         try:
-            result = run_scenario(spec, enum_limit, reference, sampling_permutations)
+            result = run_scenario(spec)
             return GridOutcome(index=index, spec=spec, result=result)
         except Exception as exc:
             return GridOutcome(index=index, spec=spec, error=f"{type(exc).__name__}: {exc}")

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from mshap import ShapExplanation
-
 settings.register_profile(
     "deterministic",
     derandomize=True,
@@ -13,17 +11,6 @@ settings.register_profile(
     deadline=None,
 )
 settings.load_profile("deterministic")
-
-
-def make_parts(rng, n, p, scale=1e3, names=None):
-    """Random part explanations whose predictions satisfy local accuracy exactly."""
-    sx = rng.uniform(-scale, scale, (n, p))
-    sy = rng.uniform(-scale, scale, (n, p))
-    mu_f = float(rng.uniform(-scale, scale))
-    mu_g = float(rng.uniform(-scale, scale))
-    expl_f = ShapExplanation(sx, mu_f, mu_f + sx.sum(axis=1), feature_names=names)
-    expl_g = ShapExplanation(sy, mu_g, mu_g + sy.sum(axis=1), feature_names=names)
-    return expl_f, expl_g
 
 
 @pytest.fixture

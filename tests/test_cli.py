@@ -23,7 +23,7 @@ from mshap import (
     write_value_table,
 )
 from mshap.cli import main
-from conftest import make_parts
+from parts import make_parts
 
 NAMES = ("x1", "x2", "x3")
 
@@ -252,17 +252,47 @@ def test_simulate_wrong_subcommand_config_rejected(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
 
 
-def test_simulate_exact_reference_past_limit_exits_4(tmp_path):
-    config = {
-        "reference": "exact",
-        "enum_limit": 4,
-        "grid": {"y1": ["Y1A"], "y2": ["Y2A"], "theta1": [1.5], "theta2": [1.0],
-                 "n": 20, "background_size": 10,
-                 "covariates": [[-1, 1]] * 6},
-    }
+@pytest.mark.parametrize(
+    "key, value", [("reference", "exact"), ("enum_limit", 4), ("sampling_permutations", 40)]
+)
+def test_simulate_removed_oracle_options_are_unknown_keys(tmp_path, capsys, key, value):
+    # the oracle is always exact over the pair's columns, so nothing selects it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value, "grid": {"y1": ["Y1A"]}}))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid", [{"y1": []}, {"y2": []}, {"theta1": ""}, {"theta2": []}],
+    ids=["y1", "y2", "theta1", "theta2"],
+)
+def test_simulate_empty_grid_axis_is_usage_error(tmp_path, capsys, grid):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": grid}))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "at least one value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "bounds, code",
+    [([-1e308, 1e308], 3), ([float("-inf"), 1], 3), ([0, float("nan")], 3), ([True, 2], 2)],
+    ids=["overflowing-width", "minus-inf", "nan", "boolean"],
+)
+def test_simulate_bad_covariate_bounds_fail_before_any_work(tmp_path, capsys, bounds, code):
+    # json writes the non-finite floats as -Infinity and NaN, which json.load reads back
+    config = {"grid": {"y1": ["Y1A"], "y2": ["Y2A"], "theta1": [1.5], "theta2": [1.0],
+                       "covariates": [[-1, 1], [-1, 1], bounds]}}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 4
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_simulate_library_parity(tmp_path):
@@ -307,7 +337,7 @@ def test_bench_zero_rows_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--threads", "0"), ("--threads", "-5"), ("--sampling-permutations", "0")],
+    [("--threads", "0"), ("--threads", "-5")],
 )
 def test_simulate_non_positive_counts_are_usage_errors(tmp_path, capsys, flag, value):
     out = tmp_path / "o"

@@ -20,7 +20,7 @@ from mshap import (
     validate_local_accuracy,
 )
 from mshap.combine import _distribute_rows
-from conftest import make_parts
+from parts import make_parts
 
 METHODS = list(AlphaMethod)
 
@@ -369,6 +369,16 @@ def test_linear_combine_shape_mismatch(rng):
         linear_combine_explanations([])
     with pytest.raises(InvalidInputError):
         linear_combine_mshap([])
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+def test_linear_combine_rejects_non_finite_weights(rng, weight):
+    expl_f, expl_g = make_parts(rng, 4, 2, scale=1.0)
+    with pytest.raises(InvalidInputError, match="finite"):
+        linear_combine_explanations([(weight, expl_f)])
+    combined = combine(expl_f, expl_g, 0.0, AlphaMethod.ABSOLUTE)
+    with pytest.raises(InvalidInputError, match="finite"):
+        linear_combine_mshap([(1.0, combined), (weight, combined)])
 
 
 def test_linear_combine_preserves_local_accuracy(rng):

@@ -66,6 +66,11 @@ def test_background_set_rejects_empty():
         baseline(constant_model(3, 1.0), np.zeros((0, 3)))
 
 
+def test_explanation_values_must_be_a_matrix():
+    with pytest.raises(DimensionError):
+        ShapExplanation(values=np.zeros((2, 3, 4)), baseline=0.0, predictions=np.zeros(2))
+
+
 # ---------------------------------------------------------------- exact enumeration
 
 

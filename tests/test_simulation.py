@@ -21,6 +21,7 @@ from mshap.shapley import explain_product
 from mshap.simulation import (
     Y1_IDS,
     Y2_IDS,
+    _explain_three,
     _guard_mask,
     grid_table,
     sample_scenario_rows,
@@ -63,6 +64,16 @@ def test_covariate_spec_validation():
         CovariateSpec(((2.0, 1.0),))
     with pytest.raises(InvalidInputError):
         CovariateSpec(())
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(-1e308, 1e308), (-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan)],
+    ids=["overflowing-width", "minus-inf", "plus-inf", "nan-lo", "nan-hi"],
+)
+def test_covariate_spec_rejects_non_finite_bounds_and_width(bounds):
+    with pytest.raises(InvalidInputError, match="finite"):
+        CovariateSpec(PAPER_BOX.bounds[:2] + (bounds,))
 
 
 # ---------------------------------------------------------------- responses
@@ -270,18 +281,53 @@ def test_scores_invariant_to_consistent_feature_relabeling():
             assert getattr(relabeled, field) == pytest.approx(getattr(base, field), abs=1e-12)
 
 
-def test_run_scenario_sampling_fallback_past_limit():
+WIDE_BOX = CovariateSpec(PAPER_BOX.bounds + ((0.0, 1.0), (-2.0, 2.0)))
+
+
+@pytest.mark.parametrize("y1", Y1_IDS)
+@pytest.mark.parametrize("y2", Y2_IDS + ("CONST1",))
+def test_oracle_enumerates_the_pair_columns_and_zeroes_the_rest(y1, y2):
+    # the pair reads 3 of the 5 columns; full 5-column enumeration must agree
+    spec = ScenarioSpec(y1, y2, 1.5, 1.0, covariates=WIDE_BOX, seed=13, **SMALL)
+    rows, _ = sample_scenario_rows(spec)
+    background = rows[: spec.background_size]
+    f = scenario_model(y1, 5)
+    g = scenario_model(y2, 5)
+    oracle = _explain_three(spec, rows, background)
+    for got, model in zip(oracle, (f, g, product_model(f, g)), strict=True):
+        want = explain_matrix(model, rows, background)
+        assert got.values.shape == (spec.n, 5)
+        assert np.all(got.values[:, 3:] == 0.0)
+        gap = np.abs(got.values - want.values).max()
+        assert gap <= 1e-12 * np.abs(want.values).max()
+        assert got.baseline == pytest.approx(want.baseline, rel=1e-12)
+        assert np.array_equal(got.predictions, want.predictions)
+
+
+def test_wide_cell_costs_a_three_column_enumeration(monkeypatch):
+    # 17 inert columns add no model rows: the count is the p = 3 cell's
+    # 2 * (3 * 10,000 + 100), counted as in
+    # test_run_scenario_evaluates_each_part_once_per_coalition
+    rows_seen = []
+    evaluate = ModelFunction.__call__
+
+    def counting(self, X):
+        rows_seen.append(len(X))
+        return evaluate(self, X)
+
     spec = ScenarioSpec(
-        "Y1A", "Y2A", 1.5, 1.0, n=20, background_size=10,
-        covariates=CovariateSpec(((-1.0, 1.0),) * 5), seed=2,
+        "Y1B", "Y2C", 1.5, 1.0, n=100, background_size=100, seed=3,
+        covariates=CovariateSpec(PAPER_BOX.bounds + ((0.0, 1.0),) * 17),
     )
-    result = run_scenario(spec, enum_limit=4, sampling_permutations=40)
+    monkeypatch.setattr(ModelFunction, "__call__", counting)
+    result = run_scenario(spec)
+    assert sum(rows_seen) == 60_200
     for method in AlphaMethod:
         assert 0.0 < result.scores[method].score <= 3.0
-    from mshap import EnumerationLimitError
-
-    with pytest.raises(EnumerationLimitError):
-        run_scenario(spec, enum_limit=4, reference="exact")
+    rows, _ = sample_scenario_rows(spec)
+    for expl in _explain_three(spec, rows, rows[: spec.background_size]):
+        assert expl.values.shape == (100, 20)
+        assert np.all(expl.values[:, 3:] == 0.0)
 
 
 # ---------------------------------------------------------------- grid
