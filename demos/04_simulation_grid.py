@@ -25,6 +25,6 @@ for method, score in sorted(means.items(), key=lambda kv: -kv[1]):
 # per response pair, which weighting wins?
 wins = {m: 0 for m in mshap.AlphaMethod}
 for outcome in outcomes:
-    best = max(outcome.result.scores.items(), key=lambda kv: kv[1].score)[0]
+    best = max(outcome.scores.items(), key=lambda kv: kv[1].score)[0]
     wins[best] += 1
 print("\ncells won:", {m.value: w for m, w in sorted(wins.items(), key=lambda kv: -kv[1])})

@@ -28,7 +28,6 @@ from .errors import (
     MshapError,
 )
 from .scoring import ScoreParams, score_matrices
-from .shapley import DEFAULT_ENUM_LIMIT
 from .simulation import (
     CovariateSpec,
     ScenarioSpec,
@@ -60,10 +59,6 @@ RESULT_COLUMNS = (
     "pct_same_sign", "pct_same_rank", "advisories", "error",
 )
 BENCH_COLUMNS = ("p", "n", "method", "wall_seconds", "per_observation_seconds", "error")
-SCORE_FIELDS = (
-    "score", "direction_score", "relative_value_score", "rank_score",
-    "pct_same_sign", "pct_same_rank",
-)
 
 
 class UsageError(Exception):
@@ -174,7 +169,6 @@ OPTIONS: dict[str, list[Option]] = {
     ],
     "bench": _COMMON + [
         Option("seed", _as_seed, default=0),
-        Option("enum_limit", _as_int, default=DEFAULT_ENUM_LIMIT),
         Option("p_values", _as_positive_int_list, default=list(range(2, 13)), help="feature counts to benchmark"),
         Option("n_values", _as_positive_int_list, default=[50], help="row counts to benchmark"),
         Option("background_size", _as_positive_int, default=100),
@@ -316,14 +310,12 @@ def cmd_score(resolved: dict) -> int:
         )
         raise DimensionError(f"feature names disagree starting at column {bad}")
     breakdown = score_matrices(candidate.values, reference.values, params)
-    payload = {field: getattr(breakdown, field) for field in SCORE_FIELDS}
-    payload["theta1"] = resolved["theta1"]
-    payload["theta2"] = resolved["theta2"]
+    payload = {**vars(breakdown), "theta1": resolved["theta1"], "theta2": resolved["theta2"]}
     out = _out_dir(resolved)
     write_json(out / "score.json", payload)
     _echo_config("score", resolved, out)
-    for field in SCORE_FIELDS:
-        print(f"{field} = {getattr(breakdown, field):.6f}")
+    for field, value in vars(breakdown).items():
+        print(f"{field} = {value:.6f}")
     return 0
 
 
@@ -393,10 +385,10 @@ def _specs_from_config(resolved: dict) -> list[ScenarioSpec]:
 def cmd_simulate(resolved: dict) -> int:
     specs = _specs_from_config(resolved)
     out = _out_dir(resolved)
-    outcomes = run_grid(specs, n_jobs=resolved["threads"])
-    write_records(out / "results.csv", RESULT_COLUMNS, grid_table(outcomes))
+    results = run_grid(specs, n_jobs=resolved["threads"])
+    write_records(out / "results.csv", RESULT_COLUMNS, grid_table(results))
     _echo_config("simulate", resolved, out)
-    failed = sum(1 for o in outcomes if o.error is not None)
+    failed = sum(1 for r in results if r.error is not None)
     print(f"ran {len(specs)} scenarios ({failed} failed) -> {out / 'results.csv'}")
     return 0
 
@@ -410,7 +402,6 @@ def cmd_bench(resolved: dict) -> int:
         seed=resolved["seed"],
         n_permutations=resolved["n_permutations"],
         repetitions=resolved["repetitions"],
-        enum_limit=resolved["enum_limit"],
     )
     rows = [asdict(r) | {"error": ""} for r in records]
     rows += [asdict(e) | {"error": e.message} for e in bench_errors]

@@ -93,6 +93,15 @@ def _prime_rows(sx: np.ndarray, sy: np.ndarray, mu_f: float, mu_g: float) -> np.
     return mu_f * sy + mu_g * sx + 0.5 * (sx * row_sy + sy * row_sx)
 
 
+# the mass each rule gives feature j; a row's weights are its masses over their total
+_MASS = {
+    AlphaMethod.UNIFORM: np.ones_like,
+    AlphaMethod.RAW: lambda s: s,
+    AlphaMethod.ABSOLUTE: np.abs,
+    AlphaMethod.SQUARED: lambda s: s * s,
+}
+
+
 def _distribute_rows(
     s_prime: np.ndarray,
     alpha: float,
@@ -100,44 +109,27 @@ def _distribute_rows(
     z_hat: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply the alpha weighting row-wise; returns (s_z, fallback mask)."""
-    n, p = s_prime.shape
-    uniform = np.full((n, p), 1.0 / p)
-    if method is AlphaMethod.UNIFORM:
-        return s_prime + alpha * uniform, np.zeros(n, dtype=bool)
-
-    if method is AlphaMethod.RAW:
-        # the weighting whole is the row total of s', which telescopes to
-        # z_hat - mu_f*mu_g; summing s' itself keeps sum(w) = 1 to rounding,
-        # where dividing by the independently-computed z_hat - mu_f*mu_g would
-        # amplify their float discrepancy by alpha/denominator near degeneracy
-        den = s_prime.sum(axis=1)
-        scale = np.maximum(1.0, np.abs(z_hat))
-        degenerate = np.abs(den) < RAW_DEGENERACY_TOL * scale
-        # |alpha| * max|s'| / |den| is the corrected-entry magnitude; written
-        # multiplication-only so a zero denominator needs no special case
-        blowup = (
-            np.abs(alpha) * np.abs(s_prime).max(axis=1)
-            > RAW_AMPLIFICATION_LIMIT * scale * np.abs(den)
-        )
-        degenerate |= blowup
-        den = np.where(degenerate, 1.0, den)
-        weights = s_prime / den[:, None]
-    elif method is AlphaMethod.ABSOLUTE:
-        den = np.abs(s_prime).sum(axis=1)
-        degenerate = den < RAW_DEGENERACY_TOL
-        den = np.where(degenerate, 1.0, den)
-        weights = np.abs(s_prime) / den[:, None]
-    elif method is AlphaMethod.SQUARED:
-        sq = s_prime * s_prime
-        den = sq.sum(axis=1)
-        degenerate = den < RAW_DEGENERACY_TOL
-        den = np.where(degenerate, 1.0, den)
-        weights = sq / den[:, None]
-    else:
+    if method not in _MASS:
         raise InvalidInputError(f"unknown alpha method: {method!r}")
-
-    weights = np.where(degenerate[:, None], uniform, weights)
-    return s_prime + alpha * weights, degenerate
+    mass = _MASS[method](s_prime)
+    # the raw total is the row total of s', which telescopes to z_hat - mu_f*mu_g;
+    # summing s' itself keeps sum(w) = 1 to rounding, where dividing by the
+    # independently-computed z_hat - mu_f*mu_g would amplify their float
+    # discrepancy by alpha/total near degeneracy
+    total = mass.sum(axis=1)
+    scale = np.maximum(1.0, np.abs(z_hat)) if method is AlphaMethod.RAW else 1.0
+    fallback = np.abs(total) < RAW_DEGENERACY_TOL * scale
+    if method is AlphaMethod.RAW:
+        # |alpha| * max|s'| / |total| is the corrected-entry magnitude; written
+        # multiplication-only so a zero total needs no special case
+        fallback |= (
+            np.abs(alpha) * np.abs(s_prime).max(axis=1)
+            > RAW_AMPLIFICATION_LIMIT * scale * np.abs(total)
+        )
+    weights = np.where(
+        fallback[:, None], 1.0 / s_prime.shape[1], mass / np.where(fallback, 1.0, total)[:, None]
+    )
+    return s_prime + alpha * weights, fallback
 
 
 def _check_alignment(expl_f: ShapExplanation, expl_g: ShapExplanation) -> tuple[str, ...] | None:
@@ -203,6 +195,7 @@ def linear_combine_explanations(
 ) -> ShapExplanation:
     """Weighted sum of explanations: values, baselines and predictions.
 
+    Parts must agree in shape and in their feature names where they have any.
     Local accuracy is preserved: if each part reconstructs its own prediction,
     the combined values reconstruct the same weighted sum of predictions.
     """
@@ -210,15 +203,15 @@ def linear_combine_explanations(
         raise InvalidInputError("a linear combination needs at least one part")
     if not np.isfinite([float(w) for w, _ in parts]).all():
         raise InvalidInputError("linear combination weights must be finite")
-    shape = parts[0][1].values.shape
+    # checked against a named part, if any, so no two names disagree
+    first = next((e for _, e in parts if e.feature_names is not None), parts[0][1])
     for _, e in parts:
-        if e.values.shape != shape:
-            raise DimensionError(f"part shapes differ: {e.values.shape} vs {shape}")
+        _check_alignment(first, e)
     return ShapExplanation(
         values=sum(float(w) * e.values for w, e in parts),
         baseline=sum(float(w) * e.baseline for w, e in parts),
         predictions=sum(w * e.predictions for w, e in parts),
-        feature_names=parts[0][1].feature_names,
+        feature_names=first.feature_names,
     )
 
 

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import DimensionError, EnumerationLimitError, InvalidInputError
 
-DEFAULT_ENUM_LIMIT = 16
+# The most features exact enumeration accepts (2**16 coalitions); read at each call.
+ENUM_LIMIT = 16
 # Byte budget of one (rows, m, p) float64 splice block.  The exact and the
 # sampling estimators cut the instance axis into chunks that fit it, so a
 # large n never materialises the whole (n, m, p) tensor.
@@ -285,14 +286,13 @@ def _explain_exact(
     evaluate: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     X: np.ndarray,
     data: np.ndarray,
-    enum_limit: int,
     feature_names: Sequence[str] | None = None,
 ) -> tuple[ShapExplanation, ...]:
     p = X.shape[1]
-    if p > enum_limit:
+    if p > ENUM_LIMIT:
         raise EnumerationLimitError(
-            f"{p} features exceeds the enumeration limit of {enum_limit} "
-            f"(2**{p} coalitions); raise the limit or use sampling"
+            f"{p} features exceeds the enumeration limit of {ENUM_LIMIT} "
+            f"(2**{p} coalitions); use sampling"
         )
     predictions = evaluate(X)
     values = _coalition_values(evaluate, X, data, predictions)
@@ -312,7 +312,7 @@ def explain_matrix(
     model: ModelFunction,
     X: np.ndarray,
     background,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
+    *,
     feature_names: Sequence[str] | None = None,
 ) -> ShapExplanation:
     """Exact Shapley attributions for every row of ``X`` by full enumeration.
@@ -322,7 +322,7 @@ def explain_matrix(
     """
     data = _as_background(background, model.arity)
     X = _instances(X, model.arity)
-    (expl,) = _explain_exact(lambda rows: (model(rows),), X, data, enum_limit, feature_names)
+    (expl,) = _explain_exact(lambda rows: (model(rows),), X, data, feature_names)
     return expl
 
 
@@ -331,7 +331,6 @@ def explain_product(
     g: ModelFunction,
     X: np.ndarray,
     background,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
 ) -> tuple[ShapExplanation, ShapExplanation, ShapExplanation]:
     """Exact explanations of f, g and h = f * g from one coalition pass.
 
@@ -349,7 +348,7 @@ def explain_product(
         a, b = f(rows), g(rows)
         return a, b, a * b
 
-    return _explain_exact(evaluate, X, data, enum_limit)
+    return _explain_exact(evaluate, X, data)
 
 
 def _sampling_core(
@@ -410,7 +409,6 @@ def sampling_explain_matrix(
     background,
     n_permutations: int,
     seed: int,
-    feature_names: Sequence[str] | None = None,
 ) -> SamplingExplanation:
     """Permutation-sampling estimate of the exact Shapley values of every row of ``X``.
 
@@ -431,7 +429,6 @@ def sampling_explain_matrix(
         values=phi,
         baseline=float(v_empty),
         predictions=model(X),
-        feature_names=tuple(feature_names) if feature_names is not None else None,
         stderr=stderr,
         n_permutations=count,
         exhaustive=exhaustive,

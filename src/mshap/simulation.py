@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import shapley
 from .combine import AlphaMethod, combine
 from .errors import (
     DimensionError,
@@ -32,7 +33,6 @@ from .errors import (
 )
 from .scoring import ScoreBreakdown, ScoreParams, score_matrices
 from .shapley import (
-    DEFAULT_ENUM_LIMIT,
     ModelFunction,
     ShapExplanation,
     additive_model,
@@ -180,20 +180,11 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class ScenarioResult:
+    """One cell's score per weighting, or, when the cell failed, its error and no scores."""
+
     spec: ScenarioSpec
     scores: dict[AlphaMethod, ScoreBreakdown]
     advisories: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if set(self.scores) != set(AlphaMethod):
-            raise InvalidInputError("a scenario result must carry all four method scores")
-
-
-@dataclass(frozen=True)
-class GridOutcome:
-    index: int
-    spec: ScenarioSpec
-    result: ScenarioResult | None = None
     error: str | None = None
 
 
@@ -321,28 +312,25 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     return ScenarioResult(spec=spec, scores=scores, advisories=tuple(advisories))
 
 
-def run_grid(specs: Sequence[ScenarioSpec], n_jobs: int = 1) -> list[GridOutcome]:
-    """Run scenarios independently; failures are recorded, not raised.
+def run_grid(specs: Sequence[ScenarioSpec], n_jobs: int = 1) -> list[ScenarioResult]:
+    """Run scenarios independently; a failed cell is a result with its ``error``, not a raise.
 
-    Results depend only on each cell's own seed, so the outcome list is
+    Results depend only on each cell's own seed, so the result list is
     identical for any ``n_jobs``.
     """
     if not specs:
         raise InvalidInputError("grid must contain at least one scenario")
 
-    def cell(item):
-        index, spec = item
+    def cell(spec):
         try:
-            result = run_scenario(spec)
-            return GridOutcome(index=index, spec=spec, result=result)
+            return run_scenario(spec)
         except Exception as exc:
-            return GridOutcome(index=index, spec=spec, error=f"{type(exc).__name__}: {exc}")
+            return ScenarioResult(spec=spec, scores={}, error=f"{type(exc).__name__}: {exc}")
 
-    items = list(enumerate(specs))
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            return list(pool.map(cell, items))
-    return [cell(item) for item in items]
+            return list(pool.map(cell, specs))
+    return [cell(spec) for spec in specs]
 
 
 def default_grid(
@@ -383,12 +371,15 @@ def default_grid(
     return specs
 
 
-def grid_table(outcomes: Sequence[GridOutcome]) -> list[dict]:
-    """Flatten outcomes to one record per (scenario, method), errors included."""
+def grid_table(results: Sequence[ScenarioResult]) -> list[dict]:
+    """Flatten results to one record per (scenario, method), errors included.
+
+    Scenarios are numbered by their position in ``results``.
+    """
     records = []
-    for out in outcomes:
+    for index, out in enumerate(results):
         base = {
-            "scenario": out.index,
+            "scenario": index,
             "y1": out.spec.y1,
             "y2": out.spec.y2,
             "theta1": out.spec.theta1,
@@ -400,36 +391,25 @@ def grid_table(outcomes: Sequence[GridOutcome]) -> list[dict]:
         if out.error is not None:
             records.append({**base, "method": "", "error": out.error})
             continue
-        advisories = "; ".join(out.result.advisories)
-        for method in AlphaMethod:
-            b = out.result.scores[method]
+        advisories = "; ".join(out.advisories)
+        for method, b in out.scores.items():
+            # vars, not dataclasses.asdict: asdict deep-copies and costs 6x here
             records.append(
-                {
-                    **base,
-                    "method": method.value,
-                    "score": b.score,
-                    "direction_score": b.direction_score,
-                    "relative_value_score": b.relative_value_score,
-                    "rank_score": b.rank_score,
-                    "pct_same_sign": b.pct_same_sign,
-                    "pct_same_rank": b.pct_same_rank,
-                    "advisories": advisories,
-                    "error": "",
-                }
+                {**base, "method": method.value, **vars(b), "advisories": advisories, "error": ""}
             )
     return records
 
 
-def mean_scores_by_method(outcomes: Sequence[GridOutcome]) -> dict[AlphaMethod, float]:
+def mean_scores_by_method(results: Sequence[ScenarioResult]) -> dict[AlphaMethod, float]:
     """Grid-level mean score per weighting, skipping errored cells."""
     sums = {m: 0.0 for m in AlphaMethod}
     count = 0
-    for out in outcomes:
-        if out.result is None:
+    for out in results:
+        if out.error is not None:
             continue
         count += 1
         for m in AlphaMethod:
-            sums[m] += out.result.scores[m].score
+            sums[m] += out.scores[m].score
     if count == 0:
         raise InvalidInputError("no scenario in the grid succeeded")
     return {m: s / count for m, s in sums.items()}
@@ -474,7 +454,6 @@ def bench_scaling(
     seed: int = 0,
     n_permutations: int = 100,
     repetitions: int = 5,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
 ) -> tuple[list[BenchRecord], list[BenchError]]:
     """Wall-clock scaling of composition vs enumeration vs sampling.
 
@@ -494,10 +473,10 @@ def bench_scaling(
             h = product_model(f, g)
             sampling_seed = derive_seed(seed, p, n, 1)
 
-            enumerable = p <= enum_limit
+            enumerable = p <= shapley.ENUM_LIMIT
             if enumerable:
-                expl_f = explain_matrix(f, X, background, enum_limit=enum_limit)
-                expl_g = explain_matrix(g, X, background, enum_limit=enum_limit)
+                expl_f = explain_matrix(f, X, background)
+                expl_g = explain_matrix(g, X, background)
             else:
                 expl_f = sampling_explain_matrix(f, X, background, n_permutations, sampling_seed)
                 expl_g = sampling_explain_matrix(g, X, background, n_permutations, sampling_seed + 1)
@@ -511,14 +490,14 @@ def bench_scaling(
                 ),
             ]
             if enumerable:
-                timed.insert(1, ("exact_enumeration", lambda: explain_matrix(h, X, background, enum_limit)))
+                timed.insert(1, ("exact_enumeration", lambda: explain_matrix(h, X, background)))
             else:
                 errors.append(
                     BenchError(
                         p=p,
                         n=n,
                         method="exact_enumeration",
-                        message=f"{p} features exceeds the enumeration limit of {enum_limit}",
+                        message=f"{p} features exceeds the enumeration limit of {shapley.ENUM_LIMIT}",
                     )
                 )
             for name, fn in timed:

@@ -110,6 +110,9 @@ class ShapTable(ShapExplanation):
     def __post_init__(self):
         if (self.predictions is None) != (self.prediction_column is None):
             raise DimensionError("predictions and prediction_column must be given together")
+        reserved = sorted(set(self.extra_meta) & {"baseline", "prediction_column"})
+        if reserved:
+            raise TableFormatError(f"extra_meta may not set the sidecar's own keys: {reserved}")
         values = np.atleast_2d(np.asarray(self.values, dtype=float))
         if self.predictions is None:
             # local accuracy pins the prediction once the baseline is known
@@ -124,17 +127,14 @@ class ShapTable(ShapExplanation):
         return self
 
 
-def explanation_to_table(
-    expl: ShapExplanation,
-    prediction_column: str = "prediction",
-    extra_meta: dict | None = None,
-) -> ShapTable:
+def explanation_to_table(expl: ShapExplanation, *, extra_meta: dict | None = None) -> ShapTable:
+    """The explanation as a table with a ``prediction`` column."""
     return ShapTable(
         values=expl.values,
         baseline=expl.baseline,
         predictions=expl.predictions,
         feature_names=expl.feature_names,
-        prediction_column=prediction_column,
+        prediction_column="prediction",
         extra_meta=dict(extra_meta or {}),
     )
 

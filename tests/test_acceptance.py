@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the suite is deterministic (fixed seeds throughout).
 """
 
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -33,7 +34,8 @@ from mshap import (
     validate_local_accuracy,
     write_shap_table,
 )
-from mshap.cli import RESULT_COLUMNS, SCORE_FIELDS, main
+from mshap.cli import RESULT_COLUMNS, main
+from mshap.scoring import ScoreBreakdown
 from mshap.simulation import ScenarioSpec, grid_table
 from mshap.tables import write_records
 
@@ -389,7 +391,7 @@ def test_criterion_8_cli_parity_and_round_trip(tmp_path):
         read_shap_table(FIXTURES / "score_reference.csv").values,
         ScoreParams(2.5, 6.0),
     )
-    payload = {field: getattr(expected_breakdown, field) for field in SCORE_FIELDS}
+    payload = {f.name: getattr(expected_breakdown, f.name) for f in dataclasses.fields(ScoreBreakdown)}
     payload.update(theta1=2.5, theta2=6.0)
     assert json.loads((out / "score.json").read_text()) == payload
     checks += 1

@@ -1,8 +1,12 @@
 """The package namespace holds what the demos, the README and the CLI use."""
 
+import inspect
+
 import numpy as np
 
 import mshap
+from mshap.cli import OPTIONS
+from mshap.shapley import explain_product
 
 PUBLIC = [
     # types
@@ -63,3 +67,35 @@ def test_comparing_two_equal_explanations_gives_a_bool(tmp_path):
         assert (a == b) is False, name
         assert (a == a) is True, name
         assert (a != b) is True, name
+
+
+# adding an option or a parameter back is an edit to these two tables
+OPTION_NAMES = {
+    "combine": ["config", "out_dir", "f_shap", "g_shap", "mu_h", "method", "threads"],
+    "score": ["config", "out_dir", "candidate", "reference", "theta1", "theta2"],
+    "simulate": ["config", "out_dir", "seed", "threads", "grid", "scenarios"],
+    "bench": ["config", "out_dir", "seed", "p_values", "n_values", "background_size",
+              "n_permutations", "repetitions"],
+    "summary-data": ["config", "out_dir", "mshap", "covariates"],
+}
+
+PARAMETERS = {
+    mshap.explain_matrix: ["model", "X", "background", "feature_names"],
+    explain_product: ["f", "g", "X", "background"],
+    mshap.sampling_explain_matrix: ["model", "X", "background", "n_permutations", "seed"],
+    mshap.bench_scaling: ["p_values", "n_values", "background_size", "seed", "n_permutations",
+                          "repetitions"],
+    mshap.explanation_to_table: ["expl", "extra_meta"],
+}
+
+
+def test_cli_option_names_are_pinned():
+    assert {name: [opt.name for opt in opts] for name, opts in OPTIONS.items()} == OPTION_NAMES
+
+
+def test_function_parameter_names_are_pinned():
+    for fn, names in PARAMETERS.items():
+        assert list(inspect.signature(fn).parameters) == names, fn.__name__
+    # keyword-only, so an argument meant for a removed parameter cannot bind to them
+    for fn, name in ((mshap.explain_matrix, "feature_names"), (mshap.explanation_to_table, "extra_meta")):
+        assert inspect.signature(fn).parameters[name].kind is inspect.Parameter.KEYWORD_ONLY

@@ -335,6 +335,17 @@ def test_bench_zero_rows_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_enum_limit_is_no_longer_an_option(tmp_path, capsys):
+    # the enumeration limit is shapley.ENUM_LIMIT; a flag or config key for it is a usage error
+    out = tmp_path / "o"
+    assert main(["bench", "--p-values", "30", "--enum-limit", "40", "--out-dir", str(out)]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "bench", "enum_limit": 40}))
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "unknown config keys: enum_limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--threads", "0"), ("--threads", "-5")],

@@ -19,7 +19,7 @@ from mshap import (
     product_model,
     validate_local_accuracy,
 )
-from mshap.combine import _distribute_rows
+from mshap.combine import RAW_AMPLIFICATION_LIMIT, RAW_DEGENERACY_TOL, _distribute_rows
 from parts import make_parts
 
 METHODS = list(AlphaMethod)
@@ -180,6 +180,64 @@ def test_distribute_degenerate_rows_fall_back_to_uniform():
         np.testing.assert_allclose(values, np.full(4, 0.5))
     _, fallback = distribute(zero, 2.0, AlphaMethod.UNIFORM, z_hat=3.0)
     assert not fallback
+
+
+def four_branch_distribute(s_prime, alpha, method, z_hat):
+    """Reference: the alpha rules as four separate branches, one per weighting."""
+    n, p = s_prime.shape
+    uniform = np.full((n, p), 1.0 / p)
+    if method is AlphaMethod.UNIFORM:
+        return s_prime + alpha * uniform, np.zeros(n, dtype=bool)
+    if method is AlphaMethod.RAW:
+        den = s_prime.sum(axis=1)
+        scale = np.maximum(1.0, np.abs(z_hat))
+        degenerate = np.abs(den) < RAW_DEGENERACY_TOL * scale
+        degenerate |= (
+            np.abs(alpha) * np.abs(s_prime).max(axis=1)
+            > RAW_AMPLIFICATION_LIMIT * scale * np.abs(den)
+        )
+        den = np.where(degenerate, 1.0, den)
+        weights = s_prime / den[:, None]
+    elif method is AlphaMethod.ABSOLUTE:
+        den = np.abs(s_prime).sum(axis=1)
+        degenerate = den < RAW_DEGENERACY_TOL
+        den = np.where(degenerate, 1.0, den)
+        weights = np.abs(s_prime) / den[:, None]
+    else:
+        sq = s_prime * s_prime
+        den = sq.sum(axis=1)
+        degenerate = den < RAW_DEGENERACY_TOL
+        den = np.where(degenerate, 1.0, den)
+        weights = sq / den[:, None]
+    weights = np.where(degenerate[:, None], uniform, weights)
+    return s_prime + alpha * weights, degenerate
+
+
+tiny_or_box = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, width=64),
+    st.floats(min_value=-1e-11, max_value=1e-11, allow_nan=False, width=64),
+)
+
+
+@settings(max_examples=200)
+@given(
+    data=st.data(),
+    n=st.integers(1, 8),
+    p=st.integers(1, 6),
+    alpha=st.one_of(st.just(0.0), st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, width=64)),
+    method=st.sampled_from(METHODS),
+)
+def test_distribute_matches_four_branch_reference(data, n, p, alpha, method):
+    s_prime = data.draw(arrays(np.float64, (n, p), elements=tiny_or_box))
+    z_hat = data.draw(arrays(np.float64, n, elements=tiny_or_box))
+    kind = data.draw(arrays(np.int8, n, elements=st.sampled_from([0, 1, 2])))
+    s_prime[kind == 1] = 0.0  # all-zero rows
+    cancel = kind == 2  # rows whose total (nearly) cancels
+    s_prime[cancel, -1] = -s_prime[cancel, :-1].sum(axis=1)
+    values, fallback = _distribute_rows(s_prime, alpha, method, z_hat)
+    ref_values, ref_fallback = four_branch_distribute(s_prime, alpha, method, z_hat)
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(fallback, ref_fallback)
 
 
 # ---------------------------------------------------------------- combine
@@ -379,6 +437,21 @@ def test_linear_combine_rejects_non_finite_weights(rng, weight):
     combined = combine(expl_f, expl_g, 0.0, AlphaMethod.ABSOLUTE)
     with pytest.raises(InvalidInputError, match="finite"):
         linear_combine_mshap([(1.0, combined), (weight, combined)])
+
+
+def test_linear_combine_rejects_misaligned_names(rng):
+    values = rng.uniform(-1, 1, (3, 2))
+    ab = ShapExplanation(values, 0.0, values.sum(axis=1), feature_names=("a", "b"))
+    ba = ShapExplanation(values, 0.0, values.sum(axis=1), feature_names=("b", "a"))
+    unnamed = explanation(values, 0.0)
+    with pytest.raises(DimensionError, match="column 0"):
+        linear_combine_explanations([(1.0, ab), (1.0, ba)])
+    with pytest.raises(DimensionError):
+        linear_combine_explanations([(1.0, unnamed), (1.0, ab), (1.0, ba)])
+    combined = combine(ab, ab, 0.0, AlphaMethod.UNIFORM)
+    with pytest.raises(DimensionError):
+        linear_combine_mshap([(1.0, combined), (1.0, combine(ba, ba, 0.0, AlphaMethod.UNIFORM))])
+    assert linear_combine_explanations([(1.0, unnamed), (1.0, ab)]).feature_names == ("a", "b")
 
 
 def test_linear_combine_preserves_local_accuracy(rng):

@@ -145,13 +145,17 @@ def test_exact_deterministic(rng):
     assert np.array_equal(first.values, second.values)
 
 
-def test_exact_enumeration_limit():
+def test_exact_enumeration_limit(monkeypatch):
     model = constant_model(17, 1.0)
     with pytest.raises(EnumerationLimitError):
         explain_row(model, np.zeros(17), np.zeros((2, 17)))
-    # configurable
+    # read at call time, by both exact entry points
+    monkeypatch.setattr(shapley, "ENUM_LIMIT", 4)
     with pytest.raises(EnumerationLimitError):
-        explain_row(constant_model(5, 1.0), np.zeros(5), np.zeros((2, 5)), enum_limit=4)
+        explain_row(constant_model(5, 1.0), np.zeros(5), np.zeros((2, 5)))
+    with pytest.raises(EnumerationLimitError):
+        explain_product(constant_model(5, 1.0), constant_model(5, 2.0), np.zeros((1, 5)), np.zeros((2, 5)))
+    assert explain_row(constant_model(4, 1.0), np.zeros(4), np.zeros((2, 4))).n_features == 4
 
 
 def test_exact_dimension_errors():

@@ -17,6 +17,7 @@ from mshap import (
     run_grid,
     run_scenario,
 )
+from mshap import shapley
 from mshap.shapley import explain_product
 from mshap.simulation import (
     Y1_IDS,
@@ -348,11 +349,13 @@ def test_run_grid_records_errors_and_continues():
         ScenarioSpec("Y1A", "Y2E", 1.5, 1.0, n=10, covariates=tight, seed=0, background_size=5),
         ScenarioSpec("Y1A", "Y2A", 1.5, 1.0, seed=1, **SMALL),
     ]
-    outcomes = run_grid(specs)
-    assert outcomes[0].error is not None and "ResampleLimitError" in outcomes[0].error
-    assert outcomes[1].result is not None
-    records = grid_table(outcomes)
+    results = run_grid(specs)
+    assert results[0].error is not None and "ResampleLimitError" in results[0].error
+    assert results[0].scores == {} and results[0].spec is specs[0]
+    assert results[1].error is None and set(results[1].scores) == set(AlphaMethod)
+    records = grid_table(results)
     assert len(records) == 5  # 1 error row + 4 method rows
+    assert [r["scenario"] for r in records] == [0, 1, 1, 1, 1]
 
 
 def test_run_grid_parallel_matches_serial():
@@ -361,7 +364,8 @@ def test_run_grid_parallel_matches_serial():
     threaded = run_grid(specs, n_jobs=4)
     for a, b in zip(serial, threaded):
         assert a.spec == b.spec
-        assert a.result.scores == b.result.scores
+        assert a.error is None and b.error is None
+        assert a.scores == b.scores
 
 
 def test_default_grid_shape_and_seeds():
@@ -396,9 +400,10 @@ def test_bench_scaling_records():
         assert r.per_observation_seconds == r.wall_seconds / r.n
 
 
-def test_bench_scaling_respects_enum_limit():
+def test_bench_scaling_respects_enum_limit(monkeypatch):
+    monkeypatch.setattr(shapley, "ENUM_LIMIT", 4)
     records, errors = bench_scaling(p_values=[2, 6], n_values=[10], background_size=10,
-                                    seed=0, n_permutations=5, repetitions=2, enum_limit=4)
+                                    seed=0, n_permutations=5, repetitions=2)
     assert len(errors) == 1
     assert errors[0].method == "exact_enumeration" and errors[0].p == 6
     methods_at_6 = {r.method for r in records if r.p == 6}

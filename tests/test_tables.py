@@ -64,6 +64,18 @@ def test_round_trip_with_prediction_column(tmp_path):
     assert back.extra_meta == {"alpha": 0.5}
 
 
+@pytest.mark.parametrize("key", ["baseline", "prediction_column"])
+def test_extra_meta_cannot_overwrite_sidecar_keys(tmp_path, key):
+    values = np.array([[1.0, 2.0]])
+    expl = ShapExplanation(values, 10.0, np.array([13.0]), feature_names=("a", "b"))
+    path = tmp_path / "t.csv"
+    with pytest.raises(TableFormatError, match=key):
+        write_shap_table(path, explanation_to_table(expl, extra_meta={key: None, "alpha": 0.5}))
+    with pytest.raises(TableFormatError, match=key):
+        ShapTable(values=values, baseline=10.0, extra_meta={key: 0.0})
+    assert not path.exists() and not meta_path(path).exists()
+
+
 def test_written_files_and_sidecar_naming(tmp_path):
     path = tmp_path / "expl.csv"
     write_shap_table(path, ShapTable(values=[[1.0]], baseline=0.0, feature_names=("x1",)))
