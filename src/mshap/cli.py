@@ -394,7 +394,6 @@ def cmd_simulate(resolved: dict) -> int:
 
 
 def cmd_bench(resolved: dict) -> int:
-    out = _out_dir(resolved)
     records, bench_errors = bench_scaling(
         p_values=resolved["p_values"],
         n_values=resolved["n_values"],
@@ -405,6 +404,7 @@ def cmd_bench(resolved: dict) -> int:
     )
     rows = [asdict(r) | {"error": ""} for r in records]
     rows += [asdict(e) | {"error": e.message} for e in bench_errors]
+    out = _out_dir(resolved)
     write_records(out / "bench.csv", BENCH_COLUMNS, rows)
     write_json(
         out / "bench.meta.json",

@@ -75,35 +75,53 @@ def importance_ranks(row) -> np.ndarray:
     return ranks[0] if np.asarray(row).ndim == 1 else ranks
 
 
-def score_matrices(candidate, reference, params: ScoreParams) -> ScoreBreakdown:
+def score_matrices(
+    candidate, reference, params: ScoreParams
+) -> ScoreBreakdown | tuple[ScoreBreakdown, ...]:
     """Score every cell of candidate against reference and average.
 
+    ``candidate`` is one (n, p) matrix, which gives one ``ScoreBreakdown``,
+    or a stack of r matrices with shape (r, n, p), which gives a tuple of r
+    breakdowns, each scored against the one (n, p) ``reference``; the stack
+    costs one pass over its elementwise terms instead of r calls.
     Ranks are computed row-wise on each matrix independently.  Sign agreement
     counts cells with a strictly positive product, plus cells where both
-    values are exactly zero.  Means use numpy's pairwise summation, so results
-    are reproducible regardless of how callers shard the cells.
+    values are exactly zero.  Means use numpy's pairwise summation, the sum
+    ``np.mean`` takes, so results are reproducible regardless of how callers
+    shard the cells or stack the candidates.
     """
-    cand = np.atleast_2d(np.asarray(candidate, dtype=float))
+    cand = np.asarray(candidate, dtype=float)
     ref = np.atleast_2d(np.asarray(reference, dtype=float))
-    if cand.shape != ref.shape:
+    stacked = cand.ndim == 3
+    if not stacked:
+        cand = np.atleast_2d(cand)[None]
+    if ref.ndim != 2 or cand.ndim != 3 or cand.shape[1:] != ref.shape:
         raise DimensionError(f"matrix shapes differ: {cand.shape} vs {ref.shape}")
 
-    ranks_c = importance_ranks(cand)
+    r, n, p = cand.shape
+    ranks_c = importance_ranks(cand.reshape(r * n, p)).reshape(cand.shape)
     ranks_r = importance_ranks(ref)
     l1 = _direction(cand, ref, params.theta1)
     l2 = _relative_value(cand, ref, params.theta2)
     l3 = 1.0 / (np.abs(ranks_c - ranks_r) + 1.0)
-
-    direction = float(l1.mean())
-    relative = float(l2.mean())
-    rank = float(l3.mean())
     with np.errstate(over="ignore", invalid="ignore"):
         same_sign = (cand * ref > 0) | ((cand == 0) & (ref == 0))
-    return ScoreBreakdown(
-        score=direction + relative + rank,
-        direction_score=direction,
-        relative_value_score=relative,
-        rank_score=rank,
-        pct_same_sign=float(same_sign.mean()),
-        pct_same_rank=float((ranks_c == ranks_r).mean()),
+
+    def means(cells, dtype=None):
+        # np.mean's own arithmetic, one reduction for the whole stack
+        return (np.add.reduce(cells.reshape(r, n * p), axis=1, dtype=dtype) / (n * p)).tolist()
+
+    breakdowns = tuple(
+        ScoreBreakdown(
+            score=direction + relative + rank,
+            direction_score=direction,
+            relative_value_score=relative,
+            rank_score=rank,
+            pct_same_sign=sign,
+            pct_same_rank=same_rank,
+        )
+        for direction, relative, rank, sign, same_rank in zip(
+            means(l1), means(l2), means(l3), means(same_sign, float), means(ranks_c == ranks_r, float)
+        )
     )
+    return breakdowns if stacked else breakdowns[0]

@@ -16,6 +16,7 @@ the attribution row sums to the model prediction for that instance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import factorial, lgamma
@@ -88,6 +89,16 @@ def _as_background(background, arity: int) -> np.ndarray:
     return data
 
 
+def _first_repeat(names) -> str | None:
+    """The first name that occurs earlier in ``names`` too, or None."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class ShapExplanation:
     """Per-feature contributions for a batch of instances of one model part.
@@ -117,6 +128,9 @@ class ShapExplanation:
                 raise DimensionError(
                     f"{len(names)} feature names for {values.shape[1]} columns"
                 )
+            repeated = _first_repeat(names)
+            if repeated is not None:
+                raise DimensionError(f"feature name {repeated!r} appears more than once")
             object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "predictions", preds)
@@ -231,11 +245,12 @@ def _coalition_values(
     mirrored = X.shape == background.shape and n <= step and X.tobytes() == background.tobytes()
     base = predictions if mirrored else evaluate(background)
     values = np.empty((len(base), 1 << p, n))
-    values[:, 0] = np.array([out.mean() for out in base])[:, None]
+    # np.add.reduce(x, axis) / m is np.mean's arithmetic without its per-call wrapper cost
+    values[:, 0] = np.array([np.add.reduce(out) / m for out in base])[:, None]
     if mirrored:
         # the full coalition's block is m copies of each x_i
         for k, out in enumerate(predictions):
-            values[k, full] = np.repeat(out, m).reshape(n, m).mean(axis=1)
+            values[k, full] = np.add.reduce(np.repeat(out, m).reshape(n, m), axis=1) / m
     buffer = np.empty((min(step, n), m, p))
     for lo in range(0, n, step):
         rows = X[lo : lo + step]
@@ -253,22 +268,36 @@ def _coalition_values(
                 spliced[:, :, flip] = background[None, :, flip]
             for k, out in enumerate(evaluate(flat)):
                 block = out.reshape(c, m)
-                values[k, mask, lo : lo + c] = block.mean(axis=1)
+                values[k, mask, lo : lo + c] = np.add.reduce(block, axis=1) / m
                 if mirrored:
-                    values[k, full ^ mask] = np.ascontiguousarray(block.T).mean(axis=1)
+                    values[k, full ^ mask] = np.add.reduce(np.ascontiguousarray(block.T), axis=1) / m
     return values
 
 
-def _attributions_from_values(values: np.ndarray, p: int) -> np.ndarray:
+@functools.lru_cache(maxsize=4)
+def _weight_plan(p: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Per feature j: the coalitions without j, the same coalitions with j, and their weights.
+
+    Cached per p and shared by every call, so the arrays are read-only.
+    """
     weights_by_size = _shapley_weights(p)
     pop = _popcounts(1 << p)
     masks = np.arange(1 << p)
-    phi = np.empty((values.shape[1], p))
+    plan = []
     for j in range(p):
         bit = 1 << j
         without = masks[(masks & bit) == 0]
-        w = weights_by_size[pop[without]]
-        phi[:, j] = w @ (values[without | bit] - values[without])
+        entry = (without, without | bit, weights_by_size[pop[without]])
+        for array in entry:
+            array.flags.writeable = False
+        plan.append(entry)
+    return tuple(plan)
+
+
+def _attributions_from_values(values: np.ndarray, p: int) -> np.ndarray:
+    phi = np.empty((values.shape[1], p))
+    for j, (without, with_j, w) in enumerate(_weight_plan(p)):
+        phi[:, j] = w @ (values[with_j] - values[without])
     return phi
 
 

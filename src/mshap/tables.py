@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, TableFormatError
-from .shapley import ShapExplanation
+from .shapley import ShapExplanation, _first_repeat
 
 
 def fmt17(x: float) -> str:
@@ -71,14 +71,25 @@ def render_csv(header, columns) -> str:
     """CSV text: the header, then one line per row of ``columns`` (1-D, one per header cell).
 
     Float arrays are written with ``%.17g`` and integer arrays with ``%d``, one
-    formatting call per row; any other column is text, made by ``_text_cell``.
+    formatting call per row; any other column is text, made by ``_text_cell``
+    once per distinct string.
     """
     alone = len(header) == 1
+    # only str cells share a text: 0.0 == -0.0 and True == 1 would share a key
+    texts: dict[str, str] = {}
+
+    def text(value) -> str:
+        if not isinstance(value, str):
+            return _text_cell(value, alone)
+        if value not in texts:
+            texts[value] = _text_cell(value, alone)
+        return texts[value]
+
     fmts, body = [], []
     for col in columns:
         kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
         fmts.append({"f": "%.17g", "i": "%d", "u": "%d"}.get(kind, "%s"))
-        body.append(col.tolist() if kind in "fiu" else [_text_cell(v, alone) for v in col])
+        body.append(col.tolist() if kind in "fiu" else [text(v) for v in col])
     row = ",".join(fmts) + "\n"
     head = ",".join(_text_cell(name, alone) for name in header) + "\n"
     return "".join([head] + [row % cells for cells in zip(*body)])
@@ -163,6 +174,9 @@ def _parse_cells(path, reader) -> tuple[list[str], np.ndarray]:
         header = next(reader)
     except StopIteration:
         raise TableFormatError(f"{path}: empty table") from None
+    repeated = _first_repeat(header)
+    if repeated is not None:
+        raise TableFormatError(f"{path}: header repeats the column name {repeated!r}")
     rows = list(reader)
     if not rows:
         raise TableFormatError(f"{path}: table has a header but no data rows")

@@ -86,6 +86,7 @@ PARAMETERS = {
     mshap.bench_scaling: ["p_values", "n_values", "background_size", "seed", "n_permutations",
                           "repetitions"],
     mshap.explanation_to_table: ["expl", "extra_meta"],
+    mshap.score_matrices: ["candidate", "reference", "params"],
 }
 
 

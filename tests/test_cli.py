@@ -421,6 +421,40 @@ def test_summary_data_misalignment_exits_3(tmp_path, rng):
                  "--covariates", str(tmp_path / "cov.csv"), "--out-dir", str(out)]) == 3
 
 
+def _write_repeated_names(tmp_path, stem):
+    path = tmp_path / f"{stem}.csv"
+    path.write_text("x1,x1,prediction\n1,2,3.5\n0.5,-1,1\n")
+    path.with_name(f"{stem}.meta.json").write_text('{"baseline": 0.5, "prediction_column": "prediction"}')
+    return path
+
+
+@pytest.mark.parametrize("subcommand", ["combine", "summary-data"])
+def test_repeated_feature_names_exit_3_before_any_out_dir(tmp_path, capsys, subcommand):
+    # two columns of one name used to pass and give importance.csv two x1 rows
+    first, second = _write_repeated_names(tmp_path, "a"), _write_repeated_names(tmp_path, "b")
+    out = tmp_path / "out"
+    if subcommand == "combine":
+        argv = ["combine", "--f-shap", str(first), "--g-shap", str(second), "--mu-h", "auto"]
+    else:
+        argv = ["summary-data", "--mshap", str(first), "--covariates", str(second)]
+    assert main(argv + ["--out-dir", str(out)]) == 3
+    assert "repeats the column name 'x1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_bench_leaves_no_out_dir(tmp_path, capsys, monkeypatch):
+    from mshap import InvalidInputError, cli
+
+    def failing(**kwargs):
+        raise InvalidInputError("bench failed")
+
+    monkeypatch.setattr(cli, "bench_scaling", failing)
+    out = tmp_path / "o"
+    assert main(["bench", "--p-values", "2", "--n-values", "10", "--out-dir", str(out)]) == 3
+    assert "bench failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_required_flag_is_usage_error(tmp_path):
     assert main(["combine", "--g-shap", "g.csv", "--out-dir", str(tmp_path)]) == 2
 

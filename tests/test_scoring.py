@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mshap import (
     DimensionError,
@@ -11,7 +12,7 @@ from mshap import (
     ScoreParams,
     score_matrices,
 )
-from mshap.scoring import importance_ranks
+from mshap.scoring import ScoreBreakdown, _direction, _relative_value, importance_ranks
 
 # frozen by hand from the definitions:
 #   λ1(1, -1 | 1.5) = (1 + 1.5) / (1 + 1 + 1.5) = 5/7
@@ -208,3 +209,75 @@ def test_lambda1_monotone_in_slack(s, k, theta1, bump):
 def test_ranks_always_a_permutation(row):
     ranks = importance_ranks(np.array(row))
     assert sorted(ranks.tolist()) == list(range(1, len(row) + 1))
+
+
+# ---------------------------------------------------------------- stacks
+
+
+def mean_reference(candidate, reference, params):
+    """The one-matrix scorer with np.mean, kept as the reference for the stacked means."""
+    ranks_c = importance_ranks(candidate)
+    ranks_r = importance_ranks(reference)
+    direction = float(_direction(candidate, reference, params.theta1).mean())
+    relative = float(_relative_value(candidate, reference, params.theta2).mean())
+    rank = float((1.0 / (np.abs(ranks_c - ranks_r) + 1.0)).mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        same_sign = (candidate * reference > 0) | ((candidate == 0) & (reference == 0))
+    return ScoreBreakdown(
+        score=direction + relative + rank,
+        direction_score=direction,
+        relative_value_score=relative,
+        rank_score=rank,
+        pct_same_sign=float(same_sign.mean()),
+        pct_same_rank=float((ranks_c == ranks_r).mean()),
+    )
+
+
+# zeros of both signs and repeated magnitudes of both signs make ties and sign edge cases common
+cell_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    r=st.integers(1, 5),
+    n=st.integers(1, 60),
+    p=st.integers(1, 6),
+    theta1=thetas,
+    theta2=thetas,
+)
+def test_stack_equals_one_call_per_candidate(data, r, n, p, theta1, theta2):
+    stack = data.draw(arrays(np.float64, (r, n, p), elements=cell_values))
+    reference = data.draw(arrays(np.float64, (n, p), elements=cell_values))
+    params = ScoreParams(theta1, theta2)
+    got = score_matrices(stack, reference, params)
+    assert isinstance(got, tuple) and len(got) == r
+    for candidate, breakdown in zip(stack, got):
+        single = score_matrices(candidate, reference, params)
+        want = mean_reference(candidate, reference, params)
+        # repr tells -0.0 from 0.0, so these are bit-for-bit comparisons
+        assert repr(breakdown) == repr(single) == repr(want)
+
+
+def test_matrix_gives_one_breakdown_and_stack_a_tuple(rng):
+    reference = rng.uniform(-1, 1, (5, 3))
+    params = ScoreParams(1.5, 1.0)
+    assert isinstance(score_matrices(reference, reference, params), ScoreBreakdown)
+    assert score_matrices(reference[None], reference, params) == (score_matrices(reference, reference, params),)
+
+
+def test_stack_shape_errors(rng):
+    params = ScoreParams(1.5, 1.0)
+    reference = rng.uniform(size=(4, 3))
+    bad = [
+        (rng.uniform(size=(2, 4, 3)), rng.uniform(size=(2, 4, 3))),  # a 3-D reference
+        (rng.uniform(size=(2, 4, 2)), reference),  # stacked matrices of another shape
+        (rng.uniform(size=(2, 3, 3)), reference),
+        (rng.uniform(size=(1, 2, 4, 3)), reference),  # a 4-D candidate
+    ]
+    for candidate, ref in bad:
+        with pytest.raises(DimensionError):
+            score_matrices(candidate, ref, params)

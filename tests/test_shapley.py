@@ -426,6 +426,79 @@ def test_negative_zero_against_zero_background_takes_general_path(monkeypatch):
     assert validate_local_accuracy(expl, 1e-12).passed
 
 
+def mean_coalition_values(evaluate, X, background, predictions):
+    """The coalition pass as written with np.mean, kept as the reference for np.add.reduce."""
+    n, p = X.shape
+    m = background.shape[0]
+    step = shapley._splice_chunk(m, p)
+    full = (1 << p) - 1
+    mirrored = X.shape == background.shape and n <= step and X.tobytes() == background.tobytes()
+    base = predictions if mirrored else evaluate(background)
+    values = np.empty((len(base), 1 << p, n))
+    values[:, 0] = np.array([out.mean() for out in base])[:, None]
+    if mirrored:
+        for k, out in enumerate(predictions):
+            values[k, full] = np.repeat(out, m).reshape(n, m).mean(axis=1)
+    buffer = np.empty((min(step, n), m, p))
+    for lo in range(0, n, step):
+        rows = X[lo : lo + step]
+        c = rows.shape[0]
+        spliced = buffer[:c]
+        spliced[...] = background
+        flat = spliced.reshape(c * m, p)
+        mask = 0
+        for t in range(1, 1 << (p - mirrored)):
+            flip = (t & -t).bit_length() - 1
+            mask ^= 1 << flip
+            if mask & (1 << flip):
+                spliced[:, :, flip] = rows[:, None, flip]
+            else:
+                spliced[:, :, flip] = background[None, :, flip]
+            for k, out in enumerate(evaluate(flat)):
+                block = out.reshape(c, m)
+                values[k, mask, lo : lo + c] = block.mean(axis=1)
+                if mirrored:
+                    values[k, full ^ mask] = np.ascontiguousarray(block.T).mean(axis=1)
+    return values
+
+
+def _product_evaluate(rows):
+    f = np.exp(0.3 * rows[:, 0]) * rows[:, 1] - rows[:, 2] ** 3
+    g = rows[:, 0] * rows[:, 2] + 1.0 / (2.0 + np.sin(rows[:, 1]))
+    return f, g, f * g
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 129, 300])
+@pytest.mark.parametrize("mirrored", [True, False], ids=["mirrored", "general"])
+def test_coalition_values_equal_the_np_mean_reference(rng, m, mirrored):
+    # sums past 8 and past 128 terms take numpy's unrolled and pairwise
+    # branches; both paths must add in np.mean's order
+    background = rng.uniform(-2, 2, (m, 3))
+    X = background.copy() if mirrored else rng.uniform(-2, 2, (11, 3))
+    predictions = _product_evaluate(X)
+    got = shapley._coalition_values(_product_evaluate, X, background, predictions)
+    want = mean_coalition_values(_product_evaluate, X, background, predictions)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [1, 3, 6])
+def test_cached_weight_plan_is_read_only_and_matches_a_rebuild(rng, p):
+    values = rng.uniform(-1, 1, (1 << p, 4))
+    weights_by_size = _shapley_weights(p)
+    masks = np.arange(1 << p)
+    want = np.empty((4, p))
+    for j in range(p):
+        without = masks[(masks & (1 << j)) == 0]
+        w = weights_by_size[np.bitwise_count(without)]
+        want[:, j] = w @ (values[without | (1 << j)] - values[without])
+    assert np.array_equal(shapley._attributions_from_values(values, p), want)
+    for entry in shapley._weight_plan(p):
+        for array in entry:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+
 # ---------------------------------------------------------------- validator
 
 

@@ -218,6 +218,25 @@ def test_explain_product_equals_three_oracle_calls(y1, y2):
         assert np.array_equal(got.predictions, want.predictions)
 
 
+def test_stacked_scores_equal_one_score_call_per_rule():
+    # run_scenario scores the four combined matrices in one stacked call
+    from mshap import ScoreParams, combine, score_matrices
+
+    for y1 in Y1_IDS:
+        for y2 in Y2_IDS + ("CONST1",):
+            spec = ScenarioSpec(y1, y2, 2.5, 11.0, n=100, background_size=100, seed=17)
+            rows, _ = sample_scenario_rows(spec)
+            expl_f, expl_g, reference = _explain_three(spec, rows, rows[: spec.background_size])
+            params = ScoreParams(spec.theta1, spec.theta2)
+            got = run_scenario(spec).scores
+            assert list(got) == list(AlphaMethod)
+            for method in AlphaMethod:
+                combined = combine(expl_f, expl_g, reference.baseline, method)
+                want = score_matrices(combined.values, reference.values, params)
+                # repr tells -0.0 from 0.0, so this is a bit-for-bit comparison
+                assert repr(got[method]) == repr(want), (y1, y2, method)
+
+
 def test_run_scenario_evaluates_each_part_once_per_coalition(monkeypatch):
     # the instances are their own background, so f and g each see the 3
     # non-empty coalitions without the last feature (of 2**(3-1) = 4) as

@@ -21,7 +21,8 @@ from mshap import (
     write_shap_table,
     write_value_table,
 )
-from mshap.tables import fmt17, meta_path, render_csv, write_records
+from mshap import tables
+from mshap.tables import _text_cell, fmt17, meta_path, render_csv, write_records
 
 NASTY = [math.pi, 1.0 / 3.0, 5e-324, 1.7976931348623157e308, -0.0, 1.0, -123456.789, 2**53 + 1.0]
 
@@ -168,6 +169,18 @@ def test_read_errors(tmp_path):
         read_value_table(inf)
 
 
+def test_repeated_header_names_are_rejected(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("x1,x2,x1,prediction\n1,2,3,4\n")
+    with pytest.raises(TableFormatError, match="repeats the column name 'x1'"):
+        read_value_table(path)
+    path.with_name("dup.meta.json").write_text('{"baseline": 0.0, "prediction_column": "prediction"}')
+    with pytest.raises(TableFormatError, match="'x1'"):
+        read_shap_table(path)
+    with pytest.raises(DimensionError, match="'x1' appears more than once"):
+        ShapExplanation(np.ones((1, 3)), 0.0, np.array([3.0]), feature_names=("x1", "x2", "x1"))
+
+
 def test_bad_metadata(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a\n1\n")
@@ -287,6 +300,35 @@ def test_string_array_cells_are_quoted():
     names = np.tile(np.array(["a,b", "c"]), 3)
     text = render_csv(["f"], [names])
     assert text == 'f\n"a,b"\nc\n"a,b"\nc\n"a,b"\nc\n'
+
+
+def test_tiled_text_column_is_formatted_once_per_name_with_the_same_bytes(monkeypatch):
+    names = np.array(["a,b", 'say "hi"', "c\rd", "plain", ""])
+    tiled = np.tile(names, 40)
+    mixed = [0.0, -0.0, True, 1, None, "1", "a,b", "a,b"]
+    header = ("row", "feature", "mixed")
+    columns = (np.arange(tiled.size), tiled, mixed * (tiled.size // len(mixed)))
+    want = "".join(
+        [",".join(_text_cell(h) for h in header) + "\n"]
+        + [f"{i},{_text_cell(name)},{_text_cell(cell)}\n" for i, name, cell in zip(*columns)]
+    )
+    calls = []
+
+    def counting(value, alone=False):
+        calls.append(value)
+        return _text_cell(value, alone)
+
+    monkeypatch.setattr(tables, "_text_cell", counting)
+    text = render_csv(header, columns)
+    assert text == want
+    # equal numbers and bools keep their own texts: 0, -0, True, 1
+    assert text.split("\n")[1:5] == ["0,\"a,b\",0", '1,"say ""hi""",-0', '2,"c\rd",True', "3,plain,1"]
+    # 3 header cells, the 5 distinct names, the 5 non-str cells of every
+    # block of the mixed column, and its one str cell ("1") that no column
+    # had before ("a,b" is shared with the names)
+    assert len(calls) == 3 + 5 + 5 * (tiled.size // len(mixed)) + 1
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert [row[1] for row in rows[1:]] == tiled.tolist()
 
 
 def test_header_names_with_commas_and_quotes_round_trip(tmp_path):
