@@ -83,7 +83,8 @@ def mean_product_baseline(preds_f: np.ndarray, preds_g: np.ndarray) -> float:
     g = np.asarray(preds_g, dtype=float).reshape(-1)
     if f.shape != g.shape:
         raise DimensionError(f"prediction vectors differ in length: {f.shape[0]} vs {g.shape[0]}")
-    return float((f * g).mean())
+    with np.errstate(all="ignore"):  # a non-finite mu_h is rejected by combine
+        return float((f * g).mean())
 
 
 def _prime_rows(sx: np.ndarray, sy: np.ndarray, mu_f: float, mu_g: float) -> np.ndarray:
@@ -175,10 +176,16 @@ def combine(
                 f"has residual {report.residuals[report.worst_row]:.3e}"
             )
     mu_f, mu_g = expl_f.baseline, expl_g.baseline
-    s_prime = _prime_rows(expl_f.values, expl_g.values, mu_f, mu_g)
-    alpha = mu_f * mu_g - mu_h
-    z_hat = expl_f.predictions * expl_g.predictions
-    s_z, degenerate = _distribute_rows(s_prime, alpha, method, z_hat)
+    with np.errstate(all="ignore"):  # an overflow is reported below, once, as an error
+        s_prime = _prime_rows(expl_f.values, expl_g.values, mu_f, mu_g)
+        alpha = mu_f * mu_g - mu_h
+        z_hat = expl_f.predictions * expl_g.predictions
+        s_z, degenerate = _distribute_rows(s_prime, alpha, method, z_hat)
+    if not (np.isfinite(alpha) and np.isfinite(z_hat).all() and np.isfinite(s_z).all()):
+        raise InvalidInputError(
+            f"the combined attributions are not finite (alpha={alpha}): the part "
+            "baselines, values or predictions overflow float64"
+        )
     return MshapExplanation(
         values=s_z,
         baseline=mu_h,

@@ -3,12 +3,11 @@
 Attributions use the interventional (marginal) value function: the value of a
 coalition ``S`` at an instance ``x`` is the mean model output over the
 background set with the features in ``S`` spliced in from ``x`` and the rest
-taken from each background row.  The exact enumerator walks all ``2**p``
-coalitions in Gray-code order so that each step flips a single feature column,
-and combines coalition values with the classic factorial weights (computed in
-log space so feature counts past 12 do not overflow).  The sampling estimator
-averages marginal contributions over random feature orderings drawn from a
-seeded PCG64 generator and is unbiased for the exact values.
+taken from each background row; both estimators read it from one splice walk.
+The exact enumerator walks all ``2**p`` coalitions in Gray-code order, one
+column per step, with factorial weights in log space (no overflow past p=12).
+The sampling estimator walks each distinct prefix coalition of seeded PCG64
+random feature orderings once; its mean marginal contribution is unbiased.
 
 Both estimators return attributions satisfying local accuracy: baseline plus
 the attribution row sums to the model prediction for that instance.
@@ -28,9 +27,9 @@ from .errors import DimensionError, EnumerationLimitError, InvalidInputError
 
 # The most features exact enumeration accepts (2**16 coalitions); read at each call.
 ENUM_LIMIT = 16
-# Byte budget of one (rows, m, p) float64 splice block.  The exact and the
-# sampling estimators cut the instance axis into chunks that fit it, so a
-# large n never materialises the whole (n, m, p) tensor.
+# Byte budget of one chunk: its (rows, m, p) float64 splice block, plus the
+# sampler's walked coalition values for those rows.  Instances are cut into
+# such chunks, so a large n never materialises the whole (n, m, p) tensor.
 SPLICE_BUDGET_BYTES = 64 << 20
 
 
@@ -208,13 +207,45 @@ def _shapley_weights(p: int) -> np.ndarray:
     return np.exp([lgamma(k + 1) + lgamma(p - k) - lgamma(p + 1) for k in s])
 
 
-def _splice_chunk(m: int, p: int) -> int:
-    """Instance rows per (rows, m, p) splice block under SPLICE_BUDGET_BYTES.
-
-    Never less than one row: a single row whose block alone exceeds the
-    budget still runs, as a chunk of one.
+def _splice_chunk(m: int, p: int, stacked: int = 0) -> int:
+    """Instance rows per chunk: each row costs its (m, p) splice block plus
+    ``stacked`` walked values, and a chunk fits SPLICE_BUDGET_BYTES or is one row.
     """
-    return max(1, SPLICE_BUDGET_BYTES // (m * p * 8))
+    return max(1, SPLICE_BUDGET_BYTES // ((m * p + stacked) * 8))
+
+
+def _splice_walk(
+    evaluate: Callable, rows: np.ndarray, background: np.ndarray, masks: Sequence[int], k: int, mirror: bool = False
+) -> np.ndarray:
+    """Interventional value of each coalition in ``masks`` at each of the c ``rows``.
+
+    One (c, m, p) block starts as the background, and each mask re-splices
+    only the columns whose bits differ from the previous mask's, so a
+    Gray-code sequence costs one column per coalition.  ``evaluate`` maps the
+    block's rows to k outputs; a value is the mean of a row's own m outputs,
+    so chunking the instances changes no value.  Shape (1 + mirror, k,
+    len(masks), c): the values, then with ``mirror`` (the rows are bit for
+    bit the background) the complements' values, read from transposed blocks.
+    """
+    c, p = rows.shape
+    m = background.shape[0]
+    spliced = np.broadcast_to(background, (c, m, p)).copy()
+    flat = spliced.reshape(c * m, p)
+    walked = np.empty((1 + mirror, k, len(masks), c))
+    prev = 0
+    for i, mask in enumerate(map(int, masks)):
+        diff, prev = mask ^ prev, mask
+        while diff:
+            j = (diff & -diff).bit_length() - 1
+            diff ^= 1 << j
+            spliced[:, :, j] = rows[:, None, j] if mask >> j & 1 else background[None, :, j]
+        for model, out in enumerate(evaluate(flat)):
+            block = out.reshape(c, m)
+            # np.add.reduce(x, axis) / m is np.mean's arithmetic without its per-call wrapper cost
+            walked[0, model, i] = np.add.reduce(block, axis=1) / m
+            if mirror:
+                walked[1, model, i] = np.add.reduce(np.ascontiguousarray(block.T), axis=1) / m
+    return walked
 
 
 def _coalition_values(
@@ -228,10 +259,8 @@ def _coalition_values(
     ``evaluate`` maps a (rows, p) matrix to a tuple of k output vectors, one
     per explained model, so several models share each spliced block;
     ``predictions`` is ``evaluate(X)``.
-    Coalitions are visited in Gray-code order so each step re-splices a single
-    feature column of the (rows, m, p) evaluation block.  Instance rows are
-    taken in chunks whose block fits SPLICE_BUDGET_BYTES; each row's value is
-    a mean over its own m spliced rows, so chunking changes no value.
+    Coalitions are walked in Gray-code order so each step re-splices a single
+    feature column, over instance chunks whose block fits SPLICE_BUDGET_BYTES.
     When X is bit for bit its own background and fits one chunk, the
     predictions are the background's outputs and the block of coalition S is
     the transpose of the block of its complement, so only the coalitions
@@ -245,32 +274,18 @@ def _coalition_values(
     mirrored = X.shape == background.shape and n <= step and X.tobytes() == background.tobytes()
     base = predictions if mirrored else evaluate(background)
     values = np.empty((len(base), 1 << p, n))
-    # np.add.reduce(x, axis) / m is np.mean's arithmetic without its per-call wrapper cost
     values[:, 0] = np.array([np.add.reduce(out) / m for out in base])[:, None]
     if mirrored:
         # the full coalition's block is m copies of each x_i
         for k, out in enumerate(predictions):
             values[k, full] = np.add.reduce(np.repeat(out, m).reshape(n, m), axis=1) / m
-    buffer = np.empty((min(step, n), m, p))
+    t = np.arange(1, 1 << (p - mirrored))
+    masks = t ^ (t >> 1)  # the Gray code: each mask differs from the one before in one bit
     for lo in range(0, n, step):
-        rows = X[lo : lo + step]
-        c = rows.shape[0]
-        spliced = buffer[:c]
-        spliced[...] = background
-        flat = spliced.reshape(c * m, p)
-        mask = 0
-        for t in range(1, 1 << (p - mirrored)):
-            flip = (t & -t).bit_length() - 1
-            mask ^= 1 << flip
-            if mask & (1 << flip):
-                spliced[:, :, flip] = rows[:, None, flip]
-            else:
-                spliced[:, :, flip] = background[None, :, flip]
-            for k, out in enumerate(evaluate(flat)):
-                block = out.reshape(c, m)
-                values[k, mask, lo : lo + c] = np.add.reduce(block, axis=1) / m
-                if mirrored:
-                    values[k, full ^ mask] = np.add.reduce(np.ascontiguousarray(block.T), axis=1) / m
+        walked = _splice_walk(evaluate, X[lo : lo + step], background, masks, len(base), mirrored)
+        values[:, masks, lo : lo + step] = walked[0]
+        if mirrored:
+            values[:, full ^ masks] = walked[1]
     return values
 
 
@@ -380,58 +395,6 @@ def explain_product(
     return _explain_exact(evaluate, X, data)
 
 
-def _sampling_core(
-    model: ModelFunction,
-    X: np.ndarray,
-    background: np.ndarray,
-    n_permutations: int,
-    seed: int,
-):
-    n, p = X.shape
-    m = background.shape[0]
-    exhaustive = p <= 20 and n_permutations >= factorial(p)
-    if exhaustive:
-        drawn = None
-        count = factorial(p)
-    else:
-        # drawn once, before the row chunks, so every chunk sees the same orders
-        rng = np.random.Generator(np.random.PCG64(seed))
-        drawn = [rng.permutation(p) for _ in range(n_permutations)]
-        count = n_permutations
-
-    v_empty = model(background).mean()
-    total = np.zeros((n, p))
-    total_sq = np.zeros((n, p))
-    step = _splice_chunk(m, p)
-    buffer = np.empty((min(step, n), m, p))
-    for lo in range(0, n, step):
-        rows = X[lo : lo + step]
-        c = rows.shape[0]
-        spliced = buffer[:c]
-        flat = spliced.reshape(c * m, p)
-        contrib = np.empty((c, p))
-        chunk_total = total[lo : lo + c]
-        chunk_total_sq = total_sq[lo : lo + c]
-        for perm in itertools.permutations(range(p)) if exhaustive else drawn:
-            spliced[...] = background
-            v_prev = np.full(c, v_empty)
-            for j in perm:
-                spliced[:, :, j] = rows[:, None, j]
-                v = model(flat).reshape(c, m).mean(axis=1)
-                contrib[:, j] = v - v_prev
-                v_prev = v
-            chunk_total += contrib
-            chunk_total_sq += contrib * contrib
-
-    phi = total / count
-    if count > 1:
-        var = np.maximum(total_sq - count * phi * phi, 0.0) / (count - 1)
-        stderr = np.sqrt(var / count)
-    else:
-        stderr = np.full((n, p), np.nan)
-    return phi, v_empty, stderr, count, exhaustive
-
-
 def sampling_explain_matrix(
     model: ModelFunction,
     X: np.ndarray,
@@ -444,16 +407,51 @@ def sampling_explain_matrix(
     Each random feature ordering contributes one marginal-contribution vector
     per row; the estimate is their mean, which is unbiased for the exact
     values and reproducible under a fixed seed.  All rows share the same
-    permutation draws, so the whole batch costs ``n_permutations * p`` model
-    evaluations regardless of n.  When ``n_permutations`` covers all p!
-    orderings, each distinct ordering is enumerated exactly once and the
-    result coincides with exact enumeration.
+    permutation draws, and each distinct prefix coalition of the orderings is
+    spliced once per chunk of rows, so the whole batch costs at most
+    ``n_permutations * p`` model evaluations regardless of n.  When
+    ``n_permutations`` covers all p! orderings, each distinct ordering is
+    enumerated exactly once and the result coincides with exact enumeration.
     """
-    if n_permutations < 1:
-        raise InvalidInputError(f"n_permutations must be >= 1, got {n_permutations}")
+    for name, value, least in (("n_permutations", n_permutations, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
     data = _as_background(background, model.arity)
     X = _instances(X, model.arity)
-    phi, v_empty, stderr, count, exhaustive = _sampling_core(model, X, data, n_permutations, seed)
+    n, p = X.shape
+    exhaustive = p <= 20 and n_permutations >= factorial(p)
+    if exhaustive:
+        orders = np.array(list(itertools.permutations(range(p))))
+    else:
+        # drawn once, before the row chunks, so every chunk sees the same orders
+        rng = np.random.Generator(np.random.PCG64(seed))
+        orders = np.array([rng.permutation(p) for _ in range(n_permutations)])
+    count = len(orders)
+    # each order's prefix coalitions (bit masks) as indices, numbered in first-seen order
+    index: dict[int, int] = {}
+    prefixes = np.array(
+        [[index.setdefault(s, len(index)) for s in itertools.accumulate(1 << j for j in o)] for o in orders.tolist()]
+    )
+
+    v_empty = model(data).mean()
+    total, total_sq = np.zeros((2, n, p))
+    step = _splice_chunk(data.shape[0], p, len(index))
+    for lo in range(0, n, step):
+        v = _splice_walk(lambda rows: (model(rows),), X[lo : lo + step], data, list(index), 1)[0, 0]
+        contrib = np.empty((v.shape[1], p))
+        empty = np.full((1, v.shape[1]), v_empty)
+        for order, prefix in zip(orders, prefixes):
+            at = v[prefix]
+            contrib[:, order] = (at - np.concatenate((empty, at[:-1]))).T
+            total[lo : lo + step] += contrib
+            total_sq[lo : lo + step] += contrib * contrib
+
+    phi = total / count
+    if count > 1:
+        var = np.maximum(total_sq - count * phi * phi, 0.0) / (count - 1)
+        stderr = np.sqrt(var / count)
+    else:
+        stderr = np.full((n, p), np.nan)
     return SamplingExplanation(
         values=phi,
         baseline=float(v_empty),

@@ -132,6 +132,8 @@ class ShapTable(ShapExplanation):
             names = tuple(f"x{j + 1}" for j in range(values.shape[1]))
             object.__setattr__(self, "feature_names", names)
         super().__post_init__()
+        if self.prediction_column in self.feature_names:
+            raise TableFormatError(f"prediction column {self.prediction_column!r} collides with a feature name")
 
     def to_explanation(self) -> ShapExplanation:
         """The table itself; it already is one."""
@@ -154,10 +156,6 @@ def write_shap_table(path, table: ShapTable) -> None:
     header = list(table.feature_names)
     columns = list(table.values.T)
     if table.prediction_column is not None:
-        if table.prediction_column in table.feature_names:
-            raise TableFormatError(
-                f"prediction column {table.prediction_column!r} collides with a feature name"
-            )
         header.append(table.prediction_column)
         columns.append(table.predictions)
     meta = {

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from mshap import (
     AlphaMethod,
     ScoreParams,
+    ShapExplanation,
     ShapTable,
     additive_model,
     combine,
@@ -158,6 +160,43 @@ def test_combine_non_finite_mu_h_exits_3(tmp_path, rng, capsys, mu_h):
     assert code == 3
     assert "mu_h must be finite" in capsys.readouterr().err
     assert not (out / "mshap.csv").exists()
+
+
+@pytest.mark.parametrize("mu_h", ["1.0", "auto"])
+def test_combine_overflow_exits_3_with_one_error_line(tmp_path, capsys, mu_h):
+    # part baselines of 1e200 make alpha and every combined value overflow
+    values = np.array([[0.5, -0.25], [1.0, 2.0]])
+    for name in ("f", "g"):
+        expl = ShapExplanation(values, 1e200, 1e200 + values.sum(axis=1))
+        write_shap_table(tmp_path / f"{name}.csv", explanation_to_table(expl))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([
+            "combine", "--f-shap", str(tmp_path / "f.csv"), "--g-shap", str(tmp_path / "g.csv"),
+            "--mu-h", mu_h, "--out-dir", str(out),
+        ])
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "finite" in line
+    assert not out.exists()
+
+
+def test_prediction_feature_name_collision_exits_3_before_any_out_dir(tmp_path, rng, capsys):
+    # the combined table's prediction column would take a feature's name
+    names = ("a", "prediction")
+    for name in ("f", "g"):
+        table = ShapTable(values=rng.uniform(-1, 1, (3, 2)), baseline=1.0, feature_names=names)
+        write_shap_table(tmp_path / f"{name}.csv", table)
+    out = tmp_path / "out"
+    code = main([
+        "combine", "--f-shap", str(tmp_path / "f.csv"), "--g-shap", str(tmp_path / "g.csv"),
+        "--mu-h", "1.0", "--out-dir", str(out),
+    ])
+    assert code == 3
+    assert "collides with a feature name" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_env_variable_overrides_default(tmp_path, rng, monkeypatch):

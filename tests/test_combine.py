@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -340,6 +342,21 @@ def test_combine_rejects_non_finite_mu_h(rng):
     for mu_h in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(InvalidInputError, match="mu_h"):
             combine(expl_f, expl_g, mu_h, AlphaMethod.ABSOLUTE)
+
+
+@pytest.mark.parametrize("mu_h", [1.0, "mean"])
+@pytest.mark.parametrize("huge", ["baselines", "values"])
+def test_combine_rejects_an_overflowing_product_without_a_warning(huge, mu_h):
+    # 1e200 * 1e200 overflows float64: the combined table would be all inf
+    values = np.array([[0.5, -0.25], [1.0, 2.0]]) * (1e200 if huge == "values" else 1.0)
+    base = 1e200 if huge == "baselines" else 0.0
+    expl = ShapExplanation(values, base, base + values.sum(axis=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if mu_h == "mean":
+            mu_h = mean_product_baseline(expl.predictions, expl.predictions)
+        with pytest.raises(InvalidInputError, match="finite"):
+            combine(expl, expl, mu_h, AlphaMethod.ABSOLUTE)
 
 
 def test_combine_rejects_broken_local_accuracy(rng):

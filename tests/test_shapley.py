@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -282,6 +283,25 @@ def test_sampling_validates_inputs():
         sample_row(model, np.zeros(3), np.zeros((2, 2)), 5, seed=0)
 
 
+@pytest.mark.parametrize("bad", [-1, 1.5, "3", None, True])
+@pytest.mark.parametrize("name", ["seed", "n_permutations"])
+def test_sampling_rejects_a_bad_seed_or_count_before_any_evaluation(name, bad):
+    rows_seen = []
+    model = ModelFunction(2, lambda X: rows_seen.append(len(X)) or X[:, 0])
+    kwargs = {"n_permutations": 5, "seed": 0, name: bad}
+    with pytest.raises(InvalidInputError, match=name):
+        sampling_explain_matrix(model, np.ones((1, 2)), np.zeros((2, 2)), **kwargs)
+    assert rows_seen == []
+
+
+def test_sampling_takes_numpy_integers(rng):
+    model = ModelFunction(4, lambda X: X[:, 0] * X[:, 1] - X[:, 2] * X[:, 3])
+    X, background = rng.uniform(-1, 1, (2, 4)), rng.uniform(-1, 1, (3, 4))
+    want = sampling_explain_matrix(model, X, background, 5, seed=3)
+    got = sampling_explain_matrix(model, X, background, np.int64(5), seed=np.uint32(3))
+    assert got.values.tobytes() == want.values.tobytes()
+
+
 def test_sampling_matrix_local_accuracy(rng):
     model = ModelFunction(5, lambda X: X[:, 0] * X[:, 1] + X[:, 2] ** 2 - X[:, 3] * X[:, 4])
     background = rng.uniform(-1, 1, (8, 5))
@@ -311,6 +331,120 @@ def test_sampling_single_permutation_has_nan_stderr():
     row = sample_row(model, np.ones(2), np.zeros((3, 2)), 1, seed=0)
     assert row.n_permutations == 1
     assert np.isnan(row.stderr).all()
+
+
+def loop_sampler(model, X, background, n_permutations, seed):
+    """The sampler as one splice loop per ordering, kept as the reference for the shared walk.
+
+    Every prefix of every ordering is spliced and evaluated, repeated
+    coalitions too; returns (values, baseline, stderr).
+    """
+    n, p = X.shape
+    m = background.shape[0]
+    exhaustive = p <= 20 and n_permutations >= math.factorial(p)
+    if exhaustive:
+        drawn = None
+        count = math.factorial(p)
+    else:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        drawn = [rng.permutation(p) for _ in range(n_permutations)]
+        count = n_permutations
+    v_empty = model(background).mean()
+    total = np.zeros((n, p))
+    total_sq = np.zeros((n, p))
+    step = shapley._splice_chunk(m, p)
+    buffer = np.empty((min(step, n), m, p))
+    for lo in range(0, n, step):
+        rows = X[lo : lo + step]
+        c = rows.shape[0]
+        spliced = buffer[:c]
+        flat = spliced.reshape(c * m, p)
+        contrib = np.empty((c, p))
+        chunk_total = total[lo : lo + c]
+        chunk_total_sq = total_sq[lo : lo + c]
+        for perm in itertools.permutations(range(p)) if exhaustive else drawn:
+            spliced[...] = background
+            v_prev = np.full(c, v_empty)
+            for j in perm:
+                spliced[:, :, j] = rows[:, None, j]
+                v = model(flat).reshape(c, m).mean(axis=1)
+                contrib[:, j] = v - v_prev
+                v_prev = v
+            chunk_total += contrib
+            chunk_total_sq += contrib * contrib
+    phi = total / count
+    if count > 1:
+        var = np.maximum(total_sq - count * phi * phi, 0.0) / (count - 1)
+        stderr = np.sqrt(var / count)
+    else:
+        stderr = np.full((n, p), np.nan)
+    return phi, v_empty, stderr
+
+
+def _assert_same_sampler_bytes(got, want):
+    values, base, stderr = want
+    assert got.values.tobytes() == values.tobytes()
+    assert got.stderr.tobytes() == stderr.tobytes()
+    assert np.float64(got.baseline).tobytes() == np.float64(base).tobytes()
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_sampler_walk_equals_the_loop_reference(rng, monkeypatch, p):
+    coefs = rng.uniform(-1, 1, p)
+    model = ModelFunction(p, lambda X: np.exp(X @ coefs) * X[:, 0] - np.sin(X[:, -1]) ** 3)
+    X = rng.uniform(-2, 2, (3, p))
+    background = rng.uniform(-2, 2, (4, p))
+    everything = math.factorial(p)
+    # P = 1, a random P below p! (where there is one), and P = p!
+    for n_permutations in sorted({1, min(9, everything), everything}):
+        want = loop_sampler(model, X, background, n_permutations, seed=3)
+        _assert_same_sampler_bytes(sampling_explain_matrix(model, X, background, n_permutations, 3), want)
+    # any P > p! enumerates the same p! orderings as P = p!
+    _assert_same_sampler_bytes(sampling_explain_matrix(model, X, background, everything + 5, 3), want)
+
+    # instances that are their own background, then one-row chunks
+    n_permutations = min(everything, 24)
+    want = loop_sampler(model, X, X, n_permutations, seed=4)
+    _assert_same_sampler_bytes(sampling_explain_matrix(model, X, X, n_permutations, 4), want)
+    monkeypatch.setattr(shapley, "SPLICE_BUDGET_BYTES", 8)
+    for bg in (background, X):
+        want = loop_sampler(model, X, bg, n_permutations, seed=5)
+        _assert_same_sampler_bytes(sampling_explain_matrix(model, X, bg, n_permutations, 5), want)
+
+
+def test_exhaustive_sampler_splices_each_coalition_once_per_chunk(monkeypatch):
+    # p = 3: the 6 orderings have 18 prefixes but 7 distinct nonempty coalitions
+    rows_seen = []
+    model = ModelFunction(3, lambda X: rows_seen.append(len(X)) or X[:, 0] * X[:, 1] + X[:, 2])
+    X = np.arange(15.0).reshape(5, 3)
+    background = np.ones((4, 3))
+    expl = sampling_explain_matrix(model, X, background, n_permutations=6, seed=0)
+    assert expl.exhaustive
+    # the background's outputs, 7 blocks of 5 x 4 rows, then the predictions
+    assert rows_seen == [4] + [20] * 7 + [5]
+    rows_seen.clear()
+    monkeypatch.setattr(shapley, "SPLICE_BUDGET_BYTES", 8)
+    sampling_explain_matrix(model, X, background, n_permutations=6, seed=0)
+    assert rows_seen == [4] + [4] * (7 * 5) + [5]
+
+
+def test_sampler_chunk_counts_its_walked_values(rng, monkeypatch):
+    # p = 10 and 300 orderings walk about a thousand coalitions, so a row's
+    # walked values outweigh its (5, 10) splice block twentyfold
+    budget = 256 << 10
+    model = ModelFunction(10, lambda X: X[:, 0] * X[:, 1] + np.sin(X[:, 2:]).sum(axis=1))
+    X = rng.uniform(-1, 1, (300, 10))
+    background = rng.uniform(-1, 1, (5, 10))
+
+    def call():
+        return sampling_explain_matrix(model, X, background, n_permutations=300, seed=2)
+
+    whole = call()
+    monkeypatch.setattr(shapley, "SPLICE_BUDGET_BYTES", budget)
+    chunked, peak = _peak_bytes(call)
+    assert peak < budget + (1 << 20)
+    assert chunked.values.tobytes() == whole.values.tobytes()
+    assert chunked.stderr.tobytes() == whole.stderr.tobytes()
 
 
 # ---------------------------------------------------------------- splice budget

@@ -207,16 +207,16 @@ def test_bad_metadata(tmp_path):
         read_shap_table(path)
 
 
-def test_prediction_column_collision(tmp_path):
-    table = ShapTable(
-        values=np.ones((1, 2)),
-        baseline=0.0,
-        predictions=np.ones(1),
-        feature_names=("a", "prediction"),
-        prediction_column="prediction",
-    )
+def test_prediction_column_collision():
+    # rejected when the table is built, so no writer ever sees it
     with pytest.raises(TableFormatError, match="collides"):
-        write_shap_table(tmp_path / "t.csv", table)
+        ShapTable(
+            values=np.ones((1, 2)),
+            baseline=0.0,
+            predictions=np.ones(1),
+            feature_names=("a", "prediction"),
+            prediction_column="prediction",
+        )
 
 
 def test_table_shape_validation():
