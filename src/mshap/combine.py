@@ -149,20 +149,16 @@ def _check_alignment(expl_f: ShapExplanation, expl_g: ShapExplanation) -> tuple[
     return names_f if names_f is not None else names_g
 
 
-def combine(
+def _combine_rules(
     expl_f: ShapExplanation,
     expl_g: ShapExplanation,
     mu_h: float,
-    method: AlphaMethod = AlphaMethod.ABSOLUTE,
-) -> MshapExplanation:
-    """Combine two part explanations into product-model attributions.
+    methods: Sequence[AlphaMethod],
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], float, np.ndarray, tuple[str, ...] | None]:
+    """The combined values under each of r ``methods``, from one check of the parts.
 
-    ``mu_h`` is the mean product prediction over the training/background set
-    (see :func:`mean_product_baseline`); it is passed explicitly because the
-    set defining it may differ from the rows being explained.  Inputs must
-    satisfy local accuracy at 1e-6 relative, and ``mu_h`` must be finite.  The
-    default weighting is the absolute-value rule, the best scorer of the four
-    in simulation.
+    Returns the (r, n, p) stack of values, the r fallback row masks, alpha,
+    z_hat and the feature names; :func:`combine` is the one-rule case.
     """
     mu_h = float(mu_h)
     if not np.isfinite(mu_h):
@@ -180,12 +176,32 @@ def combine(
         s_prime = _prime_rows(expl_f.values, expl_g.values, mu_f, mu_g)
         alpha = mu_f * mu_g - mu_h
         z_hat = expl_f.predictions * expl_g.predictions
-        s_z, degenerate = _distribute_rows(s_prime, alpha, method, z_hat)
-    if not (np.isfinite(alpha) and np.isfinite(z_hat).all() and np.isfinite(s_z).all()):
+        rules = [_distribute_rows(s_prime, alpha, method, z_hat) for method in methods]
+    stack = np.stack([s_z for s_z, _ in rules])
+    if not (np.isfinite(alpha) and np.isfinite(z_hat).all() and np.isfinite(stack).all()):
         raise InvalidInputError(
             f"the combined attributions are not finite (alpha={alpha}): the part "
             "baselines, values or predictions overflow float64"
         )
+    return stack, tuple(mask for _, mask in rules), alpha, z_hat, names
+
+
+def combine(
+    expl_f: ShapExplanation,
+    expl_g: ShapExplanation,
+    mu_h: float,
+    method: AlphaMethod = AlphaMethod.ABSOLUTE,
+) -> MshapExplanation:
+    """Combine two part explanations into product-model attributions.
+
+    ``mu_h`` is the mean product prediction over the training/background set
+    (see :func:`mean_product_baseline`); it is passed explicitly because the
+    set defining it may differ from the rows being explained.  Inputs must
+    satisfy local accuracy at 1e-6 relative, and ``mu_h`` must be finite.  The
+    default weighting is the absolute-value rule, the best scorer of the four
+    in simulation.
+    """
+    (s_z,), (degenerate,), alpha, z_hat, names = _combine_rules(expl_f, expl_g, mu_h, (method,))
     return MshapExplanation(
         values=s_z,
         baseline=mu_h,
@@ -214,11 +230,17 @@ def linear_combine_explanations(
     first = next((e for _, e in parts if e.feature_names is not None), parts[0][1])
     for _, e in parts:
         _check_alignment(first, e)
+    with np.errstate(all="ignore"):  # an overflow is reported below as an error
+        values = sum(float(w) * e.values for w, e in parts)
+        base = sum(float(w) * e.baseline for w, e in parts)
+        predictions = sum(w * e.predictions for w, e in parts)
+    if not (np.isfinite(base) and np.isfinite(values).all() and np.isfinite(predictions).all()):
+        raise InvalidInputError(
+            f"the linear combination is not finite (baseline={base}): a weighted "
+            "part overflows float64"
+        )
     return ShapExplanation(
-        values=sum(float(w) * e.values for w, e in parts),
-        baseline=sum(float(w) * e.baseline for w, e in parts),
-        predictions=sum(w * e.predictions for w, e in parts),
-        feature_names=first.feature_names,
+        values=values, baseline=base, predictions=predictions, feature_names=first.feature_names
     )
 
 

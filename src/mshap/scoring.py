@@ -70,8 +70,7 @@ def importance_ranks(row) -> np.ndarray:
     """Ranks 1..p by descending absolute value; ties go to the lower index."""
     values = np.atleast_2d(np.asarray(row, dtype=float))
     order = np.argsort(-np.abs(values), axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(1, values.shape[1] + 1)[None, :], axis=1)
+    ranks = np.argsort(order, axis=1) + 1  # the inverse permutation: the position of each column
     return ranks[0] if np.asarray(row).ndim == 1 else ranks
 
 

@@ -31,6 +31,12 @@ ENUM_LIMIT = 16
 # sampler's walked coalition values for those rows.  Instances are cut into
 # such chunks, so a large n never materialises the whole (n, m, p) tensor.
 SPLICE_BUDGET_BYTES = 64 << 20
+# The last walk's splice block, keyed by its (c, m, p) shape, kept for the next
+# walk of that shape: a grid of small cells would otherwise allocate and fault
+# in a fresh block per call.  It holds at most one block, which fits the budget
+# above.  A walk pops it while in use, so a concurrent or re-entrant walk finds
+# the slot empty and allocates its own.
+_spare_block: dict[tuple[int, int, int], np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -86,6 +92,13 @@ def _as_background(background, arity: int) -> np.ndarray:
             f"background has {data.shape[1]} columns but the model arity is {arity}"
         )
     return data
+
+
+def _check_integers(*checks: tuple[str, object, int]) -> None:
+    """Reject each (name, value, least) whose value is not an integer >= least; a bool is not one."""
+    for name, value, least in checks:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _first_repeat(names) -> str | None:
@@ -219,17 +232,23 @@ def _splice_walk(
 ) -> np.ndarray:
     """Interventional value of each coalition in ``masks`` at each of the c ``rows``.
 
-    One (c, m, p) block starts as the background, and each mask re-splices
-    only the columns whose bits differ from the previous mask's, so a
-    Gray-code sequence costs one column per coalition.  ``evaluate`` maps the
-    block's rows to k outputs; a value is the mean of a row's own m outputs,
-    so chunking the instances changes no value.  Shape (1 + mirror, k,
-    len(masks), c): the values, then with ``mirror`` (the rows are bit for
-    bit the background) the complements' values, read from transposed blocks.
+    One (c, m, p) block, the last walk's spare if it has this shape, starts
+    as the background, and each mask re-splices only the columns whose bits
+    differ from the previous mask's, so a Gray-code sequence costs one column
+    per coalition.  ``evaluate`` maps the block's rows to k outputs; a value
+    is the mean of a row's own m outputs, so chunking the instances changes
+    no value.  Shape (1 + mirror, k, len(masks), c): the values, then with
+    ``mirror`` (the rows are bit for bit the background) the complements'
+    values, read from transposed blocks.
     """
     c, p = rows.shape
     m = background.shape[0]
-    spliced = np.broadcast_to(background, (c, m, p)).copy()
+    shape = (c, m, p)
+    spliced = _spare_block.pop(shape, None)
+    if spliced is None:
+        _spare_block.clear()  # hold at most one spare: drop another shape's before allocating
+        spliced = np.empty(shape)
+    spliced[...] = background
     flat = spliced.reshape(c * m, p)
     walked = np.empty((1 + mirror, k, len(masks), c))
     prev = 0
@@ -245,6 +264,8 @@ def _splice_walk(
             walked[0, model, i] = np.add.reduce(block, axis=1) / m
             if mirror:
                 walked[1, model, i] = np.add.reduce(np.ascontiguousarray(block.T), axis=1) / m
+    _spare_block.clear()  # a nested walk may have left a block of another shape
+    _spare_block[shape] = spliced
     return walked
 
 
@@ -278,7 +299,7 @@ def _coalition_values(
     if mirrored:
         # the full coalition's block is m copies of each x_i
         for k, out in enumerate(predictions):
-            values[k, full] = np.add.reduce(np.repeat(out, m).reshape(n, m), axis=1) / m
+            values[k, full] = np.add.reduce(np.broadcast_to(out[:, None], (n, m)), axis=1) / m
     t = np.arange(1, 1 << (p - mirrored))
     masks = t ^ (t >> 1)  # the Gray code: each mask differs from the one before in one bit
     for lo in range(0, n, step):
@@ -413,9 +434,7 @@ def sampling_explain_matrix(
     ``n_permutations`` covers all p! orderings, each distinct ordering is
     enumerated exactly once and the result coincides with exact enumeration.
     """
-    for name, value, least in (("n_permutations", n_permutations, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
+    _check_integers(("n_permutations", n_permutations, 1), ("seed", seed, 0))
     data = _as_background(background, model.arity)
     X = _instances(X, model.arity)
     n, p = X.shape

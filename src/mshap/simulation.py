@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import shapley
-from .combine import AlphaMethod, combine
+from .combine import AlphaMethod, _combine_rules, combine
 from .errors import (
     DimensionError,
     InvalidInputError,
@@ -35,6 +35,7 @@ from .scoring import ScoreBreakdown, ScoreParams, score_matrices
 from .shapley import (
     ModelFunction,
     ShapExplanation,
+    _check_integers,
     additive_model,
     explain_matrix,
     explain_product,
@@ -158,10 +159,7 @@ class ScenarioSpec:
             raise InvalidInputError(f"y1 must be one of {Y1_IDS}, got {self.y1!r}")
         if self.y2 not in Y2_IDS + ("CONST1",):
             raise InvalidInputError(f"y2 must be one of {Y2_IDS + ('CONST1',)}, got {self.y2!r}")
-        if self.n < 10:
-            raise InvalidInputError(f"n must be >= 10, got {self.n}")
-        if self.background_size < 1:
-            raise InvalidInputError(f"background_size must be >= 1, got {self.background_size}")
+        _check_integers(("n", self.n, 10), ("background_size", self.background_size, 1), ("seed", self.seed, 0))
         if self.background_size > self.n:
             raise InvalidInputError(
                 f"background_size {self.background_size} exceeds sample size {self.n}"
@@ -268,12 +266,15 @@ def _explain_three(
     """Exact explanations of f, g and f * g, padded with zeros to the cell's p columns."""
     # a column neither part reads is a null player, so its exact value is 0 (Shapley 1953)
     k = _pair_arity(spec.y1, spec.y2)
+    three = explain_product(
+        scenario_model(spec.y1, k), scenario_model(spec.y2, k), rows[:, :k], background[:, :k]
+    )
+    if k == spec.n_features:
+        return three
     zeros = np.zeros((rows.shape[0], spec.n_features - k))
     return tuple(
         ShapExplanation(np.concatenate((e.values, zeros), axis=1), e.baseline, e.predictions)
-        for e in explain_product(
-            scenario_model(spec.y1, k), scenario_model(spec.y2, k), rows[:, :k], background[:, :k]
-        )
+        for e in three
     )
 
 
@@ -283,9 +284,9 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     Pipeline: sample guarded covariates, take the leading rows as the
     background set, explain both parts and the product with the exact oracle
     (one coalition pass for all three), combine the part explanations under
-    each weighting with mu_h set to the product's background baseline, and
-    score the four combined matrices, stacked in one call, against the
-    product's oracle attribution at the cell's thetas.
+    each weighting in one pass, with mu_h set to the product's background
+    baseline, and score the four combined matrices, stacked in one call,
+    against the product's oracle attribution at the cell's thetas.
     """
     rows, resampled = sample_scenario_rows(spec)
     background = rows[: spec.background_size]
@@ -296,20 +297,15 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
                 f"non-finite attribution in the {label} explanation "
                 f"(a spliced denominator collapsed); rerun with a different seed"
             )
-    mu_h = reference_expl.baseline
     params = ScoreParams(spec.theta1, spec.theta2)
     advisories = []
     if resampled:
         advisories.append(f"resampled {resampled} rows for the denominator guard")
-    combined = []
-    for method in AlphaMethod:
-        result = combine(expl_f, expl_g, mu_h, method)
-        combined.append(result.values)
-        if result.fallback_rows:
-            advisories.append(
-                f"{method.value}: uniform fallback on {len(result.fallback_rows)} rows"
-            )
-    breakdowns = score_matrices(np.stack(combined), reference_expl.values, params)
+    combined, fallbacks, *_ = _combine_rules(expl_f, expl_g, reference_expl.baseline, tuple(AlphaMethod))
+    for method, fallback in zip(AlphaMethod, fallbacks):
+        if fallback.any():
+            advisories.append(f"{method.value}: uniform fallback on {np.count_nonzero(fallback)} rows")
+    breakdowns = score_matrices(combined, reference_expl.values, params)
     scores = dict(zip(AlphaMethod, breakdowns))
     return ScenarioResult(spec=spec, scores=scores, advisories=tuple(advisories))
 
@@ -350,6 +346,7 @@ def default_grid(
     The defaults are the desk-scale sweep: every response pair crossed with
     the endpoints and midpoint of each theta range.
     """
+    _check_integers(("grid_seed", grid_seed, 0))
     covariates = covariates if covariates is not None else CovariateSpec()
     specs = []
     index = 0

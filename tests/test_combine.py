@@ -21,7 +21,7 @@ from mshap import (
     product_model,
     validate_local_accuracy,
 )
-from mshap.combine import RAW_AMPLIFICATION_LIMIT, RAW_DEGENERACY_TOL, _distribute_rows
+from mshap.combine import RAW_AMPLIFICATION_LIMIT, RAW_DEGENERACY_TOL, _combine_rules, _distribute_rows
 from parts import make_parts
 
 METHODS = list(AlphaMethod)
@@ -398,6 +398,30 @@ def test_combine_local_accuracy_property(data, n, p, method):
     assert validate_local_accuracy(out, 1e-9).passed
 
 
+@settings(max_examples=150)
+@given(data=st.data(), n=st.integers(1, 20), p=st.integers(1, 6), alpha_zero=st.booleans())
+def test_one_pass_over_all_rules_equals_one_combine_call_per_rule(data, n, p, alpha_zero):
+    sx = data.draw(arrays(np.float64, (n, p), elements=values_box))
+    sy = data.draw(arrays(np.float64, (n, p), elements=values_box))
+    kind = data.draw(arrays(np.int8, n, elements=st.sampled_from([0, 1, 2])))
+    sx[kind == 1] = sy[kind == 1] = 0.0  # an all-zero s' row: every rule falls back
+    for s in (sx, sy):  # part rows that sum to 0, so the raw total cancels
+        s[kind == 2, -1] = -s[kind == 2, :-1].sum(axis=1)
+    mu_f, mu_g, mu_h = (data.draw(values_box) for _ in range(3))
+    if alpha_zero:
+        mu_h = mu_f * mu_g
+    expl_f = ShapExplanation(sx, mu_f, mu_f + sx.sum(axis=1))
+    expl_g = ShapExplanation(sy, mu_g, mu_g + sy.sum(axis=1))
+    stack, fallbacks, alpha, z_hat, names = _combine_rules(expl_f, expl_g, mu_h, METHODS)
+    assert stack.shape == (len(METHODS), n, p) and len(fallbacks) == len(METHODS)
+    for method, values, fallback in zip(METHODS, stack, fallbacks):
+        one = combine(expl_f, expl_g, mu_h, method)
+        assert values.tobytes() == one.values.tobytes()
+        assert tuple(np.flatnonzero(fallback).tolist()) == one.fallback_rows
+        assert z_hat.tobytes() == one.predictions.tobytes()
+        assert alpha == one.alpha and names == one.feature_names
+
+
 # ---------------------------------------------------------------- baselines and linear combinations
 
 
@@ -454,6 +478,19 @@ def test_linear_combine_rejects_non_finite_weights(rng, weight):
     combined = combine(expl_f, expl_g, 0.0, AlphaMethod.ABSOLUTE)
     with pytest.raises(InvalidInputError, match="finite"):
         linear_combine_mshap([(1.0, combined), (weight, combined)])
+
+
+@pytest.mark.parametrize("huge", ["values", "baseline"])
+def test_linear_combine_rejects_an_overflowing_part_without_a_warning(huge):
+    values = np.array([[0.5, -0.25]]) * (1e200 if huge == "values" else 1.0)
+    part = explanation(values, 1e200 if huge == "baseline" else 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="finite"):
+            linear_combine_explanations([(1e200, part)])
+        combined = combine(part, explanation(np.ones((1, 2)), 1.0), 0.0, AlphaMethod.UNIFORM)
+        with pytest.raises(InvalidInputError, match="finite"):
+            linear_combine_mshap([(1e200, combined)])
 
 
 def test_linear_combine_rejects_misaligned_names(rng):

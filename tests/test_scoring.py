@@ -211,6 +211,26 @@ def test_ranks_always_a_permutation(row):
     assert sorted(ranks.tolist()) == list(range(1, len(row) + 1))
 
 
+def put_along_axis_ranks(values):
+    """Ranks written by scattering 1..p to the sorted positions, kept as the reference."""
+    order = np.argsort(-np.abs(values), axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(1, values.shape[1] + 1)[None, :], axis=1)
+    return ranks
+
+
+tie_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e300, -np.inf])
+
+
+@given(st.data(), st.integers(1, 30), st.integers(1, 9))
+def test_ranks_equal_the_put_along_axis_reference(data, n, p):
+    values = data.draw(arrays(np.float64, (n, p), elements=st.one_of(tie_values, st.floats(allow_nan=False))))
+    got = importance_ranks(values)
+    want = put_along_axis_ranks(values)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(importance_ranks(values[0]), want[0])
+
+
 # ---------------------------------------------------------------- stacks
 
 

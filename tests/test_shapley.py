@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -612,6 +614,79 @@ def test_coalition_values_equal_the_np_mean_reference(rng, m, mirrored):
     predictions = _product_evaluate(X)
     got = shapley._coalition_values(_product_evaluate, X, background, predictions)
     want = mean_coalition_values(_product_evaluate, X, background, predictions)
+    assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------- spare splice block
+
+
+def test_a_second_call_of_the_same_shape_allocates_no_block(rng, monkeypatch):
+    monkeypatch.setattr(shapley, "_spare_block", {})
+    f = ModelFunction(4, lambda X: X[:, 0] * X[:, 1] + X[:, 3])
+    g = additive_model([1.0, -2.0, 0.5, 3.0], intercept=3.0)
+    X = rng.uniform(-1, 1, (50, 4))
+    background = rng.uniform(-1, 1, (60, 4))
+    block_bytes = 50 * 60 * 4 * 8
+    first, fresh = _peak_bytes(lambda: explain_product(f, g, X, background))
+    second, reused = _peak_bytes(lambda: explain_product(f, g, X, background))
+    # the only allocation the first call makes and the second does not is the block
+    assert fresh - reused >= block_bytes
+    _assert_bit_equal(second, first)
+    assert list(shapley._spare_block) == [(50, 60, 4)]
+
+
+def test_a_call_of_another_shape_leaves_one_spare(rng, monkeypatch):
+    monkeypatch.setattr(shapley, "_spare_block", {})
+    model = ModelFunction(3, lambda X: X[:, 0] * X[:, 1] - X[:, 2])
+    background = rng.uniform(-1, 1, (7, 3))
+    for n in (5, 9, 5):
+        explain_matrix(model, rng.uniform(-1, 1, (n, 3)), background)
+        assert list(shapley._spare_block) == [(n, 7, 3)]
+
+
+def test_concurrent_walks_of_one_shape_each_get_their_own_block(rng, monkeypatch):
+    monkeypatch.setattr(shapley, "_spare_block", {})
+    model = ModelFunction(3, lambda X: X[:, 0] * X[:, 1] - X[:, 2])
+    background = rng.uniform(-1, 1, (20, 3))
+    inputs = [rng.uniform(-1, 1, (10, 3)) for _ in range(8)]
+    want = [explain_matrix(model, X, background).values for X in inputs]
+    wrong = []
+
+    def work(i):
+        for _ in range(30):
+            if not np.array_equal(explain_matrix(model, inputs[i], background).values, want[i]):
+                wrong.append(i)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so walks interleave
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_a_model_that_explains_inside_the_walk_gets_the_plain_values(rng, monkeypatch):
+    # at this budget every inner chunk has the outer block's (4, 4, 3) shape,
+    # and the inner call on the background leaves a spare of that shape, so a
+    # walk that left its block in the slot while in use would hand it to the
+    # inner walk, which would overwrite the outer coalition
+    monkeypatch.setattr(shapley, "SPLICE_BUDGET_BYTES", 4 * 4 * 3 * 8)
+    background = rng.uniform(-1, 1, (4, 3))
+    X = rng.uniform(-1, 1, (4, 3))
+    inner = ModelFunction(3, lambda Z: Z[:, 0] * Z[:, 1] - Z[:, 2] ** 2)
+
+    def evaluate(rows):
+        return (explain_matrix(inner, rows, background).values @ np.array([1.0, -2.0, 3.0]),)
+
+    predictions = evaluate(X)
+    want = mean_coalition_values(evaluate, X, background, predictions)
+    got = shapley._coalition_values(evaluate, X, background, predictions)
     assert np.array_equal(got, want)
 
 

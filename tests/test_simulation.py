@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,24 @@ def test_scenario_spec_validation():
         ScenarioSpec("Y1A", "Y2A", 1.5, 1.0, covariates=CovariateSpec(((0.0, 1.0),)))
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [("seed", -1), ("seed", 1.5), ("seed", True), ("seed", "3"), ("n", 50.5), ("n", True),
+     ("background_size", 10.0), ("background_size", np.float64(10))],
+)
+def test_scenario_spec_rejects_a_seed_or_size_that_is_not_a_count(field, bad):
+    with pytest.raises(InvalidInputError, match=field):
+        ScenarioSpec("Y1A", "Y2A", 1.5, 1.0, **{**SMALL, field: bad})
+
+
+def test_scenario_spec_takes_numpy_integers_and_a_grid_seed_must_be_one():
+    spec = ScenarioSpec("Y1A", "Y2A", 1.5, 1.0, n=np.int64(40), background_size=np.int32(20), seed=np.uint32(5))
+    assert run_scenario(spec).scores == run_scenario(ScenarioSpec("Y1A", "Y2A", 1.5, 1.0, seed=5, **SMALL)).scores
+    for bad in (-1, 1.5, True):
+        with pytest.raises(InvalidInputError, match="grid_seed"):
+            default_grid(grid_seed=bad)
+
+
 def test_constant_control_scores_exactly_three():
     spec = ScenarioSpec("Y1A", "CONST1", 1.5, 1.0, seed=11, **SMALL)
     result = run_scenario(spec)
@@ -255,6 +275,21 @@ def test_run_scenario_evaluates_each_part_once_per_coalition(monkeypatch):
     monkeypatch.setattr(ModelFunction, "__call__", counting)
     run_scenario(ScenarioSpec("Y1B", "Y2C", 1.5, 1.0, n=100, background_size=100, seed=3))
     assert sum(rows_seen) == 2 * (3 * 10_000 + 100) == 60_200
+
+
+def test_run_scenario_checks_each_part_once(monkeypatch):
+    module = importlib.import_module("mshap.combine")
+    checked = []
+    validate = module.validate_local_accuracy
+
+    def counting(expl, tol_rel):
+        checked.append(expl)
+        return validate(expl, tol_rel)
+
+    monkeypatch.setattr(module, "validate_local_accuracy", counting)
+    result = run_scenario(ScenarioSpec("Y1B", "Y2E", 1.5, 1.0, seed=3, **SMALL))
+    assert len(result.scores) == len(AlphaMethod)
+    assert len(checked) == 2
 
 
 def test_scores_invariant_to_consistent_feature_relabeling():
