@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(path: str, subcommand: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             config = json.load(handle)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None

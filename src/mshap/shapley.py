@@ -33,9 +33,12 @@ ENUM_LIMIT = 16
 SPLICE_BUDGET_BYTES = 64 << 20
 # The last walk's splice block, keyed by its (c, m, p) shape, kept for the next
 # walk of that shape: a grid of small cells would otherwise allocate and fault
-# in a fresh block per call.  It holds at most one block, which fits the budget
-# above.  A walk pops it while in use, so a concurrent or re-entrant walk finds
-# the slot empty and allocates its own.
+# in a fresh block per call.  It holds at most one block, of at most
+# _SPARE_BLOCK_BYTES (fixed at import), so a large call leaves no block
+# resident; a large walk allocates its block per call, a cost its own work
+# dwarfs.  A walk pops the spare while in use, so a concurrent or re-entrant
+# walk finds the slot empty and allocates its own.
+_SPARE_BLOCK_BYTES = SPLICE_BUDGET_BYTES // 64
 _spare_block: dict[tuple[int, int, int], np.ndarray] = {}
 
 
@@ -265,7 +268,8 @@ def _splice_walk(
             if mirror:
                 walked[1, model, i] = np.add.reduce(np.ascontiguousarray(block.T), axis=1) / m
     _spare_block.clear()  # a nested walk may have left a block of another shape
-    _spare_block[shape] = spliced
+    if spliced.nbytes <= _SPARE_BLOCK_BYTES:
+        _spare_block[shape] = spliced
     return walked
 
 

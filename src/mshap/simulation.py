@@ -70,7 +70,13 @@ def _y_product(X):
 
 
 def _y_powers(X):
-    return X[:, 0] ** 2 * X[:, 1] ** 3 * X[:, 2] ** 4
+    # x3 is negative on the paper box, where numpy's ``**`` leaves its SIMD
+    # path and costs ~40x per value, yet a spliced block of c*m rows holds at
+    # most c + m distinct x3 values: raise each once, then gather.  ``pow``
+    # depends on each value alone, so the bits equal ``X[:, 2] ** 4``; merging
+    # -0.0 with 0.0 is safe only because the power is even, and no NaN is merged.
+    values, inverse = np.unique(X[:, 2], return_inverse=True, equal_nan=False)
+    return X[:, 0] ** 2 * X[:, 1] ** 3 * (values**4)[inverse]
 
 
 def _y_ratio(X):

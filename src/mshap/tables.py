@@ -205,7 +205,7 @@ def read_value_table(path) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a plain headed CSV of finite reals (no sidecar)."""
     path = Path(path)
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             header, data = _parse_cells(path, csv.reader(handle))
     except OSError as exc:
         raise TableFormatError(f"cannot read {path}: {exc}") from None
@@ -227,7 +227,7 @@ def read_shap_table(path) -> ShapTable:
     header, data = read_value_table(path)
     side = meta_path(path)
     try:
-        with open(side, encoding="utf-8") as handle:
+        with open(side, encoding="utf-8-sig") as handle:
             meta = json.load(handle)
     except OSError as exc:
         raise TableFormatError(f"cannot read metadata sidecar {side}: {exc}") from None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -260,6 +261,15 @@ def test_simulate_single_cell_and_determinism(tmp_path):
     lines = body.strip().splitlines()
     assert len(lines) == 5  # header + 4 methods
     assert lines[0].startswith("scenario,y1,y2,theta1")
+
+
+def test_simulate_desk_grid_bytes_are_frozen(tmp_path):
+    # results.csv of the 108-cell desk grid (18 cells Y2D) at seed 0; a change
+    # to these bytes is an output change that CHANGES.md must announce
+    out = tmp_path / "out"
+    assert main(["simulate", "--seed", "0", "--out-dir", str(out)]) == 0
+    digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+    assert digest == "07e368ce1bb3f99a9c0633092af2259c2f663031e2ec0e5af4fe2e97df141693"
 
 
 def test_simulate_echoed_config_reproduces_run(tmp_path):
@@ -687,6 +697,38 @@ def test_non_utf8_input_is_a_typed_error(tmp_path, rng, capsys, bad, code):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "not UTF-8 text" in err
     assert not (out / "score.json").exists() and not (out / "results.csv").exists()
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("bom_on", ["covariates", "table", "sidecar", "config"])
+def test_a_byte_order_mark_is_not_read_as_data(tmp_path, rng, bom_on):
+    # spreadsheets save "CSV UTF-8" with a leading U+FEFF, which must not
+    # become part of the first name or break the JSON parser
+    f_path, g_path, _, _, X = write_pair(tmp_path, rng, n=8)
+    covariates, config = tmp_path / "cov.csv", tmp_path / "cfg.json"
+    write_value_table(covariates, NAMES, X)
+    cell = {"y1": "Y1A", "y2": "Y2D", "theta1": 1.5, "theta2": 1.0, "n": 10, "background_size": 5, "seed": 1}
+    config.write_text(json.dumps({"scenarios": [cell]}))
+    argv, target = {
+        "covariates": (["summary-data", "--mshap", str(f_path), "--covariates", str(covariates)], covariates),
+        "table": (["score", "--candidate", str(f_path), "--reference", str(g_path)], f_path),
+        "sidecar": (["score", "--candidate", str(f_path), "--reference", str(g_path)],
+                    f_path.with_name("f.meta.json")),
+        "config": (["simulate", "--config", str(config)], config),
+    }[bom_on]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    assert main([*argv, "--out-dir", str(plain)]) == 0
+    target.write_bytes(BOM + target.read_bytes())
+    assert main([*argv, "--out-dir", str(marked)]) == 0
+    outputs = sorted(path.name for path in plain.iterdir())
+    assert outputs == sorted(path.name for path in marked.iterdir())
+    for name in outputs:
+        body = (marked / name).read_bytes()
+        assert not body.startswith(BOM)  # writers stay BOM-free
+        if name != "resolved_config.json":  # it echoes --out-dir
+            assert body == (plain / name).read_bytes()
 
 
 @pytest.mark.parametrize(

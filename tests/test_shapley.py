@@ -644,6 +644,27 @@ def test_a_call_of_another_shape_leaves_one_spare(rng, monkeypatch):
         assert list(shapley._spare_block) == [(n, 7, 3)]
 
 
+def test_a_large_call_leaves_no_spare_resident(rng, monkeypatch):
+    monkeypatch.setattr(shapley, "_spare_block", {})
+    model = ModelFunction(3, lambda X: X[:, 0] * X[:, 1] - X[:, 2])
+    background = rng.uniform(-1, 1, (100, 3))
+    explain_matrix(model, rng.uniform(-1, 1, (50, 3)), background)
+    assert list(shapley._spare_block) == [(50, 100, 3)]
+    # a 4,000-row call splices one 9.6 MB block: it drops the small spare and keeps none
+    explain_matrix(model, rng.uniform(-1, 1, (4000, 3)), background)
+    assert shapley._spare_block == {}
+
+
+@pytest.mark.parametrize("c, kept", [(512, True), (513, False)])
+def test_the_spare_cap_is_a_sixty_fourth_of_the_splice_budget(rng, monkeypatch, c, kept):
+    monkeypatch.setattr(shapley, "_spare_block", {})
+    model = ModelFunction(2, lambda X: X[:, 0] - X[:, 1])
+    # a (512, 128, 2) float64 block is exactly 1 MiB, the cap at the 64 MiB budget
+    assert shapley._SPARE_BLOCK_BYTES == shapley.SPLICE_BUDGET_BYTES // 64 == 512 * 128 * 2 * 8
+    explain_matrix(model, rng.uniform(-1, 1, (c, 2)), rng.uniform(-1, 1, (128, 2)))
+    assert list(shapley._spare_block) == ([(c, 128, 2)] if kept else [])
+
+
 def test_concurrent_walks_of_one_shape_each_get_their_own_block(rng, monkeypatch):
     monkeypatch.setattr(shapley, "_spare_block", {})
     model = ModelFunction(3, lambda X: X[:, 0] * X[:, 1] - X[:, 2])

@@ -2,6 +2,8 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mshap import (
     AlphaMethod,
@@ -26,6 +28,7 @@ from mshap.simulation import (
     Y2_IDS,
     _explain_three,
     _guard_mask,
+    _y_powers,
     grid_table,
     sample_scenario_rows,
     scenario_model,
@@ -93,6 +96,50 @@ def test_eval_response_examples():
     assert respond("Y2D", [1.0, 1.0, -1.0]) == 1.0  # x1^2 x2^3 x3^4 by hand
     assert respond("Y2E", [1.0, 1.0, -1.0]) == 2.0  # (1+1)/(1+1-1)
     assert respond("CONST1", [9.0, 9.0, 9.0]) == 1.0
+
+
+def _x3_pool(rng, distinct):
+    """``distinct`` x3 values of mixed sign and magnitude, with +0.0 and -0.0."""
+    paper = rng.uniform(-5.0, -1.0, distinct)
+    wide = rng.standard_normal(distinct) * 10.0 ** rng.uniform(-60, 60, distinct)
+    return np.concatenate([paper, wide, [0.0, -0.0]])[rng.permutation(2 * distinct + 2)[:distinct]]
+
+
+@settings(max_examples=80)
+@given(
+    n=st.integers(1, 20_000),
+    distinct=st.integers(1, 20_000),
+    layout=st.sampled_from(["walk", "block", "strided", "fortran"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, distinct=1, layout="block", seed=0)
+@example(n=7, distinct=7, layout="strided", seed=1)
+@example(n=20_000, distinct=20_000, layout="block", seed=2)
+@example(n=19_999, distinct=3, layout="fortran", seed=3)
+def test_y2d_gathered_power_is_bit_identical_to_the_direct_formula(n, distinct, layout, seed):
+    rng = np.random.default_rng(seed)
+    if layout == "walk":
+        # the (c*m, 3) block a splice walk passes: x3 either repeats each of c
+        # instance rows m times or tiles the m background rows c times
+        m = max(1, min(distinct, 200))
+        c = max(1, n // m)
+        rows, background = rng.uniform(-10, 10, (c, 3)), rng.uniform(-10, 10, (m, 3))
+        rows[:, 2], background[:, 2] = _x3_pool(rng, c), _x3_pool(rng, m)
+        block = np.empty((c, m, 3))
+        block[...] = background
+        for j in np.flatnonzero(rng.integers(0, 2, 3)):  # one coalition's spliced columns
+            block[:, :, j] = rows[:, None, j]
+        X = block.reshape(c * m, 3)
+    else:
+        x3 = rng.choice(_x3_pool(rng, min(distinct, n)), n)
+        wide = np.column_stack([rng.uniform(-10, 10, n), rng.uniform(0, 20, n), x3, rng.uniform(size=(n, 2))])
+        X = {
+            "block": np.ascontiguousarray(wide[:, :3]),
+            "strided": np.repeat(wide, 2, axis=0)[::2, :3],
+            "fortran": np.asfortranarray(wide[:, :3]),
+        }[layout]
+    want = X[:, 0] ** 2 * X[:, 1] ** 3 * X[:, 2] ** 4
+    assert _y_powers(X).tobytes() == want.tobytes()
 
 
 def test_eval_response_guard_raises():

@@ -134,6 +134,13 @@ def test_value_table_round_trip(tmp_path):
     assert np.array_equal(back, rows)
 
 
+def test_a_byte_order_mark_is_not_part_of_a_name(tmp_path):
+    # spreadsheets save "CSV UTF-8" with a leading U+FEFF
+    path = tmp_path / "v.csv"
+    path.write_bytes(b"\xef\xbb\xbfx1,x2\n1,2\n")
+    assert read_value_table(path)[0] == ("x1", "x2")
+
+
 def test_read_errors(tmp_path):
     missing_meta = tmp_path / "no_meta.csv"
     missing_meta.write_text("a,b\n1,2\n")
