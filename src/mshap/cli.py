@@ -257,7 +257,10 @@ def resolve(subcommand: str, args: argparse.Namespace) -> dict:
 
 def _out_dir(resolved: dict) -> Path:
     out = Path(resolved["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. the path names an existing file
+        raise UsageError(f"cannot create output directory {out}: {exc.strerror}") from None
     return out
 
 

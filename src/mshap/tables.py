@@ -1,5 +1,10 @@
-"""The file formats: every CSV file goes through ``render_csv``, every JSON file
+"""The file formats: every CSV file goes through ``write_csv``, every JSON file
 through ``write_json``, and both write through a temp file plus rename.
+
+Tables are read and written in blocks of ``_BLOCK_CELLS`` (16,384) cells:
+beyond the parsed array, a read or write holds one block of text whatever
+the table's size, and a write puts its blocks into the temp file before the
+rename.
 
 A SHAP table has a header of feature names, one observation per row, and an
 optional prediction column.  Its baseline travels in a JSON sidecar
@@ -11,6 +16,7 @@ the way ``csv.writer`` quotes them.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -24,6 +30,13 @@ from .errors import DimensionError, TableFormatError
 from .shapley import ShapExplanation, _first_repeat
 
 
+_BLOCK_CELLS = 1 << 14
+
+
+def _block_rows(columns: int) -> int:
+    return max(1, _BLOCK_CELLS // max(columns, 1))
+
+
 def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -34,7 +47,8 @@ def meta_path(path) -> Path:
     return path.with_name(path.stem + ".meta.json")
 
 
-def _atomic_write_text(path, text: str) -> None:
+def _atomic_write_text(path, chunks) -> None:
+    """Write the strings of ``chunks`` one after another, all or nothing."""
     path = Path(path)
     # mkstemp would create the file 0600; an exclusive create with 0666 gets
     # the mode open() gives, i.e. the umask applies
@@ -42,7 +56,7 @@ def _atomic_write_text(path, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -51,7 +65,7 @@ def _atomic_write_text(path, text: str) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _atomic_write_text(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
 
 
 def _text_cell(value, alone: bool = False) -> str:
@@ -67,8 +81,9 @@ def _text_cell(value, alone: bool = False) -> str:
     return text or ('""' if alone else "")
 
 
-def render_csv(header, columns) -> str:
-    """CSV text: the header, then one line per row of ``columns`` (1-D, one per header cell).
+def _csv_blocks(header, columns):
+    """CSV text: the header line, then the rows of ``columns`` (1-D, one per
+    header cell) in blocks of ``_block_rows`` lines.
 
     Float arrays are written with ``%.17g`` and integer arrays with ``%d``, one
     formatting call per row; any other column is text, made by ``_text_cell``
@@ -85,18 +100,27 @@ def render_csv(header, columns) -> str:
             texts[value] = _text_cell(value, alone)
         return texts[value]
 
-    fmts, body = [], []
-    for col in columns:
-        kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
-        fmts.append({"f": "%.17g", "i": "%d", "u": "%d"}.get(kind, "%s"))
-        body.append(col.tolist() if kind in "fiu" else [text(v) for v in col])
-    row = ",".join(fmts) + "\n"
-    head = ",".join(_text_cell(name, alone) for name in header) + "\n"
-    return "".join([head] + [row % cells for cells in zip(*body)])
+    kinds = [col.dtype.kind if isinstance(col, np.ndarray) else "O" for col in columns]
+    row = ",".join({"f": "%.17g", "i": "%d", "u": "%d"}.get(kind, "%s") for kind in kinds) + "\n"
+    yield ",".join(_text_cell(name, alone) for name in header) + "\n"
+    # zip stops at the shortest column
+    n_rows = min((len(col) for col in columns), default=0)
+    step = _block_rows(len(columns))
+    for start in range(0, n_rows, step):
+        body = []
+        for col, kind in zip(columns, kinds):
+            part = col[start : start + step]
+            body.append(part.tolist() if kind in "fiu" else [text(v) for v in part])
+        yield "".join([row % cells for cells in zip(*body)])
+
+
+def render_csv(header, columns) -> str:
+    """The text ``write_csv`` writes."""
+    return "".join(_csv_blocks(header, columns))
 
 
 def write_csv(path, header, columns) -> None:
-    _atomic_write_text(path, render_csv(header, columns))
+    _atomic_write_text(path, _csv_blocks(header, columns))
 
 
 def write_records(path, fields, records) -> None:
@@ -175,19 +199,27 @@ def _parse_cells(path, reader) -> tuple[list[str], np.ndarray]:
     repeated = _first_repeat(header)
     if repeated is not None:
         raise TableFormatError(f"{path}: header repeats the column name {repeated!r}")
-    rows = list(reader)
-    if not rows:
+    blocks, lineno, step = [], 2, _block_rows(len(header))
+    while rows := list(itertools.islice(reader, step)):
+        blocks.append(_parse_block(path, header, rows, lineno))
+        lineno += len(rows)
+    if not blocks:
         raise TableFormatError(f"{path}: table has a header but no data rows")
+    return header, np.concatenate(blocks)
+
+
+def _parse_block(path, header, rows, lineno) -> np.ndarray:
+    """The rows as floats; ``lineno`` is the line number of the first row."""
     try:
         data = np.array(rows, dtype=float)
     except ValueError:  # a ragged row, or a cell that float() rejects
         pass
     else:
         if data.shape[1:] == (len(header),) and np.isfinite(data).all():
-            return header, data
-    # only a bad table gets here: scan it so that its first bad row is reported
+            return data
+    # only a bad block gets here: scan it so that its first bad row is reported
     parsed = []
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in enumerate(rows, start=lineno):
         if len(row) != len(header):
             raise TableFormatError(
                 f"{path}:{lineno}: expected {len(header)} columns, found {len(row)}"
@@ -198,7 +230,7 @@ def _parse_cells(path, reader) -> tuple[list[str], np.ndarray]:
             raise TableFormatError(f"{path}:{lineno}: {exc}") from None
         if not all(math.isfinite(v) for v in parsed[-1]):
             raise TableFormatError(f"{path}:{lineno}: non-finite value")
-    return header, np.array(parsed)
+    return np.array(parsed)
 
 
 def read_value_table(path) -> tuple[tuple[str, ...], np.ndarray]:
@@ -211,6 +243,8 @@ def read_value_table(path) -> tuple[tuple[str, ...], np.ndarray]:
         raise TableFormatError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise TableFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise TableFormatError(f"{path}: not a readable CSV table: {exc}") from None
     return tuple(header), data
 
 

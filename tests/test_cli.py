@@ -773,3 +773,25 @@ def test_regenerated_fixtures_equal_the_committed_ones(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == committed
     for name in committed:
         assert (tmp_path / name).read_bytes() == (fixtures / name).read_bytes(), name
+
+
+def test_an_oversized_csv_field_exits_3_with_one_error_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a,b\n1," + "1" * 200_000 + "\n")
+    (tmp_path / "bad.meta.json").write_text('{"baseline": 0.0}')
+    out = tmp_path / "out"
+    assert main(["score", "--candidate", str(bad), "--reference", str(bad), "--out-dir", str(out)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {bad}: ") and "field larger than field limit" in line
+    assert not out.exists()
+
+
+def test_an_out_dir_that_names_a_file_is_a_usage_error(tmp_path, rng, capsys):
+    f_path, g_path, *_ = write_pair(tmp_path, rng)
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+    code = main(["combine", "--f-shap", str(f_path), "--g-shap", str(g_path), "--out-dir", str(out)])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: cannot create output directory {out}: File exists"
+    assert out.read_text() == "keep me\n"

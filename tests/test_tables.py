@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,3 +400,96 @@ def test_reader_accepts_what_float_accepts(tmp_path):
     names, data = read_value_table(path)
     assert names == ("a", "b")
     assert data.tolist() == [[1000.0, 2.5], [-0.0, 1e-320]]
+
+
+def _rows_per_block(columns):
+    return max(1, tables._BLOCK_CELLS // columns)
+
+
+@pytest.mark.parametrize("columns", [1, 4, 21])
+@pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 5)])
+def test_block_boundaries_round_trip_byte_for_byte(tmp_path, rng, columns, blocks, extra):
+    n = blocks * _rows_per_block(columns) + extra
+    values = rng.standard_normal((n, columns)) * np.exp(rng.uniform(-30, 30, (n, columns)))
+    values.flat[: len(NASTY)] = NASTY[: values.size]
+    names = tuple(f"c{j}" for j in range(columns))
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_value_table(first, names, values)
+    text = first.read_bytes().decode()
+    assert text == _fmt17_reference(names, values)
+    assert text == render_csv(names, list(values.T))
+    if n == 0:
+        with pytest.raises(TableFormatError, match="no data rows"):
+            read_value_table(first)
+        return
+    back_names, back = read_value_table(first)
+    assert back_names == names and back.tobytes() == values.tobytes()
+    write_value_table(second, back_names, back)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_mixed_columns_across_blocks_match_csv_writer():
+    # the long-format layout of observations.csv: int, repeated text, two floats
+    n = 3 * _rows_per_block(4) + 5
+    names = np.array(["x1", "a,b", 'say "hi"', "x\ny"])
+    columns = (np.arange(n), np.tile(names, n)[:n], np.linspace(-1, 1, n), np.full(n, -0.0))
+    fields = ("row", "feature", "covariate_value", "mshap_value")
+    records = [dict(zip(fields, (int(i), str(s), float(a), float(b)))) for i, s, a, b in zip(*columns)]
+    assert render_csv(fields, columns) == _csv_writer_reference(fields, records)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,2,3", "expected 4 columns, found 3"),
+        ("1,2,3,4,5", "expected 4 columns, found 5"),
+        ("1,2,zebra,4", "could not convert string to float: 'zebra'"),
+        ("1,2,3,-inf", "non-finite value"),
+    ],
+)
+@pytest.mark.parametrize("index", [0, 4095, 4096, 2 * 4096 + 7, 3 * 4096 + 4])
+def test_a_bad_row_in_any_block_names_its_line(tmp_path, row, message, index):
+    assert _rows_per_block(4) == 4096
+    lines = ["1,2,3,4"] * (3 * 4096 + 5)
+    lines[index] = row
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,c,d\n" + "\n".join(lines) + "\n")
+    with pytest.raises(TableFormatError) as err:
+        read_value_table(path)
+    assert str(err.value) == f"{path}:{index + 2}: {message}"
+
+
+def test_the_first_bad_row_is_reported_when_later_blocks_are_bad_too(tmp_path):
+    lines = ["1,2,3,4"] * (3 * 4096)
+    lines[4096 + 3] = "1,2,3,nan"
+    lines[4096 + 9] = "1,2"
+    lines[2 * 4096 + 1] = "x,2,3,4"
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,c,d\n" + "\n".join(lines) + "\n")
+    with pytest.raises(TableFormatError) as err:
+        read_value_table(path)
+    assert str(err.value) == f"{path}:{4096 + 5}: non-finite value"
+
+
+def test_a_table_write_and_read_hold_one_block_beside_the_array(tmp_path, rng):
+    values = rng.standard_normal((20_000, 20))
+    names = tuple(f"x{j}" for j in range(20))
+    path = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        write_value_table(path, names, values)
+        _, back = read_value_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, values)
+    # whole-table formatting and parsing peaked at 11x the array (36.7 MB)
+    assert peak < 3 * values.nbytes, peak
+
+
+def test_an_oversized_field_is_a_table_format_error(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1," + "1" * 200_000 + "\n")
+    with pytest.raises(TableFormatError) as err:
+        read_value_table(path)
+    assert str(err.value).startswith(f"{path}: ") and "field larger than field limit" in str(err.value)
