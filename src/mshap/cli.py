@@ -119,12 +119,11 @@ def _as_json(v):
 
 
 def _as_list(v, parse) -> list:
-    """A list, or a comma- or space-separated string, each item through ``parse``."""
-    if isinstance(v, str):
-        v = [part for part in v.replace(",", " ").split() if part]
-    if not isinstance(v, (list, tuple)):
-        raise UsageError(f"expected a list, got {v!r}")
-    return [parse(x) for x in v]
+    """A nonempty list, or a comma- or space-separated string, each item through ``parse``."""
+    items = v.replace(",", " ").split() if isinstance(v, str) else v
+    if not isinstance(items, (list, tuple)) or not items:
+        raise UsageError(f"expected a list of at least one value, got {v!r}")
+    return [parse(x) for x in items]
 
 
 def _as_positive_int_list(v) -> list[int]:
@@ -374,8 +373,6 @@ def _specs_from_config(resolved: dict) -> list[ScenarioSpec]:
         for key, kwarg, parse in axes:
             if key in grid:
                 kwargs[kwarg] = tuple(_as_list(grid[key], parse))
-                if not kwargs[kwarg]:
-                    raise UsageError(f"grid: '{key}' must list at least one value")
         if "n" in grid:
             kwargs["n"] = _as_int(grid["n"])
         if "background_size" in grid:

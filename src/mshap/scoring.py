@@ -95,7 +95,7 @@ def score_matrices(
     if not stacked:
         cand = np.atleast_2d(cand)[None]
     if ref.ndim != 2 or cand.ndim != 3 or cand.shape[1:] != ref.shape:
-        raise DimensionError(f"matrix shapes differ: {cand.shape} vs {ref.shape}")
+        raise DimensionError(f"matrix shapes differ: {np.shape(candidate)} vs {np.shape(reference)}")
 
     r, n, p = cand.shape
     ranks_c = importance_ranks(cand.reshape(r * n, p)).reshape(cand.shape)

@@ -5,7 +5,9 @@ coalition ``S`` at an instance ``x`` is the mean model output over the
 background set with the features in ``S`` spliced in from ``x`` and the rest
 taken from each background row; both estimators read it from one splice walk.
 The exact enumerator walks all ``2**p`` coalitions in Gray-code order, one
-column per step, with factorial weights in log space (no overflow past p=12).
+column per step, with factorial weights in log space (no overflow past p=12);
+each feature's value gaps are the two halves of the coalition values viewed
+as a (2,) * p cube along that feature's axis, under one shared weight vector.
 The sampling estimator walks each distinct prefix coalition of seeded PCG64
 random feature orderings once; its mean marginal contribution is unbiased.
 
@@ -15,7 +17,6 @@ the attribution row sums to the model prediction for that instance.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from math import factorial, lgamma
@@ -212,11 +213,6 @@ def baseline(model: ModelFunction, background) -> float:
     return float(model(data).mean())
 
 
-def _popcounts(size: int) -> np.ndarray:
-    idx = np.arange(size, dtype=np.uint32)
-    return np.bitwise_count(idx).astype(np.intp)
-
-
 def _shapley_weights(p: int) -> np.ndarray:
     # w[s] = s! (p-s-1)! / p!, evaluated in log space: factorials overflow past p=12
     s = np.arange(p)
@@ -314,30 +310,21 @@ def _coalition_values(
     return values
 
 
-@functools.lru_cache(maxsize=4)
-def _weight_plan(p: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Per feature j: the coalitions without j, the same coalitions with j, and their weights.
-
-    Cached per p and shared by every call, so the arrays are read-only.
-    """
-    weights_by_size = _shapley_weights(p)
-    pop = _popcounts(1 << p)
-    masks = np.arange(1 << p)
-    plan = []
-    for j in range(p):
-        bit = 1 << j
-        without = masks[(masks & bit) == 0]
-        entry = (without, without | bit, weights_by_size[pop[without]])
-        for array in entry:
-            array.flags.writeable = False
-        plan.append(entry)
-    return tuple(plan)
-
-
 def _attributions_from_values(values: np.ndarray, p: int) -> np.ndarray:
-    phi = np.empty((values.shape[1], p))
-    for j, (without, with_j, w) in enumerate(_weight_plan(p)):
-        phi[:, j] = w @ (values[with_j] - values[without])
+    """Shapley values from the (2**p, n) coalition values, one column per feature.
+
+    Viewed as a (2,) * p + (n,) cube, bit j of a mask is axis p - 1 - j, so
+    v(S + {j}) and v(S) over the coalitions S without j are that axis's
+    index-1 and index-0 views, both in ascending order of S.  Dropping bit j
+    keeps a mask's popcount, so one weight vector serves every feature.
+    """
+    n = values.shape[1]
+    cube = values.reshape((2,) * p + (n,))
+    w = _shapley_weights(p)[np.bitwise_count(np.arange(1 << (p - 1)))]
+    phi = np.empty((n, p))
+    for j in range(p):
+        lead = (slice(None),) * (p - 1 - j)  # the axes of bits above j
+        phi[:, j] = w @ (cube[lead + (1,)] - cube[lead + (0,)]).reshape(-1, n)
     return phi
 
 

@@ -280,6 +280,8 @@ def read_shap_table(path) -> ShapTable:
         return ShapTable(values=data, baseline=baseline, feature_names=tuple(header), extra_meta=extra)
     if pred_col not in header:
         raise TableFormatError(f"{path}: prediction column {pred_col!r} not in header")
+    if len(header) == 1:
+        raise TableFormatError(f"{path}: no feature columns besides the prediction column {pred_col!r}")
     idx = header.index(pred_col)
     names = tuple(h for i, h in enumerate(header) if i != idx)
     features = np.delete(data, idx, axis=1)

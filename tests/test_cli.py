@@ -244,6 +244,18 @@ def test_score_self_is_three(tmp_path, rng):
     assert json.loads((out / "score.json").read_text())["score"] == 3.0
 
 
+def test_score_shape_mismatch_reports_the_table_shapes(tmp_path, rng, capsys):
+    paths = []
+    for n in (1, 2):
+        (tmp_path / str(n)).mkdir()
+        paths.append(write_pair(tmp_path / str(n), rng, n=n, names=("x1", "x2"))[0])
+    out = tmp_path / "out"
+    assert main(["score", "--candidate", str(paths[0]), "--reference", str(paths[1]),
+                 "--out-dir", str(out)]) == 3
+    assert "matrix shapes differ: (1, 2) vs (2, 2)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_single_cell_and_determinism(tmp_path):
     config = {
         "scenarios": [
@@ -381,6 +393,24 @@ def test_bench_zero_rows_is_usage_error(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["bench", "--p-values", "2", "--n-values", "0", "--out-dir", str(out)]) == 2
     assert ">= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+@pytest.mark.parametrize("option", ["p_values", "n_values"])
+def test_bench_empty_value_list_is_usage_error(tmp_path, capsys, monkeypatch, option, source):
+    out = tmp_path / "o"
+    argv = ["bench", "--out-dir", str(out)]
+    if source == "flag":
+        argv += ["--" + option.replace("_", "-"), ""]
+    elif source == "env":
+        monkeypatch.setenv("MSHAP_" + option.upper(), " , ")
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option: []}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert "at least one value" in capsys.readouterr().err
     assert not out.exists()
 
 

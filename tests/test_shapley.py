@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import sys
@@ -201,6 +202,36 @@ def test_explain_matrix_matches_single_rows(rng):
         row = explain_row(model, X[i], background)
         np.testing.assert_array_equal(batch.values[i], row.values[0])
         assert batch.baseline == row.baseline
+
+
+def _chained_model(p):
+    def fn(X):
+        # only elementwise products and sums, so the bits do not depend on a BLAS or SIMD path
+        out = X[:, 0].copy()
+        for j in range(1, p):
+            out = out * (1.0 + 0.25 * X[:, j]) + X[:, j]
+        return out
+
+    return ModelFunction(p, fn)
+
+
+def test_exact_oracle_bits_are_frozen_for_p_up_to_10(monkeypatch):
+    # the instances as their own background (the mirrored pass), a separate
+    # background, and the instances again in chunks of 5 rows (the general pass)
+    digest = hashlib.sha256()
+    for p in range(1, 11):
+        rng = np.random.default_rng(p)
+        model = _chained_model(p)
+        X = rng.uniform(-1, 1, (12, p))
+        background = rng.uniform(-1, 1, (9, p))
+        explanations = [explain_matrix(model, X, X), explain_matrix(model, X, background)]
+        with monkeypatch.context() as patch:
+            patch.setattr(shapley, "SPLICE_BUDGET_BYTES", 5 * 12 * p * 8)
+            explanations.append(explain_matrix(model, X, X))
+        for expl in explanations:
+            digest.update(expl.values.tobytes())
+            digest.update(np.float64(expl.baseline).tobytes())
+    assert digest.hexdigest() == "3eeb6b254c7f00cbd2017937ad9ac83b447303f995c3baafbdc4835f0c6a648b"
 
 
 # ---------------------------------------------------------------- sampling
@@ -620,6 +651,10 @@ def test_coalition_values_equal_the_np_mean_reference(rng, m, mirrored):
 # ---------------------------------------------------------------- spare splice block
 
 
+def _large_traces(size):
+    return [trace for trace in tracemalloc.take_snapshot().traces if trace.size >= size]
+
+
 def test_a_second_call_of_the_same_shape_allocates_no_block(rng, monkeypatch):
     monkeypatch.setattr(shapley, "_spare_block", {})
     f = ModelFunction(4, lambda X: X[:, 0] * X[:, 1] + X[:, 3])
@@ -627,12 +662,21 @@ def test_a_second_call_of_the_same_shape_allocates_no_block(rng, monkeypatch):
     X = rng.uniform(-1, 1, (50, 4))
     background = rng.uniform(-1, 1, (60, 4))
     block_bytes = 50 * 60 * 4 * 8
-    first, fresh = _peak_bytes(lambda: explain_product(f, g, X, background))
-    second, reused = _peak_bytes(lambda: explain_product(f, g, X, background))
-    # the only allocation the first call makes and the second does not is the block
-    assert fresh - reused >= block_bytes
+    # enough frames that a trace's traceback names the line of this test that allocated it
+    tracemalloc.start(16)
+    try:
+        first = explain_product(f, g, X, background)
+        block = shapley._spare_block[(50, 60, 4)]
+        after_first = _large_traces(block_bytes)
+        second = explain_product(f, g, X, background)
+        after_second = _large_traces(block_bytes)
+    finally:
+        tracemalloc.stop()
+    # the block is the one live allocation of its size, and the second call reuses it
+    assert len(after_first) == 1 and after_first[0].size == block_bytes
+    assert after_second == after_first
+    assert shapley._spare_block[(50, 60, 4)] is block
     _assert_bit_equal(second, first)
-    assert list(shapley._spare_block) == [(50, 60, 4)]
 
 
 def test_a_call_of_another_shape_leaves_one_spare(rng, monkeypatch):
@@ -711,8 +755,8 @@ def test_a_model_that_explains_inside_the_walk_gets_the_plain_values(rng, monkey
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("p", [1, 3, 6])
-def test_cached_weight_plan_is_read_only_and_matches_a_rebuild(rng, p):
+@pytest.mark.parametrize("p", [1, 3, 6, 12, 16])
+def test_attributions_equal_the_per_feature_index_reference(rng, p):
     values = rng.uniform(-1, 1, (1 << p, 4))
     weights_by_size = _shapley_weights(p)
     masks = np.arange(1 << p)
@@ -722,11 +766,23 @@ def test_cached_weight_plan_is_read_only_and_matches_a_rebuild(rng, p):
         w = weights_by_size[np.bitwise_count(without)]
         want[:, j] = w @ (values[without | (1 << j)] - values[without])
     assert np.array_equal(shapley._attributions_from_values(values, p), want)
-    for entry in shapley._weight_plan(p):
-        for array in entry:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0
+
+
+def test_the_reduction_holds_one_half_cube_and_keeps_nothing(rng):
+    values = rng.uniform(-1, 1, (1 << 16, 200))
+    _, peak = _peak_bytes(lambda: shapley._attributions_from_values(values, 16))
+    del values
+    assert peak < (1 << 15) * 200 * 8 + (1 << 20)
+    # no per-p state outlives a call, whichever sizes came before
+    small = [rng.uniform(-1, 1, (1 << p, 50)) for p in range(1, 13)]
+    tracemalloc.start()
+    try:
+        for p, values in enumerate(small, start=1):
+            shapley._attributions_from_values(values, p)
+        resident = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert resident < 16 << 10
 
 
 # ---------------------------------------------------------------- validator

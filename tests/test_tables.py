@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import tracemalloc
 
@@ -208,6 +209,11 @@ def test_bad_metadata(tmp_path):
 
     side.write_text(json.dumps({"baseline": 0.0, "prediction_column": "nope"}))
     with pytest.raises(TableFormatError, match="nope"):
+        read_shap_table(path)
+
+    # the prediction column is the table's only column: no feature is left
+    side.write_text(json.dumps({"baseline": 0.0, "prediction_column": "a"}))
+    with pytest.raises(TableFormatError, match=re.escape(f"{path}: no feature columns")):
         read_shap_table(path)
 
     side.write_text("{not json")
