@@ -5,7 +5,7 @@ JSON config file; precedence is flag > environment > config > default, and
 the fully-resolved configuration of each run is echoed into the output
 directory so the run can be reproduced by feeding that file back through
 ``--config``.  Exit codes: 0 success, 2 usage or config error, 3 data or
-validation error.
+validation error or out of memory.
 """
 
 from __future__ import annotations
@@ -16,17 +16,14 @@ import os
 import platform
 import sys
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
 from .combine import AlphaMethod, combine, mean_product_baseline
-from .errors import (
-    DimensionError,
-    InvalidInputError,
-    MshapError,
-)
+from .errors import DimensionError, InvalidInputError, MshapError
 from .scoring import ScoreParams, score_matrices
 from .simulation import (
     CovariateSpec,
@@ -66,7 +63,9 @@ class UsageError(Exception):
 
 
 def _as_str(v) -> str:
-    return str(v)
+    if not isinstance(v, str):
+        raise UsageError(f"expected a string, got {v!r}")
+    return v
 
 
 def _as_float(v) -> float:
@@ -126,8 +125,14 @@ def _as_list(v, parse) -> list:
     return [parse(x) for x in items]
 
 
-def _as_positive_int_list(v) -> list[int]:
-    return _as_list(v, _as_positive_int)
+_as_positive_int_list = partial(_as_list, parse=_as_positive_int)
+
+
+def _as_covariates(v) -> CovariateSpec:
+    try:
+        return CovariateSpec(tuple((_as_float(lo), _as_float(hi)) for lo, hi in v))
+    except (TypeError, ValueError):
+        raise UsageError(f"expected a list of [lo, hi] pairs, got {v!r}") from None
 
 
 @dataclass(frozen=True)
@@ -180,8 +185,24 @@ OPTIONS: dict[str, list[Option]] = {
     ],
 }
 
-_GRID_KEYS = {"y1", "y2", "theta1", "theta2", "n", "background_size", "covariates"}
-_SCENARIO_KEYS = {"y1", "y2", "theta1", "theta2", "n", "background_size", "covariates", "seed"}
+# the keys of one ``scenarios`` cell are ScenarioSpec's fields, and those of a
+# ``grid`` are default_grid's parameters, so each default lives in the library
+_CELL = [
+    Option("y1", _as_str, required=True),
+    Option("y2", _as_str, required=True),
+    Option("theta1", _as_float, required=True),
+    Option("theta2", _as_float, required=True),
+    Option("n", _as_int),
+    Option("background_size", _as_int),
+    Option("covariates", _as_covariates),
+    Option("seed", _as_seed),
+]
+# a grid takes every cell key but the seed, with each required key as a list axis
+_GRID = [
+    Option(opt.name, partial(_as_list, parse=opt.parse)) if opt.required else opt
+    for opt in _CELL
+    if opt.name != "seed"
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,65 +342,35 @@ def cmd_score(resolved: dict) -> int:
     return 0
 
 
-def _covariates_from_config(raw) -> CovariateSpec:
-    if raw is None:
-        return CovariateSpec()
-    try:
-        return CovariateSpec(tuple((_as_float(lo), _as_float(hi)) for lo, hi in raw))
-    except (TypeError, ValueError):
-        raise UsageError(f"covariates must be a list of [lo, hi] pairs, got {raw!r}") from None
+def _fields(where: str, obj, options: list[Option]) -> dict:
+    """The keys of ``obj`` parsed by ``options``; a null is an absent key."""
+    if not isinstance(obj, dict):
+        raise UsageError(f"{where} must be an object")
+    unknown = set(obj) - {opt.name for opt in options}
+    if unknown:
+        raise UsageError(f"{where}: unknown keys: {', '.join(sorted(unknown))}")
+    fields = {}
+    for opt in options:
+        if obj.get(opt.name) is not None:
+            try:
+                fields[opt.name] = opt.parse(obj[opt.name])
+            except UsageError as exc:
+                raise UsageError(f"{where}: {opt.name}: {exc}") from None
+        elif opt.required:
+            raise UsageError(f"{where}: missing key {opt.name!r}")
+    return fields
 
 
 def _specs_from_config(resolved: dict) -> list[ScenarioSpec]:
-    grid = resolved.get("grid")
-    scenarios = resolved.get("scenarios")
+    grid, scenarios, seed = resolved["grid"], resolved["scenarios"], resolved["seed"]
     if grid is not None and scenarios is not None:
         raise UsageError("config may set 'grid' or 'scenarios', not both")
-    if scenarios is not None:
-        if not isinstance(scenarios, list) or not scenarios:
-            raise UsageError("'scenarios' must be a nonempty list of scenario objects")
-        specs = []
-        for i, cell in enumerate(scenarios):
-            if not isinstance(cell, dict):
-                raise UsageError(f"scenario {i} must be an object")
-            unknown = set(cell) - _SCENARIO_KEYS
-            if unknown:
-                raise UsageError(f"scenario {i}: unknown keys: {', '.join(sorted(unknown))}")
-            try:
-                specs.append(
-                    ScenarioSpec(
-                        y1=cell["y1"],
-                        y2=cell["y2"],
-                        theta1=_as_float(cell["theta1"]),
-                        theta2=_as_float(cell["theta2"]),
-                        n=_as_int(cell.get("n", 100)),
-                        covariates=_covariates_from_config(cell.get("covariates")),
-                        seed=_as_seed(cell.get("seed", resolved["seed"])),
-                        background_size=_as_int(cell.get("background_size", 100)),
-                    )
-                )
-            except KeyError as exc:
-                raise UsageError(f"scenario {i}: missing key {exc}") from None
-        return specs
-    kwargs: dict[str, Any] = {"grid_seed": resolved["seed"]}
-    if grid is not None:
-        if not isinstance(grid, dict):
-            raise UsageError("'grid' must be an object")
-        unknown = set(grid) - _GRID_KEYS
-        if unknown:
-            raise UsageError(f"grid: unknown keys: {', '.join(sorted(unknown))}")
-        axes = (("y1", "y1_ids", _as_str), ("y2", "y2_ids", _as_str),
-                ("theta1", "theta1_values", _as_float), ("theta2", "theta2_values", _as_float))
-        for key, kwarg, parse in axes:
-            if key in grid:
-                kwargs[kwarg] = tuple(_as_list(grid[key], parse))
-        if "n" in grid:
-            kwargs["n"] = _as_int(grid["n"])
-        if "background_size" in grid:
-            kwargs["background_size"] = _as_int(grid["background_size"])
-        if "covariates" in grid:
-            kwargs["covariates"] = _covariates_from_config(grid["covariates"])
-    return default_grid(**kwargs)
+    if scenarios is None:
+        return default_grid(grid_seed=seed, **_fields("grid", {} if grid is None else grid, _GRID))
+    if not isinstance(scenarios, list) or not scenarios:
+        raise UsageError("'scenarios' must be a nonempty list of scenario objects")
+    cells = (_fields(f"scenario {i}", cell, _CELL) for i, cell in enumerate(scenarios))
+    return [ScenarioSpec(**{"seed": seed, **fields}) for fields in cells]
 
 
 def cmd_simulate(resolved: dict) -> int:
@@ -467,8 +458,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MshapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (MshapError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

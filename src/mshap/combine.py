@@ -83,6 +83,8 @@ def mean_product_baseline(preds_f: np.ndarray, preds_g: np.ndarray) -> float:
     g = np.asarray(preds_g, dtype=float).reshape(-1)
     if f.shape != g.shape:
         raise DimensionError(f"prediction vectors differ in length: {f.shape[0]} vs {g.shape[0]}")
+    if not f.size:
+        raise DimensionError("prediction vectors are empty")
     with np.errstate(all="ignore"):  # a non-finite mu_h is rejected by combine
         return float((f * g).mean())
 

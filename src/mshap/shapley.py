@@ -29,8 +29,8 @@ from .errors import DimensionError, EnumerationLimitError, InvalidInputError
 # The most features exact enumeration accepts (2**16 coalitions); read at each call.
 ENUM_LIMIT = 16
 # Byte budget of one chunk: its (rows, m, p) float64 splice block, plus the
-# sampler's walked coalition values for those rows.  Instances are cut into
-# such chunks, so a large n never materialises the whole (n, m, p) tensor.
+# coalition values either estimator walks for those rows.  Instances are cut
+# into such chunks, so a large n never materialises the whole (n, m, p) tensor.
 SPLICE_BUDGET_BYTES = 64 << 20
 # The last walk's splice block, keyed by its (c, m, p) shape, kept for the next
 # walk of that shape: a grid of small cells would otherwise allocate and fault
@@ -71,10 +71,6 @@ class ModelFunction:
         return out
 
 
-def constant_model(arity: int, value: float) -> ModelFunction:
-    return ModelFunction(arity, lambda X: np.full(X.shape[0], float(value)))
-
-
 def additive_model(coefs: Sequence[float], intercept: float = 0.0) -> ModelFunction:
     c = np.asarray(coefs, dtype=float)
     return ModelFunction(len(c), lambda X: X @ c + intercept)
@@ -95,6 +91,8 @@ def _as_background(background, arity: int) -> np.ndarray:
         raise DimensionError(
             f"background has {data.shape[1]} columns but the model arity is {arity}"
         )
+    if not np.isfinite(data).all():
+        raise InvalidInputError("background holds a non-finite value")
     return data
 
 
@@ -113,6 +111,12 @@ def _first_repeat(names) -> str | None:
             return name
         seen.add(name)
     return None
+
+
+def _check_unique(names) -> None:
+    repeated = _first_repeat(names)
+    if repeated is not None:
+        raise DimensionError(f"feature name {repeated!r} appears more than once")
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,9 +148,7 @@ class ShapExplanation:
                 raise DimensionError(
                     f"{len(names)} feature names for {values.shape[1]} columns"
                 )
-            repeated = _first_repeat(names)
-            if repeated is not None:
-                raise DimensionError(f"feature name {repeated!r} appears more than once")
+            _check_unique(names)
             object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "predictions", preds)
@@ -281,29 +283,36 @@ def _coalition_values(
     per explained model, so several models share each spliced block;
     ``predictions`` is ``evaluate(X)``.
     Coalitions are walked in Gray-code order so each step re-splices a single
-    feature column, over instance chunks whose block fits SPLICE_BUDGET_BYTES.
-    When X is bit for bit its own background and fits one chunk, the
-    predictions are the background's outputs and the block of coalition S is
-    the transpose of the block of its complement, so only the coalitions
-    without the last feature are spliced; a complement's value averages the
-    same model outputs in the same order, so it is bit-identical.
+    feature column, over instance chunks whose block and walked values fit
+    SPLICE_BUDGET_BYTES.  When X is bit for bit its own background and fits
+    one chunk, the predictions are the background's outputs and the block of
+    coalition S is the transpose of the block of its complement, so only the
+    coalitions without the last feature are spliced; a complement's value
+    averages the same model outputs in the same order, so it is bit-identical.
     """
     n, p = X.shape
     m = background.shape[0]
-    step = _splice_chunk(m, p)
+    k = len(predictions)
     full = (1 << p) - 1
-    mirrored = X.shape == background.shape and n <= step and X.tobytes() == background.tobytes()
+    # a chunk's walk holds (1 + mirrored) * k * len(masks) values per row beside
+    # its block, which is k * (2**p - 2) when mirrored
+    mirrored = (
+        X.shape == background.shape
+        and n <= _splice_chunk(m, p, k * (full - 1))
+        and X.tobytes() == background.tobytes()
+    )
+    t = np.arange(1, 1 << (p - mirrored))
+    masks = t ^ (t >> 1)  # the Gray code: each mask differs from the one before in one bit
+    step = _splice_chunk(m, p, (1 + mirrored) * k * len(masks))
     base = predictions if mirrored else evaluate(background)
-    values = np.empty((len(base), 1 << p, n))
+    values = np.empty((k, 1 << p, n))
     values[:, 0] = np.array([np.add.reduce(out) / m for out in base])[:, None]
     if mirrored:
         # the full coalition's block is m copies of each x_i
-        for k, out in enumerate(predictions):
-            values[k, full] = np.add.reduce(np.broadcast_to(out[:, None], (n, m)), axis=1) / m
-    t = np.arange(1, 1 << (p - mirrored))
-    masks = t ^ (t >> 1)  # the Gray code: each mask differs from the one before in one bit
+        for i, out in enumerate(predictions):
+            values[i, full] = np.add.reduce(np.broadcast_to(out[:, None], (n, m)), axis=1) / m
     for lo in range(0, n, step):
-        walked = _splice_walk(evaluate, X[lo : lo + step], background, masks, len(base), mirrored)
+        walked = _splice_walk(evaluate, X[lo : lo + step], background, masks, k, mirrored)
         values[:, masks, lo : lo + step] = walked[0]
         if mirrored:
             values[:, full ^ masks] = walked[1]
@@ -335,6 +344,8 @@ def _instances(X, arity: int) -> np.ndarray:
         raise DimensionError(f"need at least one instance row, got shape {X.shape}")
     if p != arity:
         raise DimensionError(f"instances have {p} features but the model arity is {arity}")
+    if not np.isfinite(X).all():
+        raise InvalidInputError("instances hold a non-finite value")
     return X
 
 

@@ -16,6 +16,7 @@ quadratic in p per row, which is the whole point of composing.
 
 from __future__ import annotations
 
+import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -341,39 +342,34 @@ def default_grid(
     grid_seed: int = 0,
     n: int = 100,
     background_size: int = 100,
-    theta1_values: Sequence[float] = DESK_THETA1_GRID,
-    theta2_values: Sequence[float] = DESK_THETA2_GRID,
+    theta1: Sequence[float] = DESK_THETA1_GRID,
+    theta2: Sequence[float] = DESK_THETA2_GRID,
     covariates: CovariateSpec | None = None,
-    y1_ids: Sequence[str] = Y1_IDS,
-    y2_ids: Sequence[str] = Y2_IDS,
+    y1: Sequence[str] = Y1_IDS,
+    y2: Sequence[str] = Y2_IDS,
 ) -> list[ScenarioSpec]:
     """Cartesian grid over response pairs and theta values, one seed per cell.
 
     The defaults are the desk-scale sweep: every response pair crossed with
-    the endpoints and midpoint of each theta range.
+    the endpoints and midpoint of each theta range.  Cells are numbered with
+    the last axis fastest (y1, y2, theta1, theta2), and cell i's seed is
+    ``derive_seed(grid_seed, i)``.
     """
     _check_integers(("grid_seed", grid_seed, 0))
     covariates = covariates if covariates is not None else CovariateSpec()
-    specs = []
-    index = 0
-    for y1 in y1_ids:
-        for y2 in y2_ids:
-            for theta1 in theta1_values:
-                for theta2 in theta2_values:
-                    specs.append(
-                        ScenarioSpec(
-                            y1=y1,
-                            y2=y2,
-                            theta1=float(theta1),
-                            theta2=float(theta2),
-                            n=n,
-                            covariates=covariates,
-                            seed=derive_seed(grid_seed, index),
-                            background_size=background_size,
-                        )
-                    )
-                    index += 1
-    return specs
+    return [
+        ScenarioSpec(
+            y1=a,
+            y2=b,
+            theta1=float(t1),
+            theta2=float(t2),
+            n=n,
+            covariates=covariates,
+            seed=derive_seed(grid_seed, index),
+            background_size=background_size,
+        )
+        for index, (a, b, t1, t2) in enumerate(itertools.product(y1, y2, theta1, theta2))
+    ]
 
 
 def grid_table(results: Sequence[ScenarioResult]) -> list[dict]:

@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, TableFormatError
-from .shapley import ShapExplanation, _first_repeat
+from .errors import DimensionError, InvalidInputError, TableFormatError
+from .shapley import ShapExplanation, _check_unique, _first_repeat
 
 
 _BLOCK_CELLS = 1 << 14
@@ -249,9 +249,15 @@ def read_value_table(path) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def write_value_table(path, feature_names, values) -> None:
+    """Write a headed table that ``read_value_table`` reads back, or raise before any file exists."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
+    if values.ndim != 2 or 0 in values.shape:
+        raise DimensionError(f"value table must be (n>=1, p>=1), got {values.shape}")
     if values.shape[1] != len(feature_names):
         raise DimensionError(f"{len(feature_names)} names for {values.shape[1]} columns")
+    _check_unique(feature_names)
+    if not np.isfinite(values).all():
+        raise InvalidInputError("value table holds a non-finite value")
     write_csv(path, feature_names, values.T)
 
 

@@ -5,7 +5,14 @@ conftest.py of its own, so ``from conftest import ...`` is ambiguous when
 both directories are collected.
 """
 
-from mshap import ShapExplanation
+import numpy as np
+
+from mshap import ModelFunction, ShapExplanation
+
+
+def constant_model(arity, value):
+    """A model that predicts ``value`` for every row."""
+    return ModelFunction(arity, lambda X: np.full(X.shape[0], float(value)))
 
 
 def make_parts(rng, n, p, scale=1e3, names=None):

@@ -85,6 +85,7 @@ PARAMETERS = {
     mshap.sampling_explain_matrix: ["model", "X", "background", "n_permutations", "seed"],
     mshap.bench_scaling: ["p_values", "n_values", "background_size", "seed", "n_permutations",
                           "repetitions"],
+    mshap.default_grid: ["grid_seed", "n", "background_size", "theta1", "theta2", "covariates", "y1", "y2"],
     mshap.explanation_to_table: ["expl", "extra_meta"],
     mshap.score_matrices: ["candidate", "reference", "params"],
 }

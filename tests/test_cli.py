@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -534,6 +536,25 @@ def test_failed_bench_leaves_no_out_dir(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "error",
+    [MemoryError("Unable to allocate 48.8 GiB for an array with shape (3, 65536, 100000)"), MemoryError()],
+    ids=["numpy", "bare"],
+)
+def test_out_of_memory_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch, error):
+    from mshap import cli
+
+    def exhausted(**kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "bench_scaling", exhausted)
+    out = tmp_path / "o"
+    assert main(["bench", "--p-values", "16", "--n-values", "100000", "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {str(error) or 'out of memory'}\n"
+    assert not out.exists()
+
+
 def test_missing_required_flag_is_usage_error(tmp_path):
     assert main(["combine", "--g-shap", "g.csv", "--out-dir", str(tmp_path)]) == 2
 
@@ -644,25 +665,90 @@ def test_every_output_file_is_written_through_the_tables_module(tmp_path, rng, m
     assert files == set(written)
 
 
+_SMALL_CELL = {"y1": "Y1A", "y2": "Y2C", "theta1": 1.5, "theta2": 1.0, "n": 20, "background_size": 10}
+_SMALL_GRID = {"y1": ["Y1A"], "y2": ["Y2C"], "theta1": [1.5], "theta2": [1.0], "n": 20, "background_size": 10}
+
+
 @pytest.mark.parametrize(
-    "config",
+    "config, message",
     [
-        {"scenarios": [{"y1": "Y1A", "y2": "Y2A", "theta1": 1.5, "theta2": 1.0, "n": "abc"}]},
-        {"scenarios": [{"y1": "Y1A", "y2": "Y2A", "theta1": "abc", "theta2": 1.0}]},
-        {"scenarios": [{"y1": "Y1A", "y2": "Y2A", "theta1": 1.5, "theta2": 1.0, "seed": -1}]},
-        {"grid": {"theta1": "abc"}},
-        {"grid": {"y1": 5}},
-        {"grid": {"n": [20]}},
+        ({"scenarios": [{"y1": "Y1A", "y2": "Y2A", "theta1": 1.5, "theta2": 1.0, "n": "abc"}]},
+         "scenario 0: n: expected an integer, got 'abc'"),
+        ({"scenarios": [{"y1": "Y1A", "y2": "Y2A", "theta1": "abc", "theta2": 1.0}]},
+         "scenario 0: theta1: expected a number, got 'abc'"),
+        ({"scenarios": [{"y1": "Y1A", "y2": "Y2A", "theta1": 1.5, "theta2": 1.0, "seed": -1}]},
+         "scenario 0: seed: expected an integer >= 0, got -1"),
+        ({"grid": {"theta1": "abc"}}, "grid: theta1: expected a number, got 'abc'"),
+        ({"grid": {"y1": 5}}, "grid: y1: expected a list of at least one value, got 5"),
+        ({"grid": {"n": [20]}}, "grid: n: expected an integer, got [20]"),
+        ({"scenarios": [{**_SMALL_CELL, "y1": ["Y1A"]}]}, "scenario 0: y1: expected a string, got ['Y1A']"),
+        ({"scenarios": [{**_SMALL_CELL, "y2": 5}]}, "scenario 0: y2: expected a string, got 5"),
+        ({"scenarios": [{**_SMALL_CELL, "y1": None}]}, "scenario 0: missing key 'y1'"),
+        ({"scenarios": [_SMALL_CELL, {**_SMALL_CELL, "theta2": None}]}, "scenario 1: missing key 'theta2'"),
+        ({"grid": {**_SMALL_GRID, "y1": [["Y1A"]]}}, "grid: y1: expected a string, got ['Y1A']"),
+        ({"grid": {**_SMALL_GRID, "seed": 3}}, "grid: unknown keys: seed"),
+        ({"grid": []}, "grid must be an object"),
     ],
-    ids=["scenario-n", "scenario-theta1", "scenario-seed", "grid-theta1", "grid-y1", "grid-n"],
+    ids=["scenario-n", "scenario-theta1", "scenario-seed", "grid-theta1", "grid-y1", "grid-n",
+         "scenario-list-id", "scenario-number-id", "scenario-null-id", "second-scenario-null-theta2",
+         "grid-nested-id", "grid-seed", "grid-not-object"],
 )
-def test_simulate_malformed_config_is_usage_error(tmp_path, capsys, config):
+def test_simulate_malformed_config_is_usage_error(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_simulate_config_keys_are_the_library_names():
+    # a cell is ScenarioSpec(**fields) and a grid is default_grid(grid_seed=seed, **fields)
+    from mshap import ScenarioSpec, default_grid
+    from mshap.cli import _CELL, _GRID
+
+    spec_fields = dataclasses.fields(ScenarioSpec)
+    assert {opt.name for opt in _CELL} == {f.name for f in spec_fields}
+    no_default = {f.name for f in spec_fields if f.default is f.default_factory is dataclasses.MISSING}
+    assert {opt.name for opt in _CELL if opt.required} == no_default
+    assert {opt.name for opt in _GRID} == set(inspect.signature(default_grid).parameters) - {"grid_seed"}
+    assert not any(opt.required for opt in _GRID)
+
+
+def _simulate_bytes(tmp_path, config, name):
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / name
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    return (out / "results.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [("scenarios", "n"), ("scenarios", "background_size"), ("scenarios", "seed"), ("scenarios", "covariates"),
+     ("grid", "n"), ("grid", "y1"), ("grid", "theta2"), ("grid", "covariates")],
+)
+def test_simulate_null_is_an_absent_key(tmp_path, section, key):
+    # the library default applies: n = 100 and background_size = 100 go together
+    base = dict(_SMALL_CELL if section == "scenarios" else _SMALL_GRID, seed=4)
+    if section == "grid":
+        del base["seed"]
+    if key in ("n", "background_size"):
+        del base["n"], base["background_size"]
+    with_null, without = {**base, key: None}, {k: v for k, v in base.items() if k != key}
+
+    def config(fields):
+        return {"scenarios": [fields]} if section == "scenarios" else {"grid": fields}
+
+    assert _simulate_bytes(tmp_path, config(with_null), "null") == _simulate_bytes(tmp_path, config(without), "absent")
+
+
+def test_a_path_in_a_config_must_be_a_string(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"candidate": 5, "reference": "r.csv", "out_dir": str(tmp_path / "o")}))
+    assert main(["score", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: expected a string, got 5\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_grid_string_is_a_list_not_characters(tmp_path):

@@ -432,6 +432,12 @@ def test_mean_product_baseline_examples():
         mean_product_baseline([1.0], [1.0, 2.0])
 
 
+def test_mean_product_baseline_of_empty_vectors_is_a_dimension_error():
+    # the mean of no products used to leak "Mean of empty slice" and return NaN
+    with pytest.raises(DimensionError, match="prediction vectors are empty"):
+        mean_product_baseline([], [])
+
+
 def test_mean_product_baseline_matches_product_model(rng):
     f = ModelFunction(3, lambda X: X[:, 0] + X[:, 1])
     g = ModelFunction(3, lambda X: X[:, 2] ** 2 + 1)

@@ -22,8 +22,9 @@ from mshap import (
     validate_local_accuracy,
 )
 from mshap import shapley
-from mshap.shapley import _shapley_weights, constant_model, explain_product
+from mshap.shapley import _shapley_weights, explain_product
 from mshap.simulation import Y1_IDS, Y2_IDS, sample_scenario_rows, scenario_model
+from parts import constant_model
 
 
 def additive_closed_form(coefs, instance, background):
@@ -68,6 +69,31 @@ def test_baseline_arity_mismatch():
 def test_background_set_rejects_empty():
     with pytest.raises(DimensionError):
         baseline(constant_model(3, 1.0), np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize(
+    "entry, where",
+    [("baseline", "background")]
+    + [(entry, where) for entry in ("explain_matrix", "explain_product", "sampling_explain_matrix")
+       for where in ("instances", "background")],
+)
+def test_a_non_finite_cell_is_rejected_before_any_model_call(entry, where, bad):
+    # a non-finite cell used to come back as NaN attributions with a leaked RuntimeWarning
+    calls = []
+    model = ModelFunction(2, lambda X: calls.append(len(X)) or X[:, 0] - X[:, 1])
+    X = np.array([[1.0, 2.0], [0.5, -1.0]])
+    background = np.array([[0.0, 1.0], [2.0, 3.0], [1.0, 1.0]])
+    (X if where == "instances" else background)[1, 0] = bad
+    run = {
+        "baseline": lambda: baseline(model, background),
+        "explain_matrix": lambda: explain_matrix(model, X, background),
+        "explain_product": lambda: explain_product(model, model, X, background),
+        "sampling_explain_matrix": lambda: sampling_explain_matrix(model, X, background, 4, 0),
+    }[entry]
+    with pytest.raises(InvalidInputError, match=f"{where} hold.* a non-finite value"):
+        run()
+    assert calls == []
 
 
 def test_explanation_values_must_be_a_matrix():
@@ -468,16 +494,25 @@ def test_sampler_chunk_counts_its_walked_values(rng, monkeypatch):
     model = ModelFunction(10, lambda X: X[:, 0] * X[:, 1] + np.sin(X[:, 2:]).sum(axis=1))
     X = rng.uniform(-1, 1, (300, 10))
     background = rng.uniform(-1, 1, (5, 10))
+    wide = rng.uniform(-1, 1, (1000, 10))
 
     def call():
         return sampling_explain_matrix(model, X, background, n_permutations=300, seed=2)
 
-    whole = call()
+    def exact():
+        return explain_matrix(model, wide, background)
+
+    whole, whole_exact = call(), exact()
     monkeypatch.setattr(shapley, "SPLICE_BUDGET_BYTES", budget)
     chunked, peak = _peak_bytes(call)
     assert peak < budget + (1 << 20)
     assert chunked.values.tobytes() == whole.values.tobytes()
     assert chunked.stderr.tobytes() == whole.stderr.tobytes()
+    # the exact pass walks all 1,023 coalitions: its chunks count those values
+    # too, so only the (2**p, n) value stack (8.2 MB) stands beside the budget
+    chunked, peak = _peak_bytes(exact)
+    assert peak < 1.5 * (1 << 10) * len(wide) * 8 + budget + (1 << 20)
+    assert chunked.values.tobytes() == whole_exact.values.tobytes()
 
 
 # ---------------------------------------------------------------- splice budget

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from mshap import (
     DimensionError,
+    InvalidInputError,
     ShapExplanation,
     ShapTable,
     TableFormatError,
@@ -420,18 +421,41 @@ def test_block_boundaries_round_trip_byte_for_byte(tmp_path, rng, columns, block
     values.flat[: len(NASTY)] = NASTY[: values.size]
     names = tuple(f"c{j}" for j in range(columns))
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    if n == 0:
+        # the reader rejects a header without rows, so the writer refuses one
+        assert render_csv(names, list(values.T)) == _fmt17_reference(names, values)
+        with pytest.raises(DimensionError, match="must be"):
+            write_value_table(first, names, values)
+        assert not first.exists()
+        return
     write_value_table(first, names, values)
     text = first.read_bytes().decode()
     assert text == _fmt17_reference(names, values)
     assert text == render_csv(names, list(values.T))
-    if n == 0:
-        with pytest.raises(TableFormatError, match="no data rows"):
-            read_value_table(first)
-        return
     back_names, back = read_value_table(first)
     assert back_names == names and back.tobytes() == values.tobytes()
     write_value_table(second, back_names, back)
     assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "names, values, error, message",
+    [
+        (("a", "a"), np.ones((2, 2)), DimensionError, "feature name 'a' appears more than once"),
+        (("a", "b", "a"), np.ones((1, 3)), DimensionError, "feature name 'a' appears more than once"),
+        ((), np.ones((2, 0)), DimensionError, r"value table must be \(n>=1, p>=1\), got \(2, 0\)"),
+        (("a", "b"), np.ones((0, 2)), DimensionError, r"value table must be \(n>=1, p>=1\), got \(0, 2\)"),
+        (("a", "b"), [[1.0, np.inf]], InvalidInputError, "non-finite value"),
+        (("a", "b"), [[np.nan, 1.0]], InvalidInputError, "non-finite value"),
+    ],
+    ids=["repeat", "repeat-apart", "no-columns", "no-rows", "inf", "nan"],
+)
+def test_write_value_table_refuses_what_the_reader_rejects(tmp_path, names, values, error, message):
+    # each of these used to be written, then rejected by read_value_table
+    path = tmp_path / "v.csv"
+    with pytest.raises(error, match=message):
+        write_value_table(path, names, values)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_mixed_columns_across_blocks_match_csv_writer():
