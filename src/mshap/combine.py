@@ -30,9 +30,10 @@ attribution matrices (:func:`linear_combine_explanations`).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -89,10 +90,10 @@ def mean_product_baseline(preds_f: np.ndarray, preds_g: np.ndarray) -> float:
         return float((f * g).mean())
 
 
-def _prime_rows(sx: np.ndarray, sy: np.ndarray, mu_f: float, mu_g: float) -> np.ndarray:
+def _prime_rows(sx: np.ndarray, sy: np.ndarray, mu_f: np.ndarray, mu_g: np.ndarray) -> np.ndarray:
     # factored form of the cross-term split: 0.5 * (sx_j * sum(sy) + sy_j * sum(sx))
-    row_sx = sx.sum(axis=1, keepdims=True)
-    row_sy = sy.sum(axis=1, keepdims=True)
+    row_sx = sx.sum(axis=-1, keepdims=True)
+    row_sy = sy.sum(axis=-1, keepdims=True)
     return mu_f * sy + mu_g * sx + 0.5 * (sx * row_sy + sy * row_sx)
 
 
@@ -107,11 +108,11 @@ _MASS = {
 
 def _distribute_rows(
     s_prime: np.ndarray,
-    alpha: float,
+    alpha: float | np.ndarray,
     method: AlphaMethod,
     z_hat: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the alpha weighting row-wise; returns (s_z, fallback mask)."""
+    """Apply the alpha weighting row-wise to (n, p) or (C, n, p) s'; returns (s_z, fallback mask)."""
     if method not in _MASS:
         raise InvalidInputError(f"unknown alpha method: {method!r}")
     mass = _MASS[method](s_prime)
@@ -119,20 +120,24 @@ def _distribute_rows(
     # summing s' itself keeps sum(w) = 1 to rounding, where dividing by the
     # independently-computed z_hat - mu_f*mu_g would amplify their float
     # discrepancy by alpha/total near degeneracy
-    total = mass.sum(axis=1)
+    total = mass.sum(axis=-1)
     scale = np.maximum(1.0, np.abs(z_hat)) if method is AlphaMethod.RAW else 1.0
     fallback = np.abs(total) < RAW_DEGENERACY_TOL * scale
     if method is AlphaMethod.RAW:
         # |alpha| * max|s'| / |total| is the corrected-entry magnitude; written
         # multiplication-only so a zero total needs no special case
         fallback |= (
-            np.abs(alpha) * np.abs(s_prime).max(axis=1)
+            (np.abs(alpha) * np.abs(s_prime).max(axis=-1, keepdims=True))[..., 0]
             > RAW_AMPLIFICATION_LIMIT * scale * np.abs(total)
         )
     weights = np.where(
-        fallback[:, None], 1.0 / s_prime.shape[1], mass / np.where(fallback, 1.0, total)[:, None]
+        fallback[..., None], 1.0 / s_prime.shape[-1], mass / np.where(fallback, 1.0, total)[..., None]
     )
     return s_prime + alpha * weights, fallback
+
+
+# the arrays of C part explanations, (C, n, p), (C,) and (C, n), as validate_local_accuracy reads them
+_PartStack = namedtuple("_PartStack", "values baseline predictions")
 
 
 def _check_alignment(expl_f: ShapExplanation, expl_g: ShapExplanation) -> tuple[str, ...] | None:
@@ -152,40 +157,48 @@ def _check_alignment(expl_f: ShapExplanation, expl_g: ShapExplanation) -> tuple[
 
 
 def _combine_rules(
-    expl_f: ShapExplanation,
-    expl_g: ShapExplanation,
-    mu_h: float,
-    methods: Sequence[AlphaMethod],
-) -> tuple[np.ndarray, tuple[np.ndarray, ...], float, np.ndarray, tuple[str, ...] | None]:
-    """The combined values under each of r ``methods``, from one check of the parts.
+    parts_f: Sequence[ShapExplanation],
+    parts_g: Sequence[ShapExplanation],
+    mu_h: Sequence[float],
+    methods: Iterable[AlphaMethod],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
+    """Cell c composes the aligned ``parts_f[c]`` and ``parts_g[c]`` (one shape for all
+    cells) with the finite ``mu_h[c]`` under each of r ``methods``, all in one pass.
 
-    Returns the (r, n, p) stack of values, the r fallback row masks, alpha,
-    z_hat and the feature names; :func:`combine` is the one-rule case.
+    Returns the (C, r, n, p) values, the (C, r, n) fallback row masks, the C
+    alphas, the (C, n) z_hat and per cell its error: None, or the
+    ``InvalidInputError`` of its first failed check (part f's local accuracy,
+    part g's, overflow).  Every reduction runs along a cell's own rows, so no
+    cell changes another's bits; :func:`combine` is the one-cell, one-rule case.
     """
-    mu_h = float(mu_h)
-    if not np.isfinite(mu_h):
-        raise InvalidInputError(f"mu_h must be finite, got {mu_h}")
-    names = _check_alignment(expl_f, expl_g)
-    for label, expl in (("f", expl_f), ("g", expl_g)):
-        report = validate_local_accuracy(expl, INPUT_ACCURACY_TOL)
-        if not report.passed:
-            raise InvalidInputError(
-                f"part {label} fails local accuracy: worst row {report.worst_row} "
-                f"has residual {report.residuals[report.worst_row]:.3e}"
-            )
-    mu_f, mu_g = expl_f.baseline, expl_g.baseline
-    with np.errstate(all="ignore"):  # an overflow is reported below, once, as an error
-        s_prime = _prime_rows(expl_f.values, expl_g.values, mu_f, mu_g)
-        alpha = mu_f * mu_g - mu_h
-        z_hat = expl_f.predictions * expl_g.predictions
-        rules = [_distribute_rows(s_prime, alpha, method, z_hat) for method in methods]
-    stack = np.stack([s_z for s_z, _ in rules])
-    if not (np.isfinite(alpha) and np.isfinite(z_hat).all() and np.isfinite(stack).all()):
-        raise InvalidInputError(
-            f"the combined attributions are not finite (alpha={alpha}): the part "
+    stacks = [
+        _PartStack(*(np.array([getattr(e, key) for e in part]) for key in _PartStack._fields))
+        for part in (parts_f, parts_g)
+    ]
+    reports = [validate_local_accuracy(part, INPUT_ACCURACY_TOL) for part in stacks]
+    (sx, mu_f, pred_f), (sy, mu_g, pred_g) = stacks
+    with np.errstate(all="ignore"):  # an overflow is reported below, once per cell, as an error
+        s_prime = _prime_rows(sx, sy, mu_f[:, None, None], mu_g[:, None, None])
+        alpha = mu_f * mu_g - np.asarray(mu_h, dtype=float)
+        z_hat = pred_f * pred_g
+        rules = [_distribute_rows(s_prime, alpha[:, None, None], method, z_hat) for method in methods]
+    stack, fallbacks = (np.stack(part, axis=1) for part in zip(*rules))
+    finite = np.isfinite(alpha) & np.isfinite(z_hat).all(axis=1) & np.isfinite(stack).all(axis=(1, 2, 3))
+
+    def error(c: int) -> InvalidInputError | None:
+        for label, report in zip("fg", reports):
+            if not report.row_ok[c].all():
+                worst = np.abs(report.residuals[c]).argmax()
+                return InvalidInputError(
+                    f"part {label} fails local accuracy: worst row {worst} "
+                    f"has residual {report.residuals[c, worst]:.3e}"
+                )
+        return None if finite[c] else InvalidInputError(
+            f"the combined attributions are not finite (alpha={float(alpha[c])}): the part "
             "baselines, values or predictions overflow float64"
         )
-    return stack, tuple(mask for _, mask in rules), alpha, z_hat, names
+
+    return stack, fallbacks, alpha, z_hat, [error(c) for c in range(len(sx))]
 
 
 def combine(
@@ -203,15 +216,21 @@ def combine(
     default weighting is the absolute-value rule, the best scorer of the four
     in simulation.
     """
-    (s_z,), (degenerate,), alpha, z_hat, names = _combine_rules(expl_f, expl_g, mu_h, (method,))
+    mu_h = float(mu_h)
+    if not np.isfinite(mu_h):
+        raise InvalidInputError(f"mu_h must be finite, got {mu_h}")
+    names = _check_alignment(expl_f, expl_g)
+    stack, fallbacks, alpha, z_hat, (error,) = _combine_rules([expl_f], [expl_g], [mu_h], (method,))
+    if error is not None:
+        raise error
     return MshapExplanation(
-        values=s_z,
+        values=stack[0, 0],
         baseline=mu_h,
-        predictions=z_hat,
+        predictions=z_hat[0],
         feature_names=names,
-        alpha=alpha,
+        alpha=float(alpha[0]),
         method=method,
-        fallback_rows=tuple(np.flatnonzero(degenerate).tolist()),
+        fallback_rows=tuple(np.flatnonzero(fallbacks[0, 0]).tolist()),
     )
 
 

@@ -70,57 +70,63 @@ def importance_ranks(row) -> np.ndarray:
     """Ranks 1..p by descending absolute value; ties go to the lower index."""
     values = np.atleast_2d(np.asarray(row, dtype=float))
     order = np.argsort(-np.abs(values), axis=1, kind="stable")
-    ranks = np.argsort(order, axis=1) + 1  # the inverse permutation: the position of each column
+    ranks = np.empty_like(order)  # the inverse permutation: the position of each column
+    np.put_along_axis(ranks, order, np.arange(1, values.shape[1] + 1), axis=1)
     return ranks[0] if np.asarray(row).ndim == 1 else ranks
 
 
-def score_matrices(
-    candidate, reference, params: ScoreParams
-) -> ScoreBreakdown | tuple[ScoreBreakdown, ...]:
+def score_matrices(candidate, reference, params: ScoreParams | list[ScoreParams]) -> ScoreBreakdown | tuple:
     """Score every cell of candidate against reference and average.
 
     ``candidate`` is one (n, p) matrix, which gives one ``ScoreBreakdown``,
     or a stack of r matrices with shape (r, n, p), which gives a tuple of r
-    breakdowns, each scored against the one (n, p) ``reference``; the stack
-    costs one pass over its elementwise terms instead of r calls.
+    breakdowns, each scored against the one (n, p) ``reference``.  Both are
+    the one-cell case of C grid cells: a (C, r, n, p) stack against (C, n, p)
+    references, with a sequence of C ``ScoreParams``, gives C entries, each a
+    tuple of r breakdowns or, for a cell out of range, the
+    ``InvalidInputError`` it raised, so one cell cannot fail another.
     Ranks are computed row-wise on each matrix independently.  Sign agreement
     counts cells with a strictly positive product, plus cells where both
     values are exactly zero.  Means use numpy's pairwise summation, the sum
-    ``np.mean`` takes, so results are reproducible regardless of how callers
-    shard the cells or stack the candidates.
+    ``np.mean`` takes, along each matrix's own n * p terms, so results are
+    bit for bit the same however callers shard the cells or stack them.
     """
     cand = np.asarray(candidate, dtype=float)
-    ref = np.atleast_2d(np.asarray(reference, dtype=float))
-    stacked = cand.ndim == 3
-    if not stacked:
-        cand = np.atleast_2d(cand)[None]
-    if ref.ndim != 2 or cand.ndim != 3 or cand.shape[1:] != ref.shape:
+    ref = np.asarray(reference, dtype=float)
+    cells = cand.ndim == 4
+    if not cells:
+        stacked = cand.ndim == 3
+        cand, ref, params = (cand if stacked else np.atleast_2d(cand)[None])[None], np.atleast_2d(ref)[None], (params,)
+    if ref.ndim != 3 or cand.ndim != 4 or cand.shape[:1] + cand.shape[2:] != ref.shape:
         raise DimensionError(f"matrix shapes differ: {np.shape(candidate)} vs {np.shape(reference)}")
+    if isinstance(params, ScoreParams) or len(params) != len(ref):
+        raise DimensionError(f"a stack of {len(ref)} cells needs a list of {len(ref)} ScoreParams")
 
-    r, n, p = cand.shape
-    ranks_c = importance_ranks(cand.reshape(r * n, p)).reshape(cand.shape)
-    ranks_r = importance_ranks(ref)
-    l1 = _direction(cand, ref, params.theta1)
-    l2 = _relative_value(cand, ref, params.theta2)
+    c, r, n, p = cand.shape
+    ranks_c = importance_ranks(cand.reshape(-1, p)).reshape(cand.shape)
+    ranks_r = importance_ranks(ref.reshape(-1, p)).reshape(c, 1, n, p)
+    theta1, theta2 = np.array([(q.theta1, q.theta2) for q in params], dtype=float).T[:, :, None, None, None]
+    ref = ref[:, None]
+    l1 = _direction(cand, ref, theta1)
+    l2 = _relative_value(cand, ref, theta2)
     l3 = 1.0 / (np.abs(ranks_c - ranks_r) + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         same_sign = (cand * ref > 0) | ((cand == 0) & (ref == 0))
 
-    def means(cells, dtype=None):
+    def means(terms, dtype=None):
         # np.mean's own arithmetic, one reduction for the whole stack
-        return (np.add.reduce(cells.reshape(r, n * p), axis=1, dtype=dtype) / (n * p)).tolist()
+        return (np.add.reduce(terms.reshape(c * r, n * p), axis=1, dtype=dtype) / (n * p)).tolist()
 
-    breakdowns = tuple(
-        ScoreBreakdown(
-            score=direction + relative + rank,
-            direction_score=direction,
-            relative_value_score=relative,
-            rank_score=rank,
-            pct_same_sign=sign,
-            pct_same_rank=same_rank,
-        )
-        for direction, relative, rank, sign, same_rank in zip(
-            means(l1), means(l2), means(l3), means(same_sign, float), means(ranks_c == ranks_r, float)
-        )
-    )
-    return breakdowns if stacked else breakdowns[0]
+    rows = list(zip(means(l1), means(l2), means(l3), means(same_sign, float), means(ranks_c == ranks_r, float)))
+    scored = tuple(_breakdowns(rows[i * r : (i + 1) * r]) for i in range(c))
+    if not cells and isinstance(scored[0], InvalidInputError):
+        raise scored[0]
+    return scored if cells else scored[0] if stacked else scored[0][0]
+
+
+def _breakdowns(rows) -> tuple[ScoreBreakdown, ...] | InvalidInputError:
+    """One cell's breakdowns from its rows of (direction, relative value, rank, sign, same rank) means."""
+    try:
+        return tuple(ScoreBreakdown(d + v + k, d, v, k, sign, same) for d, v, k, sign, same in rows)
+    except InvalidInputError as exc:
+        return exc

@@ -202,9 +202,11 @@ def validate_local_accuracy(expl: ShapExplanation, tol_rel: float = 1e-9) -> Loc
     """Report which rows satisfy local accuracy at a relative tolerance.
 
     Row i passes iff ``|pred_i - baseline - sum_j values_ij|`` is at most
-    ``tol_rel * max(1, |pred_i|)``.
+    ``tol_rel * max(1, |pred_i|)``.  A stack of C explanations' arrays,
+    values (C, n, p), baseline (C,) and predictions (C, n), is checked in
+    one call, with (C, n) rows and residuals.
     """
-    residuals = expl.predictions - expl.baseline - expl.values.sum(axis=1)
+    residuals = expl.predictions - np.asarray(expl.baseline)[..., None] - expl.values.sum(axis=-1)
     bound = tol_rel * np.maximum(1.0, np.abs(expl.predictions))
     return LocalAccuracyReport(row_ok=np.abs(residuals) <= bound, residuals=residuals, tol_rel=tol_rel)
 

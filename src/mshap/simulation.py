@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from statistics import median
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,6 +44,8 @@ from .shapley import (
 
 DENOMINATOR_GUARD = 1e-3
 RESAMPLE_ROUNDS = 100
+# cells per stacked composition and scoring pass; 8 cells of (4, 100, 3) values stay inside L2
+GRID_CHUNK_CELLS = 8
 
 
 @dataclass(frozen=True)
@@ -285,6 +285,40 @@ def _explain_three(
     )
 
 
+def _run_chunk(specs: Sequence[ScenarioSpec]) -> list[ScenarioResult | Exception]:
+    """Run each cell's own stages, then compose and score each run of cells of one (n, p) shape stacked;
+    a failed cell gives the exception of its first failed check and changes no other cell."""
+    out: list[ScenarioResult | Exception | None] = [None] * len(specs)
+    ready = []
+    for i, spec in enumerate(specs):
+        try:
+            rows, resampled = sample_scenario_rows(spec)
+            three = _explain_three(spec, rows, rows[: spec.background_size])
+            for label, expl in zip(("parts", "parts", "reference"), three):
+                if not np.isfinite(expl.values).all():
+                    raise InvalidInputError(
+                        f"non-finite attribution in the {label} explanation "
+                        f"(a spliced denominator collapsed); rerun with a different seed"
+                    )
+            ready.append((i, *three, resampled))
+        except Exception as exc:
+            out[i] = exc
+    for _, run in itertools.groupby(ready, key=lambda cell: cell[3].values.shape):
+        index, parts_f, parts_g, refs, resampled = zip(*run)
+        combined, fallbacks, *_, errors = _combine_rules(parts_f, parts_g, [r.baseline for r in refs], AlphaMethod)
+        kept = [c for c, error in enumerate(errors) if error is None]
+        params = [ScoreParams(specs[index[c]].theta1, specs[index[c]].theta2) for c in kept]
+        scores = iter(score_matrices(combined[kept], np.array([refs[c].values for c in kept]), params) if kept else ())
+        for c, (i, counts) in enumerate(zip(index, np.count_nonzero(fallbacks, axis=-1).tolist())):
+            result = errors[c] or next(scores)
+            if not isinstance(result, Exception):
+                advisories = [f"resampled {resampled[c]} rows for the denominator guard"] if resampled[c] else []
+                advisories += [f"{m.value}: uniform fallback on {k} rows" for m, k in zip(AlphaMethod, counts) if k]
+                result = ScenarioResult(specs[i], dict(zip(AlphaMethod, result)), tuple(advisories))
+            out[i] = result
+    return out
+
+
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Run one simulation cell and score all four alpha weightings.
 
@@ -293,49 +327,36 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     (one coalition pass for all three), combine the part explanations under
     each weighting in one pass, with mu_h set to the product's background
     baseline, and score the four combined matrices, stacked in one call,
-    against the product's oracle attribution at the cell's thetas.
+    against the product's oracle attribution at the cell's thetas.  It is
+    :func:`run_grid`'s chunk of one cell.
     """
-    rows, resampled = sample_scenario_rows(spec)
-    background = rows[: spec.background_size]
-    expl_f, expl_g, reference_expl = _explain_three(spec, rows, background)
-    for label, expl in (("parts", expl_f), ("parts", expl_g), ("reference", reference_expl)):
-        if not np.isfinite(expl.values).all():
-            raise InvalidInputError(
-                f"non-finite attribution in the {label} explanation "
-                f"(a spliced denominator collapsed); rerun with a different seed"
-            )
-    params = ScoreParams(spec.theta1, spec.theta2)
-    advisories = []
-    if resampled:
-        advisories.append(f"resampled {resampled} rows for the denominator guard")
-    combined, fallbacks, *_ = _combine_rules(expl_f, expl_g, reference_expl.baseline, tuple(AlphaMethod))
-    for method, fallback in zip(AlphaMethod, fallbacks):
-        if fallback.any():
-            advisories.append(f"{method.value}: uniform fallback on {np.count_nonzero(fallback)} rows")
-    breakdowns = score_matrices(combined, reference_expl.values, params)
-    scores = dict(zip(AlphaMethod, breakdowns))
-    return ScenarioResult(spec=spec, scores=scores, advisories=tuple(advisories))
+    (result,) = _run_chunk([spec])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def run_grid(specs: Sequence[ScenarioSpec], n_jobs: int = 1) -> list[ScenarioResult]:
     """Run scenarios independently; a failed cell is a result with its ``error``, not a raise.
 
-    Results depend only on each cell's own seed, so the result list is
-    identical for any ``n_jobs``.
+    Each cell samples and runs its oracle alone; each chunk of ``GRID_CHUNK_CELLS``
+    consecutive cells then composes and scores its cells of one (n, p) shape in one
+    stacked pass, and ``n_jobs`` threads run whole chunks.  Results depend only on
+    each cell's own seed, bit for bit, so they are the same for any ``n_jobs``.
     """
     if not specs:
         raise InvalidInputError("grid must contain at least one scenario")
-
-    def cell(spec):
-        try:
-            return run_scenario(spec)
-        except Exception as exc:
-            return ScenarioResult(spec=spec, scores={}, error=f"{type(exc).__name__}: {exc}")
-
+    chunks = [specs[lo : lo + GRID_CHUNK_CELLS] for lo in range(0, len(specs), GRID_CHUNK_CELLS)]
     if n_jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # here, so that a serial run never imports it
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            return list(pool.map(cell, specs))
-    return [cell(spec) for spec in specs]
+            outs = list(pool.map(_run_chunk, chunks))
+    else:
+        outs = map(_run_chunk, chunks)
+    return [
+        out if isinstance(out, ScenarioResult) else ScenarioResult(spec, {}, error=f"{type(out).__name__}: {out}")
+        for spec, out in zip(specs, itertools.chain.from_iterable(outs))
+    ]
 
 
 def default_grid(
@@ -445,7 +466,7 @@ def _median_seconds(fn: Callable[[], object], repetitions: int) -> float:
         for _ in range(inner):
             fn()
         samples.append((time.perf_counter() - start) / inner)
-    return median(samples)
+    return float(np.median(samples))
 
 
 def bench_scaling(

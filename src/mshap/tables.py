@@ -20,7 +20,6 @@ import itertools
 import json
 import math
 import os
-import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,7 +51,7 @@ def _atomic_write_text(path, chunks) -> None:
     path = Path(path)
     # mkstemp would create the file 0600; an exclusive create with 0666 gets
     # the mode open() gives, i.e. the umask applies
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
@@ -177,6 +176,9 @@ def explanation_to_table(expl: ShapExplanation, *, extra_meta: dict | None = Non
 
 
 def write_shap_table(path, table: ShapTable) -> None:
+    """Write the table and its sidecar, which ``read_shap_table`` reads back, or raise before any file exists."""
+    if not (math.isfinite(table.baseline) and np.isfinite(table.values).all() and np.isfinite(table.predictions).all()):
+        raise InvalidInputError("SHAP table holds a non-finite value, prediction or baseline")
     header = list(table.feature_names)
     columns = list(table.values.T)
     if table.prediction_column is not None:

@@ -1,6 +1,10 @@
 """The package namespace holds what the demos, the README and the CLI use."""
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -101,3 +105,12 @@ def test_function_parameter_names_are_pinned():
     # keyword-only, so an argument meant for a removed parameter cannot bind to them
     for fn, name in ((mshap.explain_matrix, "feature_names"), (mshap.explanation_to_table, "extra_meta")):
         assert inspect.signature(fn).parameters[name].kind is inspect.Parameter.KEYWORD_ONLY
+
+
+def test_importing_the_cli_loads_neither_openssl_nor_a_thread_pool():
+    # secrets loads OpenSSL through hashlib, and concurrent.futures and
+    # statistics cost milliseconds per process that a serial run never uses
+    code = "import sys, mshap.cli; print(sorted({'_hashlib', 'concurrent.futures', 'statistics'} & set(sys.modules)))"
+    src = str(Path(mshap.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

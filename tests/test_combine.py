@@ -398,9 +398,7 @@ def test_combine_local_accuracy_property(data, n, p, method):
     assert validate_local_accuracy(out, 1e-9).passed
 
 
-@settings(max_examples=150)
-@given(data=st.data(), n=st.integers(1, 20), p=st.integers(1, 6), alpha_zero=st.booleans())
-def test_one_pass_over_all_rules_equals_one_combine_call_per_rule(data, n, p, alpha_zero):
+def draw_parts(data, n, p, alpha_zero):
     sx = data.draw(arrays(np.float64, (n, p), elements=values_box))
     sy = data.draw(arrays(np.float64, (n, p), elements=values_box))
     kind = data.draw(arrays(np.int8, n, elements=st.sampled_from([0, 1, 2])))
@@ -410,16 +408,44 @@ def test_one_pass_over_all_rules_equals_one_combine_call_per_rule(data, n, p, al
     mu_f, mu_g, mu_h = (data.draw(values_box) for _ in range(3))
     if alpha_zero:
         mu_h = mu_f * mu_g
-    expl_f = ShapExplanation(sx, mu_f, mu_f + sx.sum(axis=1))
-    expl_g = ShapExplanation(sy, mu_g, mu_g + sy.sum(axis=1))
-    stack, fallbacks, alpha, z_hat, names = _combine_rules(expl_f, expl_g, mu_h, METHODS)
-    assert stack.shape == (len(METHODS), n, p) and len(fallbacks) == len(METHODS)
-    for method, values, fallback in zip(METHODS, stack, fallbacks):
-        one = combine(expl_f, expl_g, mu_h, method)
-        assert values.tobytes() == one.values.tobytes()
-        assert tuple(np.flatnonzero(fallback).tolist()) == one.fallback_rows
-        assert z_hat.tobytes() == one.predictions.tobytes()
-        assert alpha == one.alpha and names == one.feature_names
+    return ShapExplanation(sx, mu_f, mu_f + sx.sum(axis=1)), ShapExplanation(sy, mu_g, mu_g + sy.sum(axis=1)), mu_h
+
+
+@settings(max_examples=150)
+@given(data=st.data(), n=st.integers(1, 20), p=st.integers(1, 6), alpha_zero=st.lists(st.booleans(), min_size=1, max_size=4))
+def test_one_pass_over_cells_and_rules_equals_one_combine_call_per_rule(data, n, p, alpha_zero):
+    cells = [draw_parts(data, n, p, zero) for zero in alpha_zero]
+    parts_f, parts_g, mu_h = zip(*cells)
+    stack, fallbacks, alpha, z_hat, errors = _combine_rules(parts_f, parts_g, mu_h, METHODS)
+    assert stack.shape == (len(cells), len(METHODS), n, p) and fallbacks.shape == (len(cells), len(METHODS), n)
+    assert errors == [None] * len(cells)
+    for c, (expl_f, expl_g, mu_h_c) in enumerate(cells):
+        for method, values, fallback in zip(METHODS, stack[c], fallbacks[c]):
+            one = combine(expl_f, expl_g, mu_h_c, method)
+            assert values.tobytes() == one.values.tobytes()
+            assert tuple(np.flatnonzero(fallback).tolist()) == one.fallback_rows
+            assert z_hat[c].tobytes() == one.predictions.tobytes()
+            assert alpha[c] == one.alpha
+
+
+def test_a_failing_cell_keeps_its_error_and_leaves_its_neighbours(rng):
+    good = [make_parts(rng, 5, 3, scale=1.0) for _ in range(3)]
+    preds = good[1][1].predictions.copy()
+    preds[3] += 0.5
+    broken = ShapExplanation(good[1][1].values, good[1][1].baseline, preds)
+    huge = ShapExplanation(np.full((5, 3), 1e200), 1e200, np.full(5, 4e200))
+    parts_f = [good[0][0], good[1][0], huge]
+    parts_g = [good[0][1], broken, huge]
+    stack, *_, errors = _combine_rules(parts_f, parts_g, [0.3] * 3, METHODS)
+    with pytest.raises(InvalidInputError) as part_g:
+        combine(parts_f[1], broken, 0.3, METHODS[0])
+    with pytest.raises(InvalidInputError) as overflow:
+        combine(huge, huge, 0.3, METHODS[0])
+    assert errors[0] is None
+    assert str(errors[1]) == str(part_g.value) and "part g fails local accuracy: worst row 3" in str(errors[1])
+    assert str(errors[2]) == str(overflow.value) and "not finite" in str(errors[2])
+    for method, values in zip(METHODS, stack[0]):
+        assert values.tobytes() == combine(*good[0], 0.3, method).values.tobytes()
 
 
 # ---------------------------------------------------------------- baselines and linear combinations

@@ -301,3 +301,7 @@ def test_stack_shape_errors(rng):
     for candidate, ref in bad:
         with pytest.raises(DimensionError):
             score_matrices(candidate, ref, params)
+    # a stack of cells takes one ScoreParams per cell
+    for cells in (params, [params], [params] * 3):
+        with pytest.raises(DimensionError, match="a stack of 2 cells needs a list of 2 ScoreParams"):
+            score_matrices(rng.uniform(size=(2, 1, 4, 3)), rng.uniform(size=(2, 4, 3)), cells)

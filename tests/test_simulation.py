@@ -1,4 +1,5 @@
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mshap import (
     ModelFunction,
     ResampleLimitError,
     ScenarioSpec,
+    ShapExplanation,
     bench_scaling,
     default_grid,
     explain_matrix,
@@ -23,7 +25,9 @@ from mshap import (
 )
 from mshap import shapley
 from mshap.shapley import explain_product
+from mshap import simulation
 from mshap.simulation import (
+    GRID_CHUNK_CELLS,
     Y1_IDS,
     Y2_IDS,
     _explain_three,
@@ -337,6 +341,10 @@ def test_run_scenario_checks_each_part_once(monkeypatch):
     result = run_scenario(ScenarioSpec("Y1B", "Y2E", 1.5, 1.0, seed=3, **SMALL))
     assert len(result.scores) == len(AlphaMethod)
     assert len(checked) == 2
+    # a grid checks each part stack once per chunk: 13 cells are two chunks
+    checked.clear()
+    assert all(r.error is None for r in run_grid(default_grid(grid_seed=3, **SMALL)[:13]))
+    assert len(checked) == 2 * 2
 
 
 def test_scores_invariant_to_consistent_feature_relabeling():
@@ -460,13 +468,73 @@ def test_run_grid_records_errors_and_continues():
 
 
 def test_run_grid_parallel_matches_serial():
-    specs = default_grid(grid_seed=3, n=30, background_size=15)[:6]
+    # 20 cells are three chunks, so the threads run chunks side by side
+    specs = default_grid(grid_seed=3, n=30, background_size=15)[:20]
     serial = run_grid(specs, n_jobs=1)
     threaded = run_grid(specs, n_jobs=4)
+    assert len(serial) == len(threaded) == 20
     for a, b in zip(serial, threaded):
         assert a.spec == b.spec
         assert a.error is None and b.error is None
-        assert a.scores == b.scores
+        # repr tells -0.0 from 0.0, so this is a bit-for-bit comparison
+        assert repr(a) == repr(b)
+
+
+def test_run_grid_equals_one_run_scenario_per_cell_on_the_desk_grid():
+    specs = default_grid()
+    assert len(specs) == 108
+    for spec, got in zip(specs, run_grid(specs), strict=True):
+        assert repr(got) == repr(run_scenario(spec))
+
+
+def test_a_grid_of_13_cells_crosses_a_chunk_boundary():
+    assert GRID_CHUNK_CELLS < 13 < 2 * GRID_CHUNK_CELLS
+    specs = default_grid(grid_seed=5, **SMALL)[:13]
+    for spec, got in zip(specs, run_grid(specs), strict=True):
+        assert got.error is None
+        assert repr(got) == repr(run_scenario(spec))
+
+
+def test_failing_cells_mid_chunk_keep_their_error_and_leave_their_neighbours(monkeypatch):
+    specs = default_grid(grid_seed=7, **SMALL)[:GRID_CHUNK_CELLS]
+    tight = CovariateSpec(((-4e-4, -3e-4), (1e-4, 2e-4), (5e-5, 6e-5)))
+    specs[2] = ScenarioSpec("Y1A", "Y2E", 1.5, 1.0, n=10, covariates=tight, seed=0, background_size=5)
+    before = [run_scenario(spec) if i != 2 else None for i, spec in enumerate(specs)]
+    explain_three = simulation._explain_three
+
+    def poisoned(spec, rows, background):
+        f, g, reference = explain_three(spec, rows, background)
+        if spec is specs[3]:  # a non-finite oracle value
+            values = reference.values.copy()
+            values[3, 1] = np.nan
+            reference = ShapExplanation(values, reference.baseline, reference.predictions)
+        elif spec is specs[4]:  # part f off local accuracy in row 4
+            f = ShapExplanation(f.values, f.baseline, f.predictions + np.eye(spec.n)[4])
+        elif spec is specs[5]:  # parts whose product overflows float64
+            f = g = ShapExplanation(np.full(f.values.shape, 1e300), 1e300, np.full(spec.n, 4e300))
+        return f, g, reference
+
+    monkeypatch.setattr(simulation, "_explain_three", poisoned)
+    results = run_grid(specs)
+    assert re.fullmatch(
+        r"ResampleLimitError: could not satisfy the denominator guard after 100 redraw rounds "
+        r"\(\d+ rows still violating\)",
+        results[2].error,
+    )
+    assert results[3].error == (
+        "InvalidInputError: non-finite attribution in the reference explanation "
+        "(a spliced denominator collapsed); rerun with a different seed"
+    )
+    assert results[4].error == "InvalidInputError: part f fails local accuracy: worst row 4 has residual 1.000e+00"
+    assert results[5].error == (
+        "InvalidInputError: the combined attributions are not finite (alpha=inf): the part "
+        "baselines, values or predictions overflow float64"
+    )
+    for i in (2, 3, 4, 5):
+        assert results[i].scores == {} and results[i].spec is specs[i]
+    for i in (0, 1, 6, 7):
+        assert results[i].error is None
+        assert repr(results[i]) == repr(before[i])
 
 
 def test_default_grid_shape_and_seeds():

@@ -458,6 +458,23 @@ def test_write_value_table_refuses_what_the_reader_rejects(tmp_path, names, valu
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        ShapTable(values=[[np.inf, 1.0]], baseline=0.0),
+        ShapTable(values=[[np.nan, 1.0]], baseline=0.0, predictions=[1.5], prediction_column="prediction"),
+        explanation_to_table(ShapExplanation(np.ones((2, 2)), 0.0, np.array([2.0, -np.inf]))),
+        ShapTable(values=[[1.0, 1.0]], baseline=np.inf, predictions=[2.0], prediction_column="prediction"),
+    ],
+    ids=["value", "value-with-predictions", "prediction", "baseline"],
+)
+def test_write_shap_table_refuses_what_the_reader_rejects(tmp_path, table):
+    # each of these used to be written, then rejected by read_shap_table
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        write_shap_table(tmp_path / "t.csv", table)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mixed_columns_across_blocks_match_csv_writer():
     # the long-format layout of observations.csv: int, repeated text, two floats
     n = 3 * _rows_per_block(4) + 5
