@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError, TableFormatError
+from .errors import DimensionError, InvalidInputError, MshapError, TableFormatError
 from .shapley import ShapExplanation, _check_unique, _first_repeat
 
 
@@ -52,14 +52,16 @@ def _atomic_write_text(path, chunks) -> None:
     # mkstemp would create the file 0600; an exclusive create with 0666 gets
     # the mode open() gives, i.e. the umask applies
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # e.g. a directory sits where the file goes
+            raise MshapError(f"cannot write {path}: {exc.strerror}") from None
         raise
 
 
@@ -193,21 +195,44 @@ def write_shap_table(path, table: ShapTable) -> None:
     write_json(meta_path(path), meta)
 
 
-def _parse_cells(path, reader) -> tuple[list[str], np.ndarray]:
+def _parse_cells(path, handle) -> tuple[list[str], np.ndarray]:
     try:
-        header = next(reader)
+        header = next(csv.reader(handle))
     except StopIteration:
         raise TableFormatError(f"{path}: empty table") from None
     repeated = _first_repeat(header)
     if repeated is not None:
         raise TableFormatError(f"{path}: header repeats the column name {repeated!r}")
     blocks, lineno, step = [], 2, _block_rows(len(header))
-    while rows := list(itertools.islice(reader, step)):
-        blocks.append(_parse_block(path, header, rows, lineno))
-        lineno += len(rows)
+    while lines := list(itertools.islice(handle, step)):
+        if (data := _load_block(lines, len(header))) is None:
+            # this block and the rest go through the csv module: rows and errors as ever
+            reader = csv.reader(itertools.chain(lines, handle))
+            while rows := list(itertools.islice(reader, step)):
+                blocks.append(_parse_block(path, header, rows, lineno))
+                lineno += len(rows)
+            break
+        blocks.append(data)
+        lineno += len(lines)
     if not blocks:
         raise TableFormatError(f"{path}: table has a header but no data rows")
     return header, np.concatenate(blocks)
+
+
+def _load_block(lines, width) -> np.ndarray | None:
+    """The lines as rows of ``width`` finite floats by numpy's C tokenizer; None where the csv module may differ."""
+    text = "".join(lines)
+    # numpy warns on an all-blank block, has no field size limit, and strips 0x1c-0x1f where float() does not
+    if not text.strip("\r\n") or max(map(len, lines)) > csv.field_size_limit() or any(
+        sep in text for sep in "\x1c\x1d\x1e\x1f"
+    ):
+        return None
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:  # a quote among them, or a cell that numpy rejects
+        return None
+    # one row per line: numpy skips a blank line
+    return data if data.shape == (len(lines), width) and np.isfinite(data).all() else None
 
 
 def _parse_block(path, header, rows, lineno) -> np.ndarray:
@@ -240,7 +265,7 @@ def read_value_table(path) -> tuple[tuple[str, ...], np.ndarray]:
     path = Path(path)
     try:
         with open(path, encoding="utf-8-sig", newline="") as handle:
-            header, data = _parse_cells(path, csv.reader(handle))
+            header, data = _parse_cells(path, handle)
     except OSError as exc:
         raise TableFormatError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:

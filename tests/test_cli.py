@@ -911,3 +911,25 @@ def test_an_out_dir_that_names_a_file_is_a_usage_error(tmp_path, rng, capsys):
     (line,) = capsys.readouterr().err.splitlines()
     assert line == f"error: cannot create output directory {out}: File exists"
     assert out.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("subcommand", ["combine", "simulate"])
+def test_a_failed_output_write_exits_3_with_one_error_line(tmp_path, rng, capsys, subcommand):
+    out = tmp_path / "out"
+    if subcommand == "combine":
+        f_path, g_path, *_ = write_pair(tmp_path, rng)
+        argv = ["combine", "--f-shap", str(f_path), "--g-shap", str(g_path), "--mu-h", "auto"]
+        blocked = out / "mshap.csv"
+    else:
+        cfg = tmp_path / "cfg.json"
+        cell = {"y1": "Y1A", "y2": "Y2C", "theta1": 1.5, "theta2": 1.0, "n": 30, "background_size": 15, "seed": 7}
+        cfg.write_text(json.dumps({"scenarios": [cell]}))
+        argv = ["simulate", "--config", str(cfg)]
+        blocked = out / "results.csv"
+    # a directory where the output file goes: the rename over it fails
+    blocked.mkdir(parents=True)
+    (blocked / "kept").write_text("old")
+    assert main(argv + ["--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: cannot write {blocked}: Is a directory\n"
+    assert (blocked / "kept").read_text() == "old"
+    assert not list(out.glob("*.tmp"))

@@ -1,11 +1,14 @@
 import csv
+import errno
 import io
 import json
 import math
 import os
 import re
 import stat
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from mshap import (
     DimensionError,
     InvalidInputError,
+    MshapError,
     ShapExplanation,
     ShapTable,
     TableFormatError,
@@ -540,3 +544,169 @@ def test_an_oversized_field_is_a_table_format_error(tmp_path):
     with pytest.raises(TableFormatError) as err:
         read_value_table(path)
     assert str(err.value).startswith(f"{path}: ") and "field larger than field limit" in str(err.value)
+
+
+@pytest.mark.parametrize("where", ["replace", "create"])
+def test_a_failed_write_is_one_typed_error_and_keeps_the_old_file(tmp_path, monkeypatch, where):
+    path = tmp_path / "v.csv"
+    write_value_table(path, ("a",), [[1.0]])
+    before = path.read_bytes()
+    if where == "replace":
+        def full(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(tables.os, "replace", full)
+        target, reason = path, "No space left on device"
+    else:
+        target, reason = tmp_path / "missing" / "v.csv", "No such file or directory"
+    with pytest.raises(MshapError) as err:
+        write_value_table(target, ("a",), [[2.0]])
+    assert str(err.value) == f"cannot write {target}: {reason}"
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["v.csv"]
+
+
+# -- numpy's C tokenizer against the csv module -------------------------------
+
+_WIDTH = 16
+
+
+def _row(first="1", end="\n"):
+    return ",".join([first] + ["1"] * (_WIDTH - 1)) + end
+
+
+# each case is one line among rows of ones (a quoted newline makes it two)
+_TOKENIZER_CASES = {
+    "blank": "\n",
+    "whitespace-only": "   \n",
+    "comment": _row("#1"),
+    "underscore": _row("1_000"),
+    "unicode-digits": _row("\u0661\u0662"),
+    "no-break-space": _row("\xa01\xa0"),
+    "quoted": _row('"2.5"'),
+    "quoted-comma": _row('"1,5"'),
+    "quoted-newline": _row('"1\n"'),
+    # the quote opens in a line's last field: at a block's end it closes in the next block
+    "quoted-newline-in-last-field": _row(end=',"1\n"\n')[2:],
+    "quoted-newline-joins-rows": _row(end=',"2\n3",')[2:] + _row()[2:],
+    "cr": _row(end="\r"),
+    "crlf": _row(end="\r\n"),
+    "bom-in-cell": _row("\ufeff1"),
+    "trailing-comma": _row(end=",\n"),
+    "inf": _row("inf"),
+    "nan": _row("nan"),
+    "infinity": _row("-Infinity"),
+    "finite-field-over-the-limit": _row("1." + "0" * csv.field_size_limit()),
+    "file-separator": _row("\x1c1"),
+    "nul": _row("1\x00"),
+}
+
+
+def _read_both_ways(path, monkeypatch):
+    """read_value_table's outcome, then the csv module's alone: with numpy's
+    tokenizer declining every block, the reader is the csv path from line 2."""
+    outcomes = []
+    for decline in (False, True):
+        if decline:
+            monkeypatch.setattr(tables, "_load_block", lambda lines, width: None)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the CLI prints one error line and nothing else
+                names, data = read_value_table(path)
+            outcomes.append((names, data.shape, data.tobytes()))
+        except TableFormatError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+@pytest.mark.parametrize("where", ["first-of-block", "inside-block", "last-of-block"])
+@pytest.mark.parametrize("case", list(_TOKENIZER_CASES))
+def test_numpy_and_the_csv_module_read_every_block_alike(tmp_path, monkeypatch, case, where, bom):
+    step = _rows_per_block(_WIDTH)
+    index = {"first-of-block": step, "inside-block": step + step // 2, "last-of-block": 2 * step - 1}[where]
+    lines = [_row()] * (2 * step + 5)
+    lines[index] = _TOKENIZER_CASES[case]
+    path = tmp_path / "t.csv"
+    header = ",".join(f"c{j}" for j in range(_WIDTH)) + "\n"
+    path.write_bytes((bom + header + "".join(lines)).encode())
+    fast, reference = _read_both_ways(path, monkeypatch)
+    assert fast == reference
+
+
+_LINES = st.lists(
+    st.tuples(
+        st.lists(
+            st.one_of(
+                st.sampled_from(["1", "-0", "2.5e-3", '"7"', "1e400", "nan"]),
+                st.text(alphabet='0123456789.eE+-_ ,"#\n\r\t\x00\x0b\x1c\x1f\xa0\u0663\u2028', max_size=4),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.sampled_from(["\n", "\r\n", "\r", ""]),
+    ).map(lambda row: ",".join(row[0]) + row[1]),
+    min_size=1,
+    max_size=9,
+)
+
+
+@given(_LINES)
+def test_numpy_and_the_csv_module_agree_on_arbitrary_lines(tmp_path_factory, lines):
+    # blocks of two rows, so that most tables span several
+    path = tmp_path_factory.mktemp("lines") / "t.csv"
+    path.write_text("a,b\n" + "".join(lines), newline="")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(tables, "_BLOCK_CELLS", 4)
+        fast, reference = _read_both_ways(path, monkeypatch)
+    assert fast == reference
+
+
+def test_a_block_of_blank_lines_is_todays_error_without_a_warning(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n\n\n3,4\n")
+    monkeypatch.setattr(tables, "_BLOCK_CELLS", 2)  # one row per block
+    fast, reference = _read_both_ways(path, monkeypatch)
+    assert fast == reference == f"{path}:3: expected 2 columns, found 0"
+
+
+def test_clean_blocks_never_reach_the_csv_module(tmp_path, monkeypatch, rng):
+    values = rng.standard_normal((3 * _rows_per_block(4) + 5, 4))
+    path = tmp_path / "t.csv"
+    write_value_table(path, tuple("abcd"), values)
+
+    def csv_path(*args):
+        raise AssertionError("a clean block was parsed by the csv module")
+
+    monkeypatch.setattr(tables, "_parse_block", csv_path)
+    assert read_value_table(path)[1].tobytes() == values.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("bad", [True, False], ids=["bad-second-block", "clean"])
+def test_a_table_reads_through_a_pipe_without_seeking(tmp_path, bad):
+    lines = ["1,2,3,4"] * (3 * 4096)
+    if bad:
+        lines[4096 + 10] = "1,2,zebra,4"
+    path = tmp_path / "t.csv"
+    os.mkfifo(path)
+
+    def feed():
+        try:
+            with open(path, "w") as pipe:
+                pipe.write("a,b,c,d\n" + "\n".join(lines) + "\n")
+        except BrokenPipeError:
+            pass  # the reader stopped at the bad row
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        if bad:
+            with pytest.raises(TableFormatError) as err:
+                read_value_table(path)
+            assert str(err.value) == f"{path}:{4096 + 12}: could not convert string to float: 'zebra'"
+        else:
+            assert read_value_table(path)[1].shape == (3 * 4096, 4)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()

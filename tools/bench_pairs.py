@@ -1,0 +1,126 @@
+"""Run the benchmark in two checkouts, in alternating pairs, and record one BENCH file.
+
+Run from the change's repository root, with the parent commit checked out
+elsewhere:
+
+    python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_<n>.json
+
+For every workload that BENCHMARK.json gates, each pair runs
+
+    python3 benchmarks/run.py --workload W --seed S --trace 0
+
+once in each checkout, for run.py's default run length, in ten pairs; the
+side that runs first alternates from pair to pair, so drift in the
+machine's speed falls on both sides alike.  Three more
+alternating pairs of traced ``cli_tables`` runs (``--trace 1``) give the
+per-layer metrics of the table layers: a single traced pair cannot resolve
+them, because the machine's speed drifts between runs.
+Each run is kept with its command, seed, exit code, ``machine`` block and
+the JSON object of its last line.  For each metric the file also holds both
+sides' medians and quartiles and the number of pairs the change won (ties
+count for neither side).  Runs are sequential, one process each.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+TRACED = "cli_tables"
+PAIRS = 10
+TRACED_PAIRS = 3
+
+
+def parse_run(stdout: str) -> dict:
+    """The ``machine`` block and the last-line metrics of one run.py output."""
+    lines = stdout.strip().splitlines()
+    machine = next((json.loads(line[len("machine "):]) for line in lines if line.startswith("machine ")), None)
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:  # the run died before its last line
+        result = None
+    return {"machine": machine, "result": result}
+
+
+def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    command = ["python3", "benchmarks/run.py", "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
+    proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    print(f"{checkout}: {' '.join(command)} -> exit {proc.returncode}", file=sys.stderr)
+    return {"command": " ".join(command), "seed": seed, "exit": proc.returncode, **parse_run(proc.stdout)}
+
+
+def _quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric: each side's median and quartiles, and the pairs the change won."""
+    pairs = [p for p in pairs if all((p[side]["result"] or {}).get("metrics") for side in SIDES)]
+    out = {}
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
+        values = {side: [p[side]["result"]["metrics"][name]["value"] for p in pairs] for side in SIDES}
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
+        out[name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "bound": metric.get("bound"),
+            **{side: _quartiles(values[side]) for side in SIDES},
+            "change_won": f"{wins} of {len(pairs)}",
+        }
+    return out
+
+
+def run_pairs(checkouts: dict, workload: str, seed: int, trace: int, count: int) -> list[dict]:
+    """``count`` pairs of runs, the side that runs first alternating."""
+    pairs = []
+    for index in range(count):
+        order = SIDES if index % 2 == 0 else SIDES[::-1]
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side] = run(checkouts[side], workload, seed, trace)
+        pairs.append(pair)
+    return pairs
+
+
+def commit(checkout: Path) -> dict:
+    def rev(spec):
+        proc = subprocess.run(["git", "rev-parse", spec], cwd=checkout, capture_output=True, text=True)
+        return proc.stdout.strip() or None
+
+    return {"commit": rev("HEAD"), "src_tree": rev("HEAD:src")}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    record = {
+        "command": " ".join(["python3", "tools/bench_pairs.py", *(argv if argv is not None else sys.argv[1:])]),
+        "seed": args.seed,
+        **{side: commit(path) for side, path in checkouts.items()},
+        "workloads": {},
+    }
+    for workload in (w["name"] for w in spec["workloads"]):
+        pairs = run_pairs(checkouts, workload, args.seed, 0, PAIRS)
+        record["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, spec["end_to_end"])}
+    pairs = run_pairs(checkouts, TRACED, args.seed, 1, TRACED_PAIRS)
+    record["traced"] = {"workload": TRACED, "pairs": pairs, "summary": summarize(pairs, spec["per_layer"])}
+    args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    groups = [*record["workloads"].values(), record["traced"]]
+    return 1 if any(p[side]["exit"] != 0 for g in groups for p in g["pairs"] for side in SIDES) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
