@@ -149,6 +149,8 @@ _COMMON = [
     Option("config", _as_str, flag=True, help="JSON config file with any of this command's keys"),
     Option("out_dir", _as_str, default=".", help="directory for output files and the config echo"),
 ]
+# parsed as an integer >= 1 and echoed, never used: the benchmark still passes --threads 1
+_THREADS = Option("threads", _as_positive_int, default=1, help="ignored; kept only while the benchmark passes it")
 
 OPTIONS: dict[str, list[Option]] = {
     "combine": _COMMON + [
@@ -157,7 +159,7 @@ OPTIONS: dict[str, list[Option]] = {
         Option("mu_h", _as_mu_h, default="auto",
                help="mean product prediction, or 'auto' to average the tables' prediction products"),
         Option("method", _as_method, default="absolute", help="uniform|raw|absolute|squared"),
-        Option("threads", _as_positive_int, default=1, help="worker threads (composition is vectorized; kept for parity)"),
+        _THREADS,
     ],
     "score": _COMMON + [
         Option("candidate", _as_str, required=True, help="candidate SHAP table"),
@@ -167,7 +169,7 @@ OPTIONS: dict[str, list[Option]] = {
     ],
     "simulate": _COMMON + [
         Option("seed", _as_seed, default=0, help="grid seed; per-cell seeds derive from it"),
-        Option("threads", _as_positive_int, default=1, help="parallel scenario workers"),
+        _THREADS,
         Option("grid", _as_json, flag=False, help="config-only: cartesian grid parameters"),
         Option("scenarios", _as_json, flag=False, help="config-only: explicit scenario list"),
     ],
@@ -376,7 +378,7 @@ def _specs_from_config(resolved: dict) -> list[ScenarioSpec]:
 def cmd_simulate(resolved: dict) -> int:
     specs = _specs_from_config(resolved)
     out = _out_dir(resolved)
-    results = run_grid(specs, n_jobs=resolved["threads"])
+    results = run_grid(specs)
     write_records(out / "results.csv", RESULT_COLUMNS, grid_table(results))
     _echo_config("simulate", resolved, out)
     failed = sum(1 for r in results if r.error is not None)

@@ -55,10 +55,11 @@ class ScoreBreakdown:
 
 
 def _direction(s, k, theta1):
-    # halved arithmetic so |s| + |k| cannot overflow for finite doubles; the
-    # sign product may overflow to +/-inf, which compares correctly
-    slack = np.minimum(1.0, (0.5 + 0.5 * theta1) / (np.abs(s) * 0.5 + np.abs(k) * 0.5 + theta1 * 0.5))
-    with np.errstate(over="ignore", invalid="ignore"):
+    # quartered so |s| + |k| + theta1 cannot overflow; a power of two keeps normal values' bits.  A
+    # quotient that divides by zero or overflows is inf, and min(1, inf) = 1 is exact (its true value
+    # is > 1); the sign product may overflow to +/-inf, which compares correctly
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        slack = np.minimum(1.0, (0.25 + 0.25 * theta1) / (np.abs(s) * 0.25 + np.abs(k) * 0.25 + theta1 * 0.25))
         return np.where(s * k > 0, 1.0, slack)
 
 
@@ -78,13 +79,10 @@ def importance_ranks(row) -> np.ndarray:
 def score_matrices(candidate, reference, params: ScoreParams | list[ScoreParams]) -> ScoreBreakdown | tuple:
     """Score every cell of candidate against reference and average.
 
-    ``candidate`` is one (n, p) matrix, which gives one ``ScoreBreakdown``,
-    or a stack of r matrices with shape (r, n, p), which gives a tuple of r
-    breakdowns, each scored against the one (n, p) ``reference``.  Both are
-    the one-cell case of C grid cells: a (C, r, n, p) stack against (C, n, p)
-    references, with a sequence of C ``ScoreParams``, gives C entries, each a
-    tuple of r breakdowns or, for a cell out of range, the
-    ``InvalidInputError`` it raised, so one cell cannot fail another.
+    ``candidate`` and ``reference`` are one (n, p) pair, which gives one
+    ``ScoreBreakdown``, or C grid cells: a (C, r, n, p) stack against (C, n, p)
+    references, with a sequence of C ``ScoreParams``, gives C tuples of r
+    breakdowns, each scored against its cell's reference.
     Ranks are computed row-wise on each matrix independently.  Sign agreement
     counts cells with a strictly positive product, plus cells where both
     values are exactly zero.  Means use numpy's pairwise summation, the sum
@@ -95,8 +93,7 @@ def score_matrices(candidate, reference, params: ScoreParams | list[ScoreParams]
     ref = np.asarray(reference, dtype=float)
     cells = cand.ndim == 4
     if not cells:
-        stacked = cand.ndim == 3
-        cand, ref, params = (cand if stacked else np.atleast_2d(cand)[None])[None], np.atleast_2d(ref)[None], (params,)
+        cand, ref, params = np.atleast_2d(cand)[None, None], np.atleast_2d(ref)[None], (params,)
     if ref.ndim != 3 or cand.ndim != 4 or cand.shape[:1] + cand.shape[2:] != ref.shape:
         raise DimensionError(f"matrix shapes differ: {np.shape(candidate)} vs {np.shape(reference)}")
     if isinstance(params, ScoreParams) or len(params) != len(ref):
@@ -117,16 +114,6 @@ def score_matrices(candidate, reference, params: ScoreParams | list[ScoreParams]
         # np.mean's own arithmetic, one reduction for the whole stack
         return (np.add.reduce(terms.reshape(c * r, n * p), axis=1, dtype=dtype) / (n * p)).tolist()
 
-    rows = list(zip(means(l1), means(l2), means(l3), means(same_sign, float), means(ranks_c == ranks_r, float)))
-    scored = tuple(_breakdowns(rows[i * r : (i + 1) * r]) for i in range(c))
-    if not cells and isinstance(scored[0], InvalidInputError):
-        raise scored[0]
-    return scored if cells else scored[0] if stacked else scored[0][0]
-
-
-def _breakdowns(rows) -> tuple[ScoreBreakdown, ...] | InvalidInputError:
-    """One cell's breakdowns from its rows of (direction, relative value, rank, sign, same rank) means."""
-    try:
-        return tuple(ScoreBreakdown(d + v + k, d, v, k, sign, same) for d, v, k, sign, same in rows)
-    except InvalidInputError as exc:
-        return exc
+    rows = zip(means(l1), means(l2), means(l3), means(same_sign, float), means(ranks_c == ranks_r, float))
+    scored = [ScoreBreakdown(d + v + k, d, v, k, sign, same) for d, v, k, sign, same in rows]
+    return tuple(tuple(scored[i * r : (i + 1) * r]) for i in range(c)) if cells else scored[0]

@@ -37,8 +37,8 @@ SPLICE_BUDGET_BYTES = 64 << 20
 # in a fresh block per call.  It holds at most one block, of at most
 # _SPARE_BLOCK_BYTES (fixed at import), so a large call leaves no block
 # resident; a large walk allocates its block per call, a cost its own work
-# dwarfs.  A walk pops the spare while in use, so a concurrent or re-entrant
-# walk finds the slot empty and allocates its own.
+# dwarfs.  A walk pops the spare while in use, so a re-entrant walk or one in a
+# caller's thread (the package starts none) finds it gone and allocates its own.
 _SPARE_BLOCK_BYTES = SPLICE_BUDGET_BYTES // 64
 _spare_block: dict[tuple[int, int, int], np.ndarray] = {}
 

@@ -310,12 +310,9 @@ def _run_chunk(specs: Sequence[ScenarioSpec]) -> list[ScenarioResult | Exception
         params = [ScoreParams(specs[index[c]].theta1, specs[index[c]].theta2) for c in kept]
         scores = iter(score_matrices(combined[kept], np.array([refs[c].values for c in kept]), params) if kept else ())
         for c, (i, counts) in enumerate(zip(index, np.count_nonzero(fallbacks, axis=-1).tolist())):
-            result = errors[c] or next(scores)
-            if not isinstance(result, Exception):
-                advisories = [f"resampled {resampled[c]} rows for the denominator guard"] if resampled[c] else []
-                advisories += [f"{m.value}: uniform fallback on {k} rows" for m, k in zip(AlphaMethod, counts) if k]
-                result = ScenarioResult(specs[i], dict(zip(AlphaMethod, result)), tuple(advisories))
-            out[i] = result
+            advisories = [f"resampled {resampled[c]} rows for the denominator guard"] if resampled[c] else []
+            advisories += [f"{m.value}: uniform fallback on {k} rows" for m, k in zip(AlphaMethod, counts) if k]
+            out[i] = errors[c] or ScenarioResult(specs[i], dict(zip(AlphaMethod, next(scores))), tuple(advisories))
     return out
 
 
@@ -336,26 +333,20 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     return result
 
 
-def run_grid(specs: Sequence[ScenarioSpec], n_jobs: int = 1) -> list[ScenarioResult]:
+def run_grid(specs: Sequence[ScenarioSpec]) -> list[ScenarioResult]:
     """Run scenarios independently; a failed cell is a result with its ``error``, not a raise.
 
     Each cell samples and runs its oracle alone; each chunk of ``GRID_CHUNK_CELLS``
     consecutive cells then composes and scores its cells of one (n, p) shape in one
-    stacked pass, and ``n_jobs`` threads run whole chunks.  Results depend only on
-    each cell's own seed, bit for bit, so they are the same for any ``n_jobs``.
+    stacked pass.  Chunks run one after another.  Results depend only on each
+    cell's own seed, bit for bit, so they equal one :func:`run_scenario` per cell.
     """
     if not specs:
         raise InvalidInputError("grid must contain at least one scenario")
-    chunks = [specs[lo : lo + GRID_CHUNK_CELLS] for lo in range(0, len(specs), GRID_CHUNK_CELLS)]
-    if n_jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor  # here, so that a serial run never imports it
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            outs = list(pool.map(_run_chunk, chunks))
-    else:
-        outs = map(_run_chunk, chunks)
+    chunks = (specs[lo : lo + GRID_CHUNK_CELLS] for lo in range(0, len(specs), GRID_CHUNK_CELLS))
     return [
         out if isinstance(out, ScenarioResult) else ScenarioResult(spec, {}, error=f"{type(out).__name__}: {out}")
-        for spec, out in zip(specs, itertools.chain.from_iterable(outs))
+        for spec, out in zip(specs, itertools.chain.from_iterable(map(_run_chunk, chunks)))
     ]
 
 

@@ -115,11 +115,6 @@ def _csv_blocks(header, columns):
         yield "".join([row % cells for cells in zip(*body)])
 
 
-def render_csv(header, columns) -> str:
-    """The text ``write_csv`` writes."""
-    return "".join(_csv_blocks(header, columns))
-
-
 def write_csv(path, header, columns) -> None:
     _atomic_write_text(path, _csv_blocks(header, columns))
 
@@ -178,7 +173,7 @@ def explanation_to_table(expl: ShapExplanation, *, extra_meta: dict | None = Non
 
 
 def write_shap_table(path, table: ShapTable) -> None:
-    """Write the table and its sidecar, which ``read_shap_table`` reads back, or raise before any file exists."""
+    """Write the table and its sidecar, which ``read_shap_table`` reads back, or raise and leave no new table."""
     if not (math.isfinite(table.baseline) and np.isfinite(table.values).all() and np.isfinite(table.predictions).all()):
         raise InvalidInputError("SHAP table holds a non-finite value, prediction or baseline")
     header = list(table.feature_names)
@@ -192,7 +187,11 @@ def write_shap_table(path, table: ShapTable) -> None:
         **table.extra_meta,
     }
     write_csv(path, header, columns)
-    write_json(meta_path(path), meta)
+    try:
+        write_json(meta_path(path), meta)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _parse_cells(path, handle) -> tuple[list[str], np.ndarray]:

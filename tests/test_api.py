@@ -92,6 +92,7 @@ PARAMETERS = {
     mshap.default_grid: ["grid_seed", "n", "background_size", "theta1", "theta2", "covariates", "y1", "y2"],
     mshap.explanation_to_table: ["expl", "extra_meta"],
     mshap.score_matrices: ["candidate", "reference", "params"],
+    mshap.run_grid: ["specs"],
 }
 
 

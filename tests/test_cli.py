@@ -286,6 +286,20 @@ def test_simulate_desk_grid_bytes_are_frozen(tmp_path):
     assert digest == "07e368ce1bb3f99a9c0633092af2259c2f663031e2ec0e5af4fe2e97df141693"
 
 
+def test_simulate_threads_is_ignored(tmp_path, capsys):
+    # 24 cells are three chunks of 8, which a thread pool once ran side by side
+    grid = {"y1": ["Y1A", "Y1B"], "theta1": [1.5], "theta2": [1.0, 21.0], "n": 30, "background_size": 15}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": grid, "seed": 3}))
+    out = tmp_path / "out"
+    runs = []
+    for threads in ("1", "4"):
+        assert main(["simulate", "--config", str(cfg), "--threads", threads, "--out-dir", str(out)]) == 0
+        runs.append((capsys.readouterr().out, (out / "results.csv").read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == f"ran 24 scenarios (0 failed) -> {out / 'results.csv'}\n"
+
+
 def test_simulate_echoed_config_reproduces_run(tmp_path):
     config = {
         "grid": {"y1": ["Y1A"], "y2": ["Y2A", "Y2C"], "theta1": [1.5], "theta2": [1.0],
@@ -911,6 +925,18 @@ def test_an_out_dir_that_names_a_file_is_a_usage_error(tmp_path, rng, capsys):
     (line,) = capsys.readouterr().err.splitlines()
     assert line == f"error: cannot create output directory {out}: File exists"
     assert out.read_text() == "keep me\n"
+
+
+def test_a_failed_sidecar_write_exits_3_and_leaves_no_table(tmp_path, rng, capsys):
+    f_path, g_path, *_ = write_pair(tmp_path, rng)
+    out = tmp_path / "out"
+    (out / "mshap.meta.json").mkdir(parents=True)
+    argv = ["combine", "--f-shap", str(f_path), "--g-shap", str(g_path), "--mu-h", "auto", "--out-dir", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out / 'mshap.meta.json'}: Is a directory\n"
+    assert sorted(p.name for p in out.iterdir()) == ["mshap.meta.json"]
 
 
 @pytest.mark.parametrize("subcommand", ["combine", "simulate"])

@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -273,7 +275,7 @@ def test_stack_equals_one_call_per_candidate(data, r, n, p, theta1, theta2):
     stack = data.draw(arrays(np.float64, (r, n, p), elements=cell_values))
     reference = data.draw(arrays(np.float64, (n, p), elements=cell_values))
     params = ScoreParams(theta1, theta2)
-    got = score_matrices(stack, reference, params)
+    (got,) = score_matrices(stack[None], reference[None], [params])
     assert isinstance(got, tuple) and len(got) == r
     for candidate, breakdown in zip(stack, got):
         single = score_matrices(candidate, reference, params)
@@ -285,8 +287,12 @@ def test_stack_equals_one_call_per_candidate(data, r, n, p, theta1, theta2):
 def test_matrix_gives_one_breakdown_and_stack_a_tuple(rng):
     reference = rng.uniform(-1, 1, (5, 3))
     params = ScoreParams(1.5, 1.0)
-    assert isinstance(score_matrices(reference, reference, params), ScoreBreakdown)
-    assert score_matrices(reference[None], reference, params) == (score_matrices(reference, reference, params),)
+    one = score_matrices(reference, reference, params)
+    assert isinstance(one, ScoreBreakdown)
+    assert score_matrices(reference[None, None], reference[None], [params]) == ((one,),)
+    # a stack of candidates against one reference is no longer a form: it is a cell stack or nothing
+    with pytest.raises(DimensionError, match=r"matrix shapes differ: \(1, 5, 3\) vs \(5, 3\)"):
+        score_matrices(reference[None], reference, params)
 
 
 def test_stack_shape_errors(rng):
@@ -305,3 +311,68 @@ def test_stack_shape_errors(rng):
     for cells in (params, [params], [params] * 3):
         with pytest.raises(DimensionError, match="a stack of 2 cells needs a list of 2 ScoreParams"):
             score_matrices(rng.uniform(size=(2, 1, 4, 3)), rng.uniform(size=(2, 4, 3)), cells)
+
+
+# ---------------------------------------------------------------- finite extremes
+
+MAX = float(np.finfo(float).max)
+extremes = st.sampled_from([MAX, -MAX, 5e-324, -5e-324, 0.0, -0.0])
+# any theta in (0, max], its ends included
+extreme_thetas = st.one_of(
+    st.sampled_from([5e-324, 1.0, 1e308, MAX]),
+    st.floats(min_value=5e-324, max_value=MAX, allow_nan=False),
+)
+
+
+def exact_direction(s, k, theta1):
+    """λ1 of one cell pair in rational arithmetic."""
+    s, k, theta1 = Fraction(s), Fraction(k), Fraction(theta1)
+    return Fraction(1) if s * k > 0 else min(Fraction(1), (1 + theta1) / (abs(s) + abs(k) + theta1))
+
+
+def ulps(got: float, want: Fraction) -> Fraction:
+    return abs(Fraction(got) - want) / Fraction(np.spacing(float(want)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    c=st.integers(1, 3),
+    r=st.integers(1, 3),
+    n=st.integers(1, 3),
+    p=st.integers(1, 3),
+)
+def test_finite_extremes_score_in_range_without_a_warning(data, c, r, n, p):
+    cand = data.draw(arrays(np.float64, (c, r, n, p), elements=extremes))
+    ref = data.draw(arrays(np.float64, (c, n, p), elements=extremes))
+    thetas = data.draw(st.lists(st.tuples(extreme_thetas, extreme_thetas), min_size=c, max_size=c))
+    params = [ScoreParams(t1, t2) for t1, t2 in thetas]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a breakdown out of range would raise here
+        scored = score_matrices(cand, ref, params)
+        terms = _direction(cand, ref[:, None], np.array([t1 for t1, _ in thetas])[:, None, None, None])
+    for i, (cell_params, cell_scores) in enumerate(zip(params, scored)):
+        for j, breakdown in enumerate(cell_scores):
+            assert 0 < breakdown.score <= 3
+            exact = [
+                exact_direction(s, k, cell_params.theta1)
+                for s, k in zip(cand[i, j].ravel().tolist(), ref[i].ravel().tolist())
+            ]
+            # each quotient is within 2 ulp of its exact value
+            for got, want in zip(terms[i, j].ravel().tolist(), exact):
+                assert ulps(got, want) <= 2
+            # the mean adds one rounding per addition and one for the division
+            assert ulps(breakdown.direction_score, sum(exact) / (n * p)) <= n * p + 2
+
+
+def test_opposite_extremes_keep_their_direction_slack():
+    # |s| + |k| + theta1 overflowed halved arithmetic, which gave 0.0 and a warning
+    value = cell(MAX, -MAX, theta1=1e308).direction_score
+    assert ulps(value, exact_direction(MAX, -MAX, 1e308)) <= 2
+    assert value == pytest.approx(0.2176, abs=1e-4)
+
+
+def test_a_subnormal_theta_on_a_zero_pair_divides_without_a_warning():
+    # 0.25 * 5e-324 underflows to a zero denominator; the slack is min(1, inf) = 1
+    assert cell(0.0, 0.0, theta1=5e-324).direction_score == 1.0

@@ -467,19 +467,6 @@ def test_run_grid_records_errors_and_continues():
     assert [r["scenario"] for r in records] == [0, 1, 1, 1, 1]
 
 
-def test_run_grid_parallel_matches_serial():
-    # 20 cells are three chunks, so the threads run chunks side by side
-    specs = default_grid(grid_seed=3, n=30, background_size=15)[:20]
-    serial = run_grid(specs, n_jobs=1)
-    threaded = run_grid(specs, n_jobs=4)
-    assert len(serial) == len(threaded) == 20
-    for a, b in zip(serial, threaded):
-        assert a.spec == b.spec
-        assert a.error is None and b.error is None
-        # repr tells -0.0 from 0.0, so this is a bit-for-bit comparison
-        assert repr(a) == repr(b)
-
-
 def test_run_grid_equals_one_run_scenario_per_cell_on_the_desk_grid():
     specs = default_grid()
     assert len(specs) == 108

@@ -29,7 +29,12 @@ from mshap import (
     write_value_table,
 )
 from mshap import tables
-from mshap.tables import _text_cell, fmt17, meta_path, render_csv, write_records
+from mshap.tables import _csv_blocks, _text_cell, fmt17, meta_path, write_records
+
+def csv_text(header, columns) -> str:
+    """The text ``write_csv`` writes: its blocks, joined."""
+    return "".join(_csv_blocks(header, columns))
+
 
 NASTY = [math.pi, 1.0 / 3.0, 5e-324, 1.7976931348623157e308, -0.0, 1.0, -123456.789, 2**53 + 1.0]
 
@@ -284,17 +289,17 @@ _BODIES = st.integers(1, 5).flatmap(
 )
 
 
-def test_render_csv_matches_per_cell_fmt17_on_nasty_values():
+def test_csv_text_matches_per_cell_fmt17_on_nasty_values():
     body = np.array([NASTY, NASTY[::-1], [-x for x in NASTY]])
     header = [f"c{j}" for j in range(body.shape[1])]
-    assert render_csv(header, list(body.T)) == _fmt17_reference(header, body)
+    assert csv_text(header, list(body.T)) == _fmt17_reference(header, body)
 
 
 @given(_BODIES)
-def test_render_csv_matches_per_cell_fmt17(rows):
+def test_csv_text_matches_per_cell_fmt17(rows):
     body = np.array(rows, dtype=float)
     header = [f"x{j}" for j in range(body.shape[1])]
-    assert render_csv(header, list(body.T)) == _fmt17_reference(header, body)
+    assert csv_text(header, list(body.T)) == _fmt17_reference(header, body)
 
 
 _TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\n;')), max_size=6)
@@ -305,7 +310,7 @@ _CELLS = st.one_of(st.none(), _TEXT, st.integers(-10**20, 10**20), st.sampled_fr
 def test_record_cells_are_quoted_like_csv_writer(records, name):
     fields = ("a", "b", name or "c")
     records = [{**r, fields[2]: r["a"]} for r in records]
-    assert render_csv(fields, [[r.get(f, "") for r in records] for f in fields]) == (
+    assert csv_text(fields, [[r.get(f, "") for r in records] for f in fields]) == (
         _csv_writer_reference(fields, records)
     )
 
@@ -317,7 +322,7 @@ def test_write_records_leaves_missing_fields_empty(tmp_path):
 
 def test_string_array_cells_are_quoted():
     names = np.tile(np.array(["a,b", "c"]), 3)
-    text = render_csv(["f"], [names])
+    text = csv_text(["f"], [names])
     assert text == 'f\n"a,b"\nc\n"a,b"\nc\n"a,b"\nc\n'
 
 
@@ -338,7 +343,7 @@ def test_tiled_text_column_is_formatted_once_per_name_with_the_same_bytes(monkey
         return _text_cell(value, alone)
 
     monkeypatch.setattr(tables, "_text_cell", counting)
-    text = render_csv(header, columns)
+    text = csv_text(header, columns)
     assert text == want
     # equal numbers and bools keep their own texts: 0, -0, True, 1
     assert text.split("\n")[1:5] == ["0,\"a,b\",0", '1,"say ""hi""",-0', '2,"c\rd",True', "3,plain,1"]
@@ -375,8 +380,8 @@ def test_lone_empty_column_name_round_trips(tmp_path):
     names, values = read_value_table(path)
     assert names == ("",)
     assert np.array_equal(values, np.ones((2, 1)))
-    assert render_csv(["f"], [["", "a"]]) == 'f\n""\na\n'
-    assert render_csv(["a", "b"], [["", "x"], [None, ""]]) == "a,b\n,\nx,\n"
+    assert csv_text(["f"], [["", "a"]]) == 'f\n""\na\n'
+    assert csv_text(["a", "b"], [["", "x"], [None, ""]]) == "a,b\n,\nx,\n"
 
 
 def test_carriage_return_in_a_name_is_quoted(tmp_path):
@@ -427,7 +432,7 @@ def test_block_boundaries_round_trip_byte_for_byte(tmp_path, rng, columns, block
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
     if n == 0:
         # the reader rejects a header without rows, so the writer refuses one
-        assert render_csv(names, list(values.T)) == _fmt17_reference(names, values)
+        assert csv_text(names, list(values.T)) == _fmt17_reference(names, values)
         with pytest.raises(DimensionError, match="must be"):
             write_value_table(first, names, values)
         assert not first.exists()
@@ -435,7 +440,7 @@ def test_block_boundaries_round_trip_byte_for_byte(tmp_path, rng, columns, block
     write_value_table(first, names, values)
     text = first.read_bytes().decode()
     assert text == _fmt17_reference(names, values)
-    assert text == render_csv(names, list(values.T))
+    assert text == csv_text(names, list(values.T))
     back_names, back = read_value_table(first)
     assert back_names == names and back.tobytes() == values.tobytes()
     write_value_table(second, back_names, back)
@@ -486,7 +491,7 @@ def test_mixed_columns_across_blocks_match_csv_writer():
     columns = (np.arange(n), np.tile(names, n)[:n], np.linspace(-1, 1, n), np.full(n, -0.0))
     fields = ("row", "feature", "covariate_value", "mshap_value")
     records = [dict(zip(fields, (int(i), str(s), float(a), float(b)))) for i, s, a, b in zip(*columns)]
-    assert render_csv(fields, columns) == _csv_writer_reference(fields, records)
+    assert csv_text(fields, columns) == _csv_writer_reference(fields, records)
 
 
 @pytest.mark.parametrize(
@@ -564,6 +569,19 @@ def test_a_failed_write_is_one_typed_error_and_keeps_the_old_file(tmp_path, monk
     assert str(err.value) == f"cannot write {target}: {reason}"
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["v.csv"]
+
+
+@pytest.mark.parametrize("where", ["new", "replace"])
+def test_a_failed_sidecar_write_leaves_no_new_table(tmp_path, where):
+    path = tmp_path / "t.csv"
+    if where == "replace":
+        path.write_text("old\n")
+    # a directory where the sidecar goes: its rename fails after the table's succeeded
+    meta_path(path).mkdir()
+    table = explanation_to_table(ShapExplanation(np.array([[1.0, 2.0]]), 0.5, np.array([3.5])))
+    with pytest.raises(MshapError, match=f"cannot write {re.escape(str(meta_path(path)))}: Is a directory"):
+        write_shap_table(path, table)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.meta.json"]
 
 
 # -- numpy's C tokenizer against the csv module -------------------------------
