@@ -251,15 +251,10 @@ def linear_combine_explanations(
     first = next((e for _, e in parts if e.feature_names is not None), parts[0][1])
     for _, e in parts:
         _check_alignment(first, e)
-    with np.errstate(all="ignore"):  # an overflow is reported below as an error
+    with np.errstate(all="ignore"):  # an overflow is non-finite, which ShapExplanation rejects
         values = sum(float(w) * e.values for w, e in parts)
         base = sum(float(w) * e.baseline for w, e in parts)
         predictions = sum(w * e.predictions for w, e in parts)
-    if not (np.isfinite(base) and np.isfinite(values).all() and np.isfinite(predictions).all()):
-        raise InvalidInputError(
-            f"the linear combination is not finite (baseline={base}): a weighted "
-            "part overflows float64"
-        )
     return ShapExplanation(
         values=values, baseline=base, predictions=predictions, feature_names=first.feature_names
     )

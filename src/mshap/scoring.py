@@ -98,6 +98,9 @@ def score_matrices(candidate, reference, params: ScoreParams | list[ScoreParams]
         raise DimensionError(f"matrix shapes differ: {np.shape(candidate)} vs {np.shape(reference)}")
     if isinstance(params, ScoreParams) or len(params) != len(ref):
         raise DimensionError(f"a stack of {len(ref)} cells needs a list of {len(ref)} ScoreParams")
+    bad = next((q for q in params if not isinstance(q, ScoreParams)), None)
+    if bad is not None:
+        raise InvalidInputError(f"expected ScoreParams, got {type(bad).__name__} {bad!r}")
 
     c, r, n, p = cand.shape
     ranks_c = importance_ranks(cand.reshape(-1, p)).reshape(cand.shape)

@@ -124,8 +124,9 @@ class ShapExplanation:
     """Per-feature contributions for a batch of instances of one model part.
 
     ``values`` is (n, p); each row plus ``baseline`` reconstructs the matching
-    entry of ``predictions`` (local accuracy). Feature names are optional and
-    positional when absent.
+    entry of ``predictions`` (local accuracy, which means nothing for inf or
+    NaN, so the constructor raises ``InvalidInputError`` for a non-finite
+    entry). Feature names are optional and positional when absent.
     """
 
     values: np.ndarray
@@ -142,6 +143,10 @@ class ShapExplanation:
             )
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise DimensionError(f"attribution matrix must be (n>=1, p>=1), got {values.shape}")
+        base = float(self.baseline)
+        for name, entries in (("values", values), ("predictions", preds), ("baseline", base)):
+            if not np.isfinite(entries).all():
+                raise InvalidInputError(f"non-finite {name} in an explanation")
         if self.feature_names is not None:
             names = tuple(str(s) for s in self.feature_names)
             if len(names) != values.shape[1]:
@@ -152,7 +157,7 @@ class ShapExplanation:
             object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "predictions", preds)
-        object.__setattr__(self, "baseline", float(self.baseline))
+        object.__setattr__(self, "baseline", base)
 
     @property
     def n_rows(self) -> int:
@@ -183,7 +188,6 @@ class LocalAccuracyReport:
 
     row_ok: np.ndarray
     residuals: np.ndarray
-    tol_rel: float
 
     @property
     def passed(self) -> bool:
@@ -208,7 +212,7 @@ def validate_local_accuracy(expl: ShapExplanation, tol_rel: float = 1e-9) -> Loc
     """
     residuals = expl.predictions - np.asarray(expl.baseline)[..., None] - expl.values.sum(axis=-1)
     bound = tol_rel * np.maximum(1.0, np.abs(expl.predictions))
-    return LocalAccuracyReport(row_ok=np.abs(residuals) <= bound, residuals=residuals, tol_rel=tol_rel)
+    return LocalAccuracyReport(row_ok=np.abs(residuals) <= bound, residuals=residuals)
 
 
 def baseline(model: ModelFunction, background) -> float:
@@ -333,9 +337,10 @@ def _attributions_from_values(values: np.ndarray, p: int) -> np.ndarray:
     cube = values.reshape((2,) * p + (n,))
     w = _shapley_weights(p)[np.bitwise_count(np.arange(1 << (p - 1)))]
     phi = np.empty((n, p))
-    for j in range(p):
-        lead = (slice(None),) * (p - 1 - j)  # the axes of bits above j
-        phi[:, j] = w @ (cube[lead + (1,)] - cube[lead + (0,)]).reshape(-1, n)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which ShapExplanation rejects
+        for j in range(p):
+            lead = (slice(None),) * (p - 1 - j)  # the axes of bits above j
+            phi[:, j] = w @ (cube[lead + (1,)] - cube[lead + (0,)]).reshape(-1, n)
     return phi
 
 
@@ -463,15 +468,17 @@ def sampling_explain_matrix(
         v = _splice_walk(lambda rows: (model(rows),), X[lo : lo + step], data, list(index), 1)[0, 0]
         contrib = np.empty((v.shape[1], p))
         empty = np.full((1, v.shape[1]), v_empty)
-        for order, prefix in zip(orders, prefixes):
-            at = v[prefix]
-            contrib[:, order] = (at - np.concatenate((empty, at[:-1]))).T
-            total[lo : lo + step] += contrib
-            total_sq[lo : lo + step] += contrib * contrib
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which ShapExplanation rejects
+            for order, prefix in zip(orders, prefixes):
+                at = v[prefix]
+                contrib[:, order] = (at - np.concatenate((empty, at[:-1]))).T
+                total[lo : lo + step] += contrib
+                total_sq[lo : lo + step] += contrib * contrib
 
     phi = total / count
     if count > 1:
-        var = np.maximum(total_sq - count * phi * phi, 0.0) / (count - 1)
+        with np.errstate(invalid="ignore"):  # an inf in phi makes this inf - inf, as above
+            var = np.maximum(total_sq - count * phi * phi, 0.0) / (count - 1)
         stderr = np.sqrt(var / count)
     else:
         stderr = np.full((n, p), np.nan)

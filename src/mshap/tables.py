@@ -147,7 +147,8 @@ class ShapTable(ShapExplanation):
         values = np.atleast_2d(np.asarray(self.values, dtype=float))
         if self.predictions is None:
             # local accuracy pins the prediction once the baseline is known
-            object.__setattr__(self, "predictions", float(self.baseline) + values.sum(axis=1))
+            with np.errstate(over="ignore", invalid="ignore"):  # ShapExplanation rejects a non-finite sum
+                object.__setattr__(self, "predictions", float(self.baseline) + values.sum(axis=1))
         if self.feature_names is None:
             names = tuple(f"x{j + 1}" for j in range(values.shape[1]))
             object.__setattr__(self, "feature_names", names)
@@ -174,8 +175,6 @@ def explanation_to_table(expl: ShapExplanation, *, extra_meta: dict | None = Non
 
 def write_shap_table(path, table: ShapTable) -> None:
     """Write the table and its sidecar, which ``read_shap_table`` reads back, or raise and leave no new table."""
-    if not (math.isfinite(table.baseline) and np.isfinite(table.values).all() and np.isfinite(table.predictions).all()):
-        raise InvalidInputError("SHAP table holds a non-finite value, prediction or baseline")
     header = list(table.feature_names)
     columns = list(table.values.T)
     if table.prediction_column is not None:

@@ -7,9 +7,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import bench_pairs  # noqa: E402
 
 
-def _run(**values):
+def _run(correct=True, exit=0, **values):
     metrics = {name: {"value": value, "unit": "s"} for name, value in values.items()}
-    return {"result": {"correct": True, "metrics": metrics}}
+    return {"exit": exit, "result": {"correct": correct, "metrics": metrics}}
 
 
 def test_parse_run_keeps_the_machine_block_and_the_last_line():
@@ -30,7 +30,7 @@ def test_summary_counts_wins_in_the_better_direction_and_ties_for_neither():
     parent = [3.0, 1.0, 2.0, 4.0, 5.0]
     change = [2.0, 1.0, 1.0, 4.5, 4.0]
     pairs = [{"parent": _run(t=p, r=p), "change": _run(t=c, r=c)} for p, c in zip(parent, change)]
-    pairs.append({"parent": _run(t=9.0, r=9.0), "change": {"result": None}})  # a run that printed nothing
+    pairs.append({"parent": _run(t=9.0, r=9.0), "change": {"exit": 1, "result": None}})  # a run that printed nothing
     metrics = [
         {"name": "t", "unit": "s", "better": "lower", "bound": 0.25},
         {"name": "r", "unit": "ratio", "better": "higher", "bound": 0.1},
@@ -41,3 +41,50 @@ def test_summary_counts_wins_in_the_better_direction_and_ties_for_neither():
     assert summary["t"]["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0, "iqr": 2.0}
     assert summary["t"]["change"]["median"] == 2.0
     assert summary["t"]["bound"] == 0.25
+
+
+METRICS = [{"name": "t", "unit": "s", "better": "lower", "bound": 0.25}]
+
+
+def test_a_pair_with_an_incorrect_or_failed_run_is_dropped():
+    good = [{"parent": _run(t=p), "change": _run(t=p - 1.0)} for p in (2.0, 3.0, 4.0)]
+    bad = [
+        {"parent": _run(t=1.0), "change": _run(correct=False, t=100.0)},  # printed "correct": false
+        {"parent": _run(exit=1, t=100.0), "change": _run(t=1.0)},  # metrics, but a failed exit
+        {"parent": _run(t=1.0), "change": {"exit": 0, "result": {"correct": True}}},  # no metrics
+    ]
+    assert [bench_pairs.usable(p) for p in good + bad] == [True] * 3 + [False] * 3
+    summary = bench_pairs.summarize(good + bad, METRICS)["t"]
+    assert summary["change_won"] == "3 of 3"
+    assert summary["parent"]["median"] == 3.0 and summary["change"]["median"] == 2.0
+
+
+def test_a_workload_with_no_usable_pair_gets_null_quartiles():
+    # this used to raise ValueError: not enough values to unpack, and write no BENCH file
+    pairs = [{"parent": _run(t=1.0), "change": _run(correct=False, t=1.0)}]
+    empty = {"median": None, "q1": None, "q3": None, "iqr": None}
+    for given in (pairs, []):
+        summary = bench_pairs.summarize(given, METRICS)["t"]
+        assert summary["parent"] == summary["change"] == empty
+        assert summary["change_won"] == "0 of 0"
+
+
+def test_main_records_the_dropped_pairs_and_exits_1(tmp_path, monkeypatch):
+    spec = {"workloads": [{"name": "w"}], "end_to_end": METRICS, "per_layer": METRICS}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    monkeypatch.setattr(bench_pairs, "TRACED_PAIRS", 1)
+    monkeypatch.setattr(bench_pairs, "commit", lambda checkout: {"commit": None, "src_tree": None})
+    calls = []
+
+    def fake_run(checkout, workload, seed, trace):
+        calls.append(workload)
+        return _run(correct=len(calls) != 2, t=float(len(calls)))  # the second run is incorrect
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out)]) == 1
+    record = json.loads(out.read_text())
+    assert record["workloads"]["w"]["dropped_pairs"] == 1
+    assert record["workloads"]["w"]["summary"]["t"]["change_won"] == "1 of 1"
+    assert record["traced"]["dropped_pairs"] == 0 and record["traced"]["workload"] == "cli_tables"

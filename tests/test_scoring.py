@@ -313,6 +313,21 @@ def test_stack_shape_errors(rng):
             score_matrices(rng.uniform(size=(2, 1, 4, 3)), rng.uniform(size=(2, 4, 3)), cells)
 
 
+@pytest.mark.parametrize(
+    "candidate, reference, params, given",
+    [
+        (np.ones((4, 3)), np.ones((4, 3)), [ScoreParams(1.5, 1.0)], "list"),
+        (np.ones((4, 3)), np.ones((4, 3)), (1.5, 1.0), "tuple"),
+        (np.ones((2, 1, 4, 3)), np.ones((2, 4, 3)), [ScoreParams(1.5, 1.0), (1.5, 1.0)], "tuple"),
+    ],
+    ids=["list-for-one-pair", "thetas-for-one-pair", "thetas-in-a-cell-list"],
+)
+def test_params_that_are_not_score_params_are_refused(candidate, reference, params, given):
+    # each used to end in AttributeError: ... has no attribute 'theta1'
+    with pytest.raises(InvalidInputError, match=f"expected ScoreParams, got {given} "):
+        score_matrices(candidate, reference, params)
+
+
 # ---------------------------------------------------------------- finite extremes
 
 MAX = float(np.finfo(float).max)

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ import pytest
 from mshap import (
     DimensionError,
     EnumerationLimitError,
+    AlphaMethod,
     InvalidInputError,
     ModelFunction,
+    MshapExplanation,
     ScenarioSpec,
     ShapExplanation,
+    ShapTable,
     additive_model,
     baseline,
     explain_matrix,
@@ -22,7 +26,7 @@ from mshap import (
     validate_local_accuracy,
 )
 from mshap import shapley
-from mshap.shapley import _shapley_weights, explain_product
+from mshap.shapley import SamplingExplanation, _shapley_weights, explain_product
 from mshap.simulation import Y1_IDS, Y2_IDS, sample_scenario_rows, scenario_model
 from parts import constant_model
 
@@ -96,9 +100,53 @@ def test_a_non_finite_cell_is_rejected_before_any_model_call(entry, where, bad):
     assert calls == []
 
 
-def test_explanation_values_must_be_a_matrix():
+@pytest.mark.parametrize("entry", ["explain_matrix", "explain_product", "drawn", "exhaustive"])
+def test_an_infinite_model_output_is_refused_without_a_warning(entry):
+    # at the parent these returned NaN attributions and leaked a RuntimeWarning from inf - inf
+    X = np.array([[1.0, 1.0, 1.0], [2.0, 0.5, 2.0]])
+    background = np.array([[-1.0, -1.0, -1.0], [-3.0, -2.0, -3.0]])
+    # a spliced row mixes signs; np.where picks inf for it without computing an inf itself
+    model = ModelFunction(3, lambda R: np.where((R > 0).all(axis=1) | (R < 0).all(axis=1), R.sum(axis=1), np.inf))
+    run = {
+        "explain_matrix": lambda: explain_matrix(model, X, background),
+        "explain_product": lambda: explain_product(model, model, X, background),
+        "drawn": lambda: sampling_explain_matrix(model, X, background, 4, 0),
+        "exhaustive": lambda: sampling_explain_matrix(model, X, background, 6, 0),
+    }[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="non-finite values in an explanation"):
+            run()
+
+
+EXPLANATION_TYPES = [
+    pytest.param(ShapExplanation, {}, id="ShapExplanation"),
+    pytest.param(
+        SamplingExplanation,
+        {"stderr": np.full((2, 2), np.nan), "n_permutations": 1, "exhaustive": False},
+        id="SamplingExplanation",
+    ),
+    pytest.param(MshapExplanation, {"alpha": 0.0, "method": AlphaMethod.ABSOLUTE}, id="MshapExplanation"),
+    pytest.param(ShapTable, {"prediction_column": "prediction"}, id="ShapTable"),
+]
+
+
+@pytest.mark.parametrize("cls, extra", EXPLANATION_TYPES)
+def test_explanation_values_must_be_a_matrix(cls, extra):
     with pytest.raises(DimensionError):
-        ShapExplanation(values=np.zeros((2, 3, 4)), baseline=0.0, predictions=np.zeros(2))
+        cls(values=np.zeros((2, 3, 4)), baseline=0.0, predictions=np.zeros(2), **extra)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("field", ["values", "predictions", "baseline"])
+@pytest.mark.parametrize("cls, extra", EXPLANATION_TYPES)
+def test_every_explanation_type_refuses_a_non_finite_entry(cls, extra, field, bad):
+    good = {"values": np.array([[1.0, 2.0], [3.0, -1.0]]), "baseline": 0.5, "predictions": np.array([3.5, 2.5])}
+    cls(**good, **extra)  # a NaN stderr is no attribution: SamplingExplanation keeps it
+    entry = np.array(good[field])
+    entry.flat[-1] = bad
+    with pytest.raises(InvalidInputError, match=f"non-finite {field} in an explanation"):
+        cls(**dict(good, **{field: entry}), **extra)
 
 
 # ---------------------------------------------------------------- exact enumeration

@@ -254,6 +254,17 @@ def test_table_shape_validation():
         ShapTable(values=np.ones((2, 2)), baseline=0.0, prediction_column="p")  # no predictions
 
 
+@pytest.mark.parametrize(
+    "values, field", [([[1e308, 1e308]], "predictions"), ([[np.inf, -np.inf]], "values")], ids=["overflow", "inf-minus-inf"]
+)
+def test_a_table_whose_row_sum_is_not_finite_is_refused_without_a_warning(values, field):
+    # the predictions a table derives from its row sums used to overflow, or meet inf - inf, with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=f"non-finite {field} in an explanation"):
+            ShapTable(values=values, baseline=0.0)
+
+
 def test_atomic_overwrite(tmp_path):
     path = tmp_path / "t.csv"
     write_shap_table(path, ShapTable(values=[[1.0]], baseline=0.0, feature_names=("x",)))
@@ -470,17 +481,17 @@ def test_write_value_table_refuses_what_the_reader_rejects(tmp_path, names, valu
 @pytest.mark.parametrize(
     "table",
     [
-        ShapTable(values=[[np.inf, 1.0]], baseline=0.0),
-        ShapTable(values=[[np.nan, 1.0]], baseline=0.0, predictions=[1.5], prediction_column="prediction"),
-        explanation_to_table(ShapExplanation(np.ones((2, 2)), 0.0, np.array([2.0, -np.inf]))),
-        ShapTable(values=[[1.0, 1.0]], baseline=np.inf, predictions=[2.0], prediction_column="prediction"),
+        lambda: ShapTable(values=[[np.inf, 1.0]], baseline=0.0),
+        lambda: ShapTable(values=[[np.nan, 1.0]], baseline=0.0, predictions=[1.5], prediction_column="prediction"),
+        lambda: explanation_to_table(ShapExplanation(np.ones((2, 2)), 0.0, np.array([2.0, -np.inf]))),
+        lambda: ShapTable(values=[[1.0, 1.0]], baseline=np.inf, predictions=[2.0], prediction_column="prediction"),
     ],
     ids=["value", "value-with-predictions", "prediction", "baseline"],
 )
 def test_write_shap_table_refuses_what_the_reader_rejects(tmp_path, table):
-    # each of these used to be written, then rejected by read_shap_table
+    # each of these used to be written, then rejected by read_shap_table; now no such table can be built
     with pytest.raises(InvalidInputError, match="non-finite"):
-        write_shap_table(tmp_path / "t.csv", table)
+        write_shap_table(tmp_path / "t.csv", table())
     assert list(tmp_path.iterdir()) == []
 
 

@@ -16,9 +16,12 @@ alternating pairs of traced ``cli_tables`` runs (``--trace 1``) give the
 per-layer metrics of the table layers: a single traced pair cannot resolve
 them, because the machine's speed drifts between runs.
 Each run is kept with its command, seed, exit code, ``machine`` block and
-the JSON object of its last line.  For each metric the file also holds both
-sides' medians and quartiles and the number of pairs the change won (ties
-count for neither side).  Runs are sequential, one process each.
+the JSON object of its last line.  Only pairs whose two runs both exited 0
+and printed ``"correct": true`` are summarized; each group records how many
+it dropped.  For each metric the file also holds both sides' medians and
+quartiles (null when no pair is left) and the number of pairs the change
+won (ties count for neither side).  Runs are sequential, one process each.
+The exit status is 1 when any pair was dropped.
 """
 
 from __future__ import annotations
@@ -54,14 +57,22 @@ def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     return {"command": " ".join(command), "seed": seed, "exit": proc.returncode, **parse_run(proc.stdout)}
 
 
+def usable(pair: dict) -> bool:
+    """Both runs exited 0 and printed ``"correct": true`` with their metrics."""
+    results = [(pair[side]["exit"], pair[side]["result"] or {}) for side in SIDES]
+    return all(code == 0 and result.get("correct") is True and result.get("metrics") for code, result in results)
+
+
 def _quartiles(values: list[float]) -> dict:
+    if not values:
+        return {"median": None, "q1": None, "q3": None, "iqr": None}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs the change won."""
-    pairs = [p for p in pairs if all((p[side]["result"] or {}).get("metrics") for side in SIDES)]
+    """Per metric, over the usable pairs: each side's median and quartiles, and the pairs the change won."""
+    pairs = [p for p in pairs if usable(p)]
     out = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -112,14 +123,16 @@ def main(argv=None) -> int:
         **{side: commit(path) for side, path in checkouts.items()},
         "workloads": {},
     }
+
+    def group(pairs: list[dict], metrics: list[dict]) -> dict:
+        dropped = sum(not usable(p) for p in pairs)
+        return {"pairs": pairs, "dropped_pairs": dropped, "summary": summarize(pairs, metrics)}
+
     for workload in (w["name"] for w in spec["workloads"]):
-        pairs = run_pairs(checkouts, workload, args.seed, 0, PAIRS)
-        record["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, spec["end_to_end"])}
-    pairs = run_pairs(checkouts, TRACED, args.seed, 1, TRACED_PAIRS)
-    record["traced"] = {"workload": TRACED, "pairs": pairs, "summary": summarize(pairs, spec["per_layer"])}
+        record["workloads"][workload] = group(run_pairs(checkouts, workload, args.seed, 0, PAIRS), spec["end_to_end"])
+    record["traced"] = {"workload": TRACED, **group(run_pairs(checkouts, TRACED, args.seed, 1, TRACED_PAIRS), spec["per_layer"])}
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    groups = [*record["workloads"].values(), record["traced"]]
-    return 1 if any(p[side]["exit"] != 0 for g in groups for p in g["pairs"] for side in SIDES) else 0
+    return 1 if any(g["dropped_pairs"] for g in [*record["workloads"].values(), record["traced"]]) else 0
 
 
 if __name__ == "__main__":
