@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from mshap import (
+    AlphaMethod,
     DimensionError,
     EnumerationLimitError,
-    AlphaMethod,
     InvalidInputError,
     ModelFunction,
     MshapExplanation,
@@ -100,13 +100,20 @@ def test_a_non_finite_cell_is_rejected_before_any_model_call(entry, where, bad):
     assert calls == []
 
 
+@pytest.mark.parametrize("signed", [False, True], ids=["inf", "signed-inf"])
 @pytest.mark.parametrize("entry", ["explain_matrix", "explain_product", "drawn", "exhaustive"])
-def test_an_infinite_model_output_is_refused_without_a_warning(entry):
+def test_an_infinite_model_output_is_refused_without_a_warning(entry, signed):
     # at the parent these returned NaN attributions and leaked a RuntimeWarning from inf - inf
     X = np.array([[1.0, 1.0, 1.0], [2.0, 0.5, 2.0]])
     background = np.array([[-1.0, -1.0, -1.0], [-3.0, -2.0, -3.0]])
-    # a spliced row mixes signs; np.where picks inf for it without computing an inf itself
-    model = ModelFunction(3, lambda R: np.where((R > 0).all(axis=1) | (R < 0).all(axis=1), R.sum(axis=1), np.inf))
+
+    def fn(R):
+        # a spliced row mixes signs; np.where picks inf for it (or, when signed, -inf for one
+        # whose first column is negative) without computing an inf itself
+        unspliced = (R > 0).all(axis=1) | (R < 0).all(axis=1)
+        return np.where(unspliced, R.sum(axis=1), np.where(R[:, 0] > 0, np.inf, -np.inf) if signed else np.inf)
+
+    model = ModelFunction(3, fn)
     run = {
         "explain_matrix": lambda: explain_matrix(model, X, background),
         "explain_product": lambda: explain_product(model, model, X, background),
