@@ -431,9 +431,13 @@ def cmd_summary_data(resolved: dict) -> int:
     names = [cov_names[j] for j in order]
     out = _out_dir(resolved)
     write_csv(out / "importance.csv", ("feature", "mean_abs_value"), (names, mean_abs[order]))
-    # long format, row-major: one line per (row, feature) cell
-    cells = (np.repeat(np.arange(n), p), np.tile(cov_names, n), cov.ravel(), table.values.ravel())
-    write_csv(out / "observations.csv", ("row", "feature", "covariate_value", "mshap_value"), cells)
+    # long format, row-major: one line per (row, feature) cell, written a block of rows at a time
+    step = tables._block_rows(4 * p)
+    blocks = (
+        (np.repeat(rows, p), cov_names * len(rows), cov[rows].ravel(), table.values[rows].ravel())
+        for rows in (np.arange(lo, min(lo + step, n)) for lo in range(0, n, step))
+    )
+    tables.write_csv_blocks(out / "observations.csv", ("row", "feature", "covariate_value", "mshap_value"), blocks)
     _echo_config("summary-data", resolved, out)
     print(f"wrote {out / 'importance.csv'} and {out / 'observations.csv'}")
     return 0

@@ -33,12 +33,13 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, InvalidInputError
 from .shapley import ShapExplanation, validate_local_accuracy
+from .tables import _block_rows
 
 INPUT_ACCURACY_TOL = 1e-6
 RAW_DEGENERACY_TOL = 1e-12
@@ -140,6 +141,11 @@ def _distribute_rows(
 _PartStack = namedtuple("_PartStack", "values baseline predictions")
 
 
+def _stack(parts: Sequence[ShapExplanation]) -> _PartStack:
+    """C part explanations of one shape, copied into one stack."""
+    return _PartStack(*(np.array([getattr(e, key) for e in parts]) for key in _PartStack._fields))
+
+
 def _check_alignment(expl_f: ShapExplanation, expl_g: ShapExplanation) -> tuple[str, ...] | None:
     if expl_f.values.shape != expl_g.values.shape:
         raise DimensionError(
@@ -157,33 +163,39 @@ def _check_alignment(expl_f: ShapExplanation, expl_g: ShapExplanation) -> tuple[
 
 
 def _combine_rules(
-    parts_f: Sequence[ShapExplanation],
-    parts_g: Sequence[ShapExplanation],
+    part_f: _PartStack,
+    part_g: _PartStack,
     mu_h: Sequence[float],
-    methods: Iterable[AlphaMethod],
+    methods: Collection[AlphaMethod],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
-    """Cell c composes the aligned ``parts_f[c]`` and ``parts_g[c]`` (one shape for all
-    cells) with the finite ``mu_h[c]`` under each of r ``methods``, all in one pass.
+    """Cell c composes cell c of the aligned stacks ``part_f`` and ``part_g`` with the
+    finite ``mu_h[c]`` under each of r ``methods``, all in one pass.
 
     Returns the (C, r, n, p) values, the (C, r, n) fallback row masks, the C
     alphas, the (C, n) z_hat and per cell its error: None, or the
     ``InvalidInputError`` of its first failed check (part f's local accuracy,
-    part g's, overflow).  Every reduction runs along a cell's own rows, so no
-    cell changes another's bits; :func:`combine` is the one-cell, one-rule case.
+    part g's, overflow).  Rows are composed in blocks of the tables'
+    ``_BLOCK_CELLS`` input cells straight into the output, and every reduction
+    runs along a cell's own rows, so neither the blocks nor another cell change
+    a bit; :func:`combine` is the one-cell, one-rule case.
     """
-    stacks = [
-        _PartStack(*(np.array([getattr(e, key) for e in part]) for key in _PartStack._fields))
-        for part in (parts_f, parts_g)
-    ]
-    reports = [validate_local_accuracy(part, INPUT_ACCURACY_TOL) for part in stacks]
-    (sx, mu_f, pred_f), (sy, mu_g, pred_g) = stacks
+    reports = [validate_local_accuracy(part, INPUT_ACCURACY_TOL) for part in (part_f, part_g)]
+    (sx, mu_f, pred_f), (sy, mu_g, pred_g) = part_f, part_g
+    cells, n, p = sx.shape
+    values = np.empty((cells, len(methods), n, p))
+    fallbacks = np.empty((cells, len(methods), n), dtype=bool)
+    step = _block_rows(cells * p)
     with np.errstate(all="ignore"):  # an overflow is reported below, once per cell, as an error
-        s_prime = _prime_rows(sx, sy, mu_f[:, None, None], mu_g[:, None, None])
         alpha = mu_f * mu_g - np.asarray(mu_h, dtype=float)
         z_hat = pred_f * pred_g
-        rules = [_distribute_rows(s_prime, alpha[:, None, None], method, z_hat) for method in methods]
-    stack, fallbacks = (np.stack(part, axis=1) for part in zip(*rules))
-    finite = np.isfinite(alpha) & np.isfinite(z_hat).all(axis=1) & np.isfinite(stack).all(axis=(1, 2, 3))
+        finite = np.isfinite(alpha) & np.isfinite(z_hat).all(axis=1)
+        for rows in (slice(lo, lo + step) for lo in range(0, n, step)):
+            s_prime = _prime_rows(sx[:, rows], sy[:, rows], mu_f[:, None, None], mu_g[:, None, None])
+            for r, method in enumerate(methods):
+                values[:, r, rows], fallbacks[:, r, rows] = _distribute_rows(
+                    s_prime, alpha[:, None, None], method, z_hat[:, rows]
+                )
+            finite &= np.isfinite(values[:, :, rows]).all(axis=(1, 2, 3))
 
     def error(c: int) -> InvalidInputError | None:
         for label, report in zip("fg", reports):
@@ -198,7 +210,7 @@ def _combine_rules(
             "baselines, values or predictions overflow float64"
         )
 
-    return stack, fallbacks, alpha, z_hat, [error(c) for c in range(len(sx))]
+    return values, fallbacks, alpha, z_hat, [error(c) for c in range(cells)]
 
 
 def combine(
@@ -220,11 +232,13 @@ def combine(
     if not np.isfinite(mu_h):
         raise InvalidInputError(f"mu_h must be finite, got {mu_h}")
     names = _check_alignment(expl_f, expl_g)
-    stack, fallbacks, alpha, z_hat, (error,) = _combine_rules([expl_f], [expl_g], [mu_h], (method,))
+    # views of the one cell: no copy of either part
+    parts = [_PartStack(e.values[None], np.array([e.baseline]), e.predictions[None]) for e in (expl_f, expl_g)]
+    values, fallbacks, alpha, z_hat, (error,) = _combine_rules(*parts, [mu_h], (method,))
     if error is not None:
         raise error
     return MshapExplanation(
-        values=stack[0, 0],
+        values=values[0, 0],
         baseline=mu_h,
         predictions=z_hat[0],
         feature_names=names,

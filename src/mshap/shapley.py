@@ -312,16 +312,17 @@ def _coalition_values(
     step = _splice_chunk(m, p, (1 + mirrored) * k * len(masks))
     base = predictions if mirrored else evaluate(background)
     values = np.empty((k, 1 << p, n))
-    values[:, 0] = np.array([np.add.reduce(out) / m for out in base])[:, None]
-    if mirrored:
-        # the full coalition's block is m copies of each x_i
-        for i, out in enumerate(predictions):
-            values[i, full] = np.add.reduce(np.broadcast_to(out[:, None], (n, m)), axis=1) / m
-    for lo in range(0, n, step):
-        walked = _splice_walk(evaluate, X[lo : lo + step], background, masks, k, mirrored)
-        values[:, masks, lo : lo + step] = walked[0]
+    with np.errstate(invalid="ignore"):  # a mean of +inf and -inf is NaN, which ShapExplanation rejects
+        values[:, 0] = np.array([np.add.reduce(out) / m for out in base])[:, None]
         if mirrored:
-            values[:, full ^ masks] = walked[1]
+            # the full coalition's block is m copies of each x_i
+            for i, out in enumerate(predictions):
+                values[i, full] = np.add.reduce(np.broadcast_to(out[:, None], (n, m)), axis=1) / m
+        for lo in range(0, n, step):
+            walked = _splice_walk(evaluate, X[lo : lo + step], background, masks, k, mirrored)
+            values[:, masks, lo : lo + step] = walked[0]
+            if mirrored:
+                values[:, full ^ masks] = walked[1]
     return values
 
 
@@ -461,14 +462,14 @@ def sampling_explain_matrix(
         [[index.setdefault(s, len(index)) for s in itertools.accumulate(1 << j for j in o)] for o in orders.tolist()]
     )
 
-    v_empty = model(data).mean()
     total, total_sq = np.zeros((2, n, p))
     step = _splice_chunk(data.shape[0], p, len(index))
-    for lo in range(0, n, step):
-        v = _splice_walk(lambda rows: (model(rows),), X[lo : lo + step], data, list(index), 1)[0, 0]
-        contrib = np.empty((v.shape[1], p))
-        empty = np.full((1, v.shape[1]), v_empty)
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which ShapExplanation rejects
+    with np.errstate(invalid="ignore"):  # +inf and -inf average or subtract to NaN, which ShapExplanation rejects
+        v_empty = model(data).mean()
+        for lo in range(0, n, step):
+            v = _splice_walk(lambda rows: (model(rows),), X[lo : lo + step], data, list(index), 1)[0, 0]
+            contrib = np.empty((v.shape[1], p))
+            empty = np.full((1, v.shape[1]), v_empty)
             for order, prefix in zip(orders, prefixes):
                 at = v[prefix]
                 contrib[:, order] = (at - np.concatenate((empty, at[:-1]))).T

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import shapley
-from .combine import AlphaMethod, _combine_rules, combine
+from .combine import AlphaMethod, _combine_rules, _stack, combine
 from .errors import (
     DimensionError,
     InvalidInputError,
@@ -299,7 +299,8 @@ def _run_chunk(specs: Sequence[ScenarioSpec]) -> list[ScenarioResult | Exception
             out[i] = exc
     for _, run in itertools.groupby(ready, key=lambda cell: cell[3].values.shape):
         index, parts_f, parts_g, refs, resampled = zip(*run)
-        combined, fallbacks, *_, errors = _combine_rules(parts_f, parts_g, [r.baseline for r in refs], AlphaMethod)
+        stacks = (_stack(parts) for parts in (parts_f, parts_g))
+        combined, fallbacks, *_, errors = _combine_rules(*stacks, [r.baseline for r in refs], AlphaMethod)
         kept = [c for c, error in enumerate(errors) if error is None]
         params = [ScoreParams(specs[index[c]].theta1, specs[index[c]].theta2) for c in kept]
         scores = iter(score_matrices(combined[kept], np.array([refs[c].values for c in kept]), params) if kept else ())

@@ -82,9 +82,9 @@ def _text_cell(value, alone: bool = False) -> str:
     return text or ('""' if alone else "")
 
 
-def _csv_blocks(header, columns):
-    """CSV text: the header line, then the rows of ``columns`` (1-D, one per
-    header cell) in blocks of ``_block_rows`` lines.
+def _csv_blocks(header, blocks):
+    """CSV text: the header line, then the rows of each block of ``blocks``, a
+    list of 1-D column parts, one per header cell.
 
     Float arrays are written with ``%.17g`` and integer arrays with ``%d``, one
     formatting call per row; any other column is text, made by ``_text_cell``
@@ -101,22 +101,25 @@ def _csv_blocks(header, columns):
             texts[value] = _text_cell(value, alone)
         return texts[value]
 
-    kinds = [col.dtype.kind if isinstance(col, np.ndarray) else "O" for col in columns]
-    row = ",".join({"f": "%.17g", "i": "%d", "u": "%d"}.get(kind, "%s") for kind in kinds) + "\n"
     yield ",".join(_text_cell(name, alone) for name in header) + "\n"
-    # zip stops at the shortest column
-    n_rows = min((len(col) for col in columns), default=0)
-    step = _block_rows(len(columns))
-    for start in range(0, n_rows, step):
-        body = []
-        for col, kind in zip(columns, kinds):
-            part = col[start : start + step]
-            body.append(part.tolist() if kind in "fiu" else [text(v) for v in part])
+    for block in blocks:
+        kinds = [part.dtype.kind if isinstance(part, np.ndarray) else "O" for part in block]
+        row = ",".join({"f": "%.17g", "i": "%d", "u": "%d"}.get(kind, "%s") for kind in kinds) + "\n"
+        body = [part.tolist() if kind in "fiu" else [text(v) for v in part] for part, kind in zip(block, kinds)]
+        # zip stops at the shortest part
         yield "".join([row % cells for cells in zip(*body)])
 
 
+def write_csv_blocks(path, header, blocks) -> None:
+    """Write the header line, then each block's rows, as ``_csv_blocks`` renders them."""
+    _atomic_write_text(path, _csv_blocks(header, blocks))
+
+
 def write_csv(path, header, columns) -> None:
-    _atomic_write_text(path, _csv_blocks(header, columns))
+    """Write whole 1-D ``columns``, one per header cell, in blocks of ``_block_rows`` rows."""
+    n_rows = min((len(col) for col in columns), default=0)
+    step = _block_rows(len(columns))
+    write_csv_blocks(path, header, ([col[lo : lo + step] for col in columns] for lo in range(0, n_rows, step)))
 
 
 def write_records(path, fields, records) -> None:
@@ -315,7 +318,8 @@ def read_shap_table(path) -> ShapTable:
         raise TableFormatError(f"{path}: no feature columns besides the prediction column {pred_col!r}")
     idx = header.index(pred_col)
     names = tuple(h for i, h in enumerate(header) if i != idx)
-    features = np.delete(data, idx, axis=1)
+    # views of the parsed array where the column is last, as write_shap_table puts it
+    features = data[:, :-1] if idx == len(names) else np.delete(data, idx, axis=1)
     return ShapTable(
         feature_names=names,
         values=features,

@@ -2,6 +2,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 import bench_pairs  # noqa: E402
@@ -67,6 +69,7 @@ def test_a_workload_with_no_usable_pair_gets_null_quartiles():
         summary = bench_pairs.summarize(given, METRICS)["t"]
         assert summary["parent"] == summary["change"] == empty
         assert summary["change_won"] == "0 of 0"
+        assert summary["verdict"] == "unresolved"
 
 
 def test_main_records_the_dropped_pairs_and_exits_1(tmp_path, monkeypatch):
@@ -88,3 +91,41 @@ def test_main_records_the_dropped_pairs_and_exits_1(tmp_path, monkeypatch):
     assert record["workloads"]["w"]["dropped_pairs"] == 1
     assert record["workloads"]["w"]["summary"]["t"]["change_won"] == "1 of 1"
     assert record["traced"]["dropped_pairs"] == 0 and record["traced"]["workload"] == "cli_tables"
+
+
+PARENT = [100.0 + i for i in range(10)]  # median 104.5, IQR 4.5: a spread of 4.3 %
+
+
+@pytest.mark.parametrize(
+    "change, expected",
+    [
+        ([p - 5.0 for p in PARENT], "gain"),  # 10 of 10 won, medians 5 apart
+        ([p - 5.0 for p in PARENT[:9]] + [300.0], "gain"),  # 9 of 10 is enough
+        ([p - 5.0 for p in PARENT[:8]] + [300.0, 300.0], "unchanged"),  # 8 of 10 is not
+        ([p - 1.0 for p in PARENT], "unchanged"),  # 10 of 10 won, but inside the parent's IQR
+        ([p * 1.3 for p in PARENT], "regression"),  # the median is 30 % worse, the bound 25 %
+        ([p * 1.2 for p in PARENT], "unchanged"),  # 20 % worse is inside the bound
+    ],
+)
+def test_verdict_of_a_lower_is_better_metric(change, expected):
+    assert bench_pairs.verdict(PARENT, change, True, 0.25) == expected
+
+
+def test_verdict_of_a_higher_is_better_metric():
+    assert bench_pairs.verdict(PARENT, [p + 5.0 for p in PARENT], False, 0.25) == "gain"
+    assert bench_pairs.verdict(PARENT, [p * 0.7 for p in PARENT], False, 0.25) == "regression"
+    assert bench_pairs.verdict(PARENT, [p - 5.0 for p in PARENT], False, 0.25) == "unchanged"
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved_unless_the_runs_separate():
+    wide = [1.0, 2.0, 3.0, 4.0, 100.0, 100.0, 197.0, 198.0, 199.0, 200.0]  # IQR 194.5, median 100
+    assert bench_pairs.verdict(wide, [w - 0.5 for w in wide], True, 0.25) == "unresolved"
+    # every change run beat every parent run, by less than the IQR: no gain, but resolved
+    assert bench_pairs.verdict(wide, [0.5] * 10, True, 0.25) == "unchanged"
+    # with no bound a metric is a gain or unchanged
+    assert bench_pairs.verdict(wide, [w * 2 for w in wide], True, None) == "unchanged"
+
+
+def test_the_summary_carries_each_metric_s_verdict():
+    pairs = [{"parent": _run(t=p), "change": _run(t=p - 5.0)} for p in PARENT]
+    assert bench_pairs.summarize(pairs, METRICS)["t"]["verdict"] == "gain"

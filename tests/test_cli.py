@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from mshap import (
     write_shap_table,
     write_value_table,
 )
+from mshap import tables
 from mshap.cli import main
 from parts import make_parts
 
@@ -504,6 +506,46 @@ def test_summary_data_order_matches_importance_ranks(tmp_path, rng):
     expected_order = [NAMES[j] for j in np.argsort(ranks)]
     lines = (out / "importance.csv").read_text().strip().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == expected_order
+
+
+def _summary_inputs(tmp_path, rng, n, names):
+    """An attribution table and a covariate table of n rows, and their arrays."""
+    values = rng.uniform(-1, 1, (n, len(names)))
+    cov = rng.uniform(-2, 2, (n, len(names)))
+    table = ShapTable(
+        values=values, baseline=0.5, predictions=0.5 + values.sum(axis=1),
+        feature_names=names, prediction_column="prediction",
+    )
+    write_shap_table(tmp_path / "m.csv", table)
+    write_value_table(tmp_path / "x.csv", names, cov)
+    argv = ["summary-data", "--mshap", str(tmp_path / "m.csv"), "--covariates", str(tmp_path / "x.csv"),
+            "--out-dir", str(tmp_path / "out")]
+    return argv, values, cov
+
+
+def test_observations_across_block_edges_equal_the_whole_long_format(tmp_path, rng, capsys):
+    names = ("a", 'b,"c"', "d")
+    p = len(names)
+    n = 2 * tables._block_rows(4 * p) + 3  # summary-data writes blocks of this many table rows
+    argv, values, cov = _summary_inputs(tmp_path, rng, n, names)
+    assert main(argv) == 0
+    # the long-format columns summary-data used to build whole
+    columns = (np.repeat(np.arange(n), p), np.tile(names, n), cov.ravel(), values.ravel())
+    want = "".join(tables._csv_blocks(("row", "feature", "covariate_value", "mshap_value"), [columns]))
+    assert (tmp_path / "out" / "observations.csv").read_bytes().decode() == want
+
+
+def test_summary_data_peaks_below_four_tables(tmp_path, rng, capsys):
+    # at the parent the whole long-format columns and a copy of the read table took 18.2 MB here
+    argv, values, _ = _summary_inputs(tmp_path, rng, 20_000, tuple(f"x{j + 1}" for j in range(20)))
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * values.nbytes, peak
 
 
 def test_summary_data_misalignment_exits_3(tmp_path, rng):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +22,8 @@ from mshap import (
     product_model,
     validate_local_accuracy,
 )
-from mshap.combine import RAW_AMPLIFICATION_LIMIT, RAW_DEGENERACY_TOL, _combine_rules, _distribute_rows
+from mshap import tables
+from mshap.combine import RAW_AMPLIFICATION_LIMIT, RAW_DEGENERACY_TOL, _combine_rules, _distribute_rows, _stack
 from parts import make_parts
 
 METHODS = list(AlphaMethod)
@@ -416,7 +418,7 @@ def draw_parts(data, n, p, alpha_zero):
 def test_one_pass_over_cells_and_rules_equals_one_combine_call_per_rule(data, n, p, alpha_zero):
     cells = [draw_parts(data, n, p, zero) for zero in alpha_zero]
     parts_f, parts_g, mu_h = zip(*cells)
-    stack, fallbacks, alpha, z_hat, errors = _combine_rules(parts_f, parts_g, mu_h, METHODS)
+    stack, fallbacks, alpha, z_hat, errors = _combine_rules(_stack(parts_f), _stack(parts_g), mu_h, METHODS)
     assert stack.shape == (len(cells), len(METHODS), n, p) and fallbacks.shape == (len(cells), len(METHODS), n)
     assert errors == [None] * len(cells)
     for c, (expl_f, expl_g, mu_h_c) in enumerate(cells):
@@ -428,6 +430,46 @@ def test_one_pass_over_cells_and_rules_equals_one_combine_call_per_rule(data, n,
             assert alpha[c] == one.alpha
 
 
+@pytest.mark.parametrize("p", [1, 3, 20])
+def test_rows_on_either_side_of_a_block_edge_keep_their_bits(rng, p):
+    block = tables._block_rows(p)  # combine() composes one cell in blocks of this many rows
+    n = 2 * block + 1
+    sx, sy = rng.uniform(-1e3, 1e3, (2, n, p))
+    edges = [0, block - 1, block, 2 * block - 1, 2 * block]
+    sx[edges] = sy[edges] = 0.0  # all-zero s' rows: every rule but uniform falls back there
+    parts = [ShapExplanation(s, mu, mu + s.sum(axis=1)) for s, mu in ((sx, 1.5), (sy, -2.5))]
+    starts = [0, block, 2 * block]
+    for method in METHODS:
+        whole = combine(*parts, 0.7, method)
+        pieces = [
+            combine(*(ShapExplanation(e.values[lo:hi], e.baseline, e.predictions[lo:hi]) for e in parts), 0.7, method)
+            for lo, hi in zip(starts, starts[1:] + [n])
+        ]
+        assert whole.values.tobytes() == np.concatenate([piece.values for piece in pieces]).tobytes()
+        assert whole.predictions.tobytes() == np.concatenate([piece.predictions for piece in pieces]).tobytes()
+        assert whole.fallback_rows == tuple(lo + i for lo, piece in zip(starts, pieces) for i in piece.fallback_rows)
+        assert method is AlphaMethod.UNIFORM or set(edges) <= set(whole.fallback_rows)
+
+
+def test_combine_allocates_its_output_and_one_block_above_its_inputs(rng):
+    # parts laid out as read_shap_table returns them: views of one (n, p + 1) array;
+    # at the parent the stacked copies and whole-table temporaries took 19.3 MB here
+    n, p = 20_000, 20
+    parts = []
+    for mu in (1.5, -2.5):
+        data = np.empty((n, p + 1))
+        data[:, :p] = rng.uniform(-1e3, 1e3, (n, p))
+        data[:, p] = mu + data[:, :p].sum(axis=1)
+        parts.append(ShapExplanation(data[:, :p], mu, data[:, p]))
+    tracemalloc.start()
+    try:
+        result = combine(*parts, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= result.values.nbytes + 2 * 2**20, peak
+
+
 def test_a_failing_cell_keeps_its_error_and_leaves_its_neighbours(rng):
     good = [make_parts(rng, 5, 3, scale=1.0) for _ in range(3)]
     preds = good[1][1].predictions.copy()
@@ -436,7 +478,7 @@ def test_a_failing_cell_keeps_its_error_and_leaves_its_neighbours(rng):
     huge = ShapExplanation(np.full((5, 3), 1e200), 1e200, np.full(5, 4e200))
     parts_f = [good[0][0], good[1][0], huge]
     parts_g = [good[0][1], broken, huge]
-    stack, *_, errors = _combine_rules(parts_f, parts_g, [0.3] * 3, METHODS)
+    stack, *_, errors = _combine_rules(_stack(parts_f), _stack(parts_g), [0.3] * 3, METHODS)
     with pytest.raises(InvalidInputError) as part_g:
         combine(parts_f[1], broken, 0.3, METHODS[0])
     with pytest.raises(InvalidInputError) as overflow:

@@ -126,6 +126,25 @@ def test_an_infinite_model_output_is_refused_without_a_warning(entry, signed):
             run()
 
 
+@pytest.mark.parametrize("entry", ["explain_matrix", "explain_product", "drawn", "exhaustive"])
+def test_a_model_with_both_infinities_on_one_instance_is_refused_without_a_warning(entry):
+    # the mean of one row's +inf and -inf outputs is NaN: at the parent the walk's per-row
+    # mean and the empty coalition's mean each leaked a RuntimeWarning before the typed error
+    X = np.array([[1.0, 1.0, 1.0]])
+    background = np.array([[-1.0, -1.0, -1.0], [-3.0, -2.0, -3.0]])
+    model = ModelFunction(3, lambda R: np.where(R.min(axis=1) > -2, np.inf, -np.inf))
+    run = {
+        "explain_matrix": lambda: explain_matrix(model, X, background),
+        "explain_product": lambda: explain_product(model, model, X, background),
+        "drawn": lambda: sampling_explain_matrix(model, X, background, 4, 0),
+        "exhaustive": lambda: sampling_explain_matrix(model, X, background, 6, 0),
+    }[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="non-finite values in an explanation"):
+            run()
+
+
 EXPLANATION_TYPES = [
     pytest.param(ShapExplanation, {}, id="ShapExplanation"),
     pytest.param(

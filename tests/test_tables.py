@@ -33,7 +33,7 @@ from mshap.tables import _csv_blocks, _text_cell, fmt17, meta_path, write_record
 
 def csv_text(header, columns) -> str:
     """The text ``write_csv`` writes: its blocks, joined."""
-    return "".join(_csv_blocks(header, columns))
+    return "".join(_csv_blocks(header, [columns]))
 
 
 NASTY = [math.pi, 1.0 / 3.0, 5e-324, 1.7976931348623157e308, -0.0, 1.0, -123456.789, 2**53 + 1.0]
@@ -75,6 +75,23 @@ def test_round_trip_with_prediction_column(tmp_path):
     assert np.array_equal(back.predictions, preds)
     assert back.prediction_column == "prediction"
     assert back.extra_meta == {"alpha": 0.5}
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_the_prediction_column_reads_at_any_position(tmp_path, position):
+    values = np.array([[1.5, -2.5], [0.25, 0.75], [-0.0, 5e-324]])
+    preds = 0.5 + values.sum(axis=1)
+    header = ["a", "b"]
+    header.insert(position, "p")
+    path = tmp_path / "t.csv"
+    write_value_table(path, header, np.insert(values, position, preds, axis=1))
+    meta_path(path).write_text(json.dumps({"baseline": 0.5, "prediction_column": "p"}))
+    back = read_shap_table(path)
+    assert back.feature_names == ("a", "b") and back.prediction_column == "p"
+    assert back.values.tobytes() == values.tobytes()
+    assert back.predictions.tobytes() == preds.tobytes()
+    # last, where write_shap_table puts it, the columns are views of the parsed array
+    assert np.may_share_memory(back.values, back.predictions) == (position == 2)
 
 
 @pytest.mark.parametrize("key", ["baseline", "prediction_column"])

@@ -20,8 +20,9 @@ the JSON object of its last line.  Only pairs whose two runs both exited 0
 and printed ``"correct": true`` are summarized; each group records how many
 it dropped.  For each metric the file also holds both sides' medians and
 quartiles (null when no pair is left) and the number of pairs the change
-won (ties count for neither side).  Runs are sequential, one process each.
-The exit status is 1 when any pair was dropped.
+won (ties count for neither side), and a verdict (see ``verdict``).  Runs
+are sequential, one process each.  The exit status is 1 when any pair was
+dropped.
 """
 
 from __future__ import annotations
@@ -70,20 +71,50 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def _wins(parent: list[float], change: list[float], lower: bool) -> int:
+    return sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+
+
+def verdict(parent: list[float], change: list[float], lower: bool, bound: float | None) -> str:
+    """One metric's verdict over its usable pairs (``parent[i]`` beside ``change[i]``).
+
+    - ``gain``: the change won at least 9 in 10 pairs, and its median is
+      better than the parent's by more than the parent's IQR;
+    - ``regression``: its median is worse than the parent's by more than
+      ``bound``, a fraction of the parent's median;
+    - ``unresolved``: the parent's IQR is wider than the bound, and not every
+      change run beat every parent run; or no pair is usable;
+    - ``unchanged``: none of these.  A metric without a bound is never a
+      regression nor unresolved.
+    """
+    if not parent:
+        return "unresolved"
+    ours, theirs = _quartiles(parent), _quartiles(change)
+    better = (ours["median"] - theirs["median"]) * (1 if lower else -1)
+    if 10 * _wins(parent, change, lower) >= 9 * len(parent) and better > ours["iqr"]:
+        return "gain"
+    if bound is None:
+        return "unchanged"
+    if -better > bound * abs(ours["median"]):
+        return "regression"
+    apart = max(change) < min(parent) if lower else min(change) > max(parent)
+    return "unresolved" if ours["iqr"] > bound * abs(ours["median"]) and not apart else "unchanged"
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric, over the usable pairs: each side's median and quartiles, and the pairs the change won."""
+    """Per metric, over the usable pairs: each side's median and quartiles, the pairs the change won and its verdict."""
     pairs = [p for p in pairs if usable(p)]
     out = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         values = {side: [p[side]["result"]["metrics"][name]["value"] for p in pairs] for side in SIDES}
-        wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
             "bound": metric.get("bound"),
             **{side: _quartiles(values[side]) for side in SIDES},
-            "change_won": f"{wins} of {len(pairs)}",
+            "change_won": f"{_wins(values['parent'], values['change'], lower)} of {len(pairs)}",
+            "verdict": verdict(values["parent"], values["change"], lower, metric.get("bound")),
         }
     return out
 
