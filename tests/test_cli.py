@@ -529,14 +529,14 @@ def test_observations_across_block_edges_equal_the_whole_long_format(tmp_path, r
     n = 2 * tables._block_rows(4 * p) + 3  # summary-data writes blocks of this many table rows
     argv, values, cov = _summary_inputs(tmp_path, rng, n, names)
     assert main(argv) == 0
-    # the long-format columns summary-data used to build whole
+    # the reference: the whole long-format columns, built at once
     columns = (np.repeat(np.arange(n), p), np.tile(names, n), cov.ravel(), values.ravel())
     want = "".join(tables._csv_blocks(("row", "feature", "covariate_value", "mshap_value"), [columns]))
     assert (tmp_path / "out" / "observations.csv").read_bytes().decode() == want
 
 
 def test_summary_data_peaks_below_four_tables(tmp_path, rng, capsys):
-    # at the parent the whole long-format columns and a copy of the read table took 18.2 MB here
+    # whole long-format columns and a copy of the read table peaked at 18.9 MB here
     argv, values, _ = _summary_inputs(tmp_path, rng, 20_000, tuple(f"x{j + 1}" for j in range(20)))
     tracemalloc.start()
     try:

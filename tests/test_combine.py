@@ -453,7 +453,7 @@ def test_rows_on_either_side_of_a_block_edge_keep_their_bits(rng, p):
 
 def test_combine_allocates_its_output_and_one_block_above_its_inputs(rng):
     # parts laid out as read_shap_table returns them: views of one (n, p + 1) array;
-    # at the parent the stacked copies and whole-table temporaries took 19.3 MB here
+    # stacked copies of the parts and whole-table temporaries peaked at 20.2 MB here
     n, p = 20_000, 20
     parts = []
     for mu in (1.5, -2.5):

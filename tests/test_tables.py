@@ -32,7 +32,7 @@ from mshap import tables
 from mshap.tables import _csv_blocks, _text_cell, fmt17, meta_path, write_records
 
 def csv_text(header, columns) -> str:
-    """The text ``write_csv`` writes: its blocks, joined."""
+    """The text ``write_csv`` writes, rendered as one block of whole columns."""
     return "".join(_csv_blocks(header, [columns]))
 
 
