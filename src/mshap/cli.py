@@ -73,7 +73,7 @@ def _as_float(v) -> float:
         if isinstance(v, bool):
             raise TypeError
         return float(v)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an integer past float range overflows
         raise UsageError(f"expected a number, got {v!r}") from None
 
 
@@ -235,7 +235,7 @@ def _load_config(path: str, subcommand: str) -> dict:
         raise UsageError(f"cannot read config {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, or an integer past the int-to-str digit limit
         raise UsageError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise UsageError(f"{path}: config must be a JSON object")

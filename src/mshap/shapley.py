@@ -32,15 +32,6 @@ ENUM_LIMIT = 16
 # coalition values either estimator walks for those rows.  Instances are cut
 # into such chunks, so a large n never materialises the whole (n, m, p) tensor.
 SPLICE_BUDGET_BYTES = 64 << 20
-# The last walk's splice block, keyed by its (c, m, p) shape, kept for the next
-# walk of that shape: a grid of small cells would otherwise allocate and fault
-# in a fresh block per call.  It holds at most one block, of at most
-# _SPARE_BLOCK_BYTES (fixed at import), so a large call leaves no block
-# resident; a large walk allocates its block per call, a cost its own work
-# dwarfs.  A walk pops the spare while in use, so a re-entrant walk or one in a
-# caller's thread (the package starts none) finds it gone and allocates its own.
-_SPARE_BLOCK_BYTES = SPLICE_BUDGET_BYTES // 64
-_spare_block: dict[tuple[int, int, int], np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -197,10 +188,6 @@ class LocalAccuracyReport:
     def max_residual(self) -> float:
         return float(np.abs(self.residuals).max())
 
-    @property
-    def worst_row(self) -> int:
-        return int(np.abs(self.residuals).argmax())
-
 
 def validate_local_accuracy(expl: ShapExplanation, tol_rel: float = 1e-9) -> LocalAccuracyReport:
     """Report which rows satisfy local accuracy at a relative tolerance.
@@ -239,22 +226,18 @@ def _splice_walk(
 ) -> np.ndarray:
     """Interventional value of each coalition in ``masks`` at each of the c ``rows``.
 
-    One (c, m, p) block, the last walk's spare if it has this shape, starts
-    as the background, and each mask re-splices only the columns whose bits
-    differ from the previous mask's, so a Gray-code sequence costs one column
-    per coalition.  ``evaluate`` maps the block's rows to k outputs; a value
-    is the mean of a row's own m outputs, so chunking the instances changes
-    no value.  Shape (1 + mirror, k, len(masks), c): the values, then with
-    ``mirror`` (the rows are bit for bit the background) the complements'
-    values, read from transposed blocks.
+    One (c, m, p) block, allocated per call, starts as the background, and
+    each mask re-splices only the columns whose bits differ from the previous
+    mask's, so a Gray-code sequence costs one column per coalition.
+    ``evaluate`` maps the block's rows to k outputs; a value is the mean of a
+    row's own m outputs, so chunking the instances changes no value.  Shape
+    (1 + mirror, k, len(masks), c): the values, then with ``mirror`` (the
+    rows are bit for bit the background) the complements' values, read from
+    transposed blocks.
     """
     c, p = rows.shape
     m = background.shape[0]
-    shape = (c, m, p)
-    spliced = _spare_block.pop(shape, None)
-    if spliced is None:
-        _spare_block.clear()  # hold at most one spare: drop another shape's before allocating
-        spliced = np.empty(shape)
+    spliced = np.empty((c, m, p))
     spliced[...] = background
     flat = spliced.reshape(c * m, p)
     walked = np.empty((1 + mirror, k, len(masks), c))
@@ -271,9 +254,6 @@ def _splice_walk(
             walked[0, model, i] = np.add.reduce(block, axis=1) / m
             if mirror:
                 walked[1, model, i] = np.add.reduce(np.ascontiguousarray(block.T), axis=1) / m
-    _spare_block.clear()  # a nested walk may have left a block of another shape
-    if spliced.nbytes <= _SPARE_BLOCK_BYTES:
-        _spare_block[shape] = spliced
     return walked
 
 

@@ -301,12 +301,16 @@ def read_shap_table(path) -> ShapTable:
         raise TableFormatError(f"cannot read metadata sidecar {side}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise TableFormatError(f"{side}: not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, or an integer past the int-to-str digit limit
         raise TableFormatError(f"{side}: invalid JSON: {exc}") from None
     if not isinstance(meta, dict) or "baseline" not in meta:
         raise TableFormatError(f"{side}: metadata must be an object with a 'baseline' field")
     baseline = meta["baseline"]
-    if isinstance(baseline, bool) or not isinstance(baseline, (int, float)) or not math.isfinite(baseline):
+    try:
+        finite = not isinstance(baseline, bool) and math.isfinite(baseline)
+    except (TypeError, OverflowError):  # not a number, or an integer past float range
+        finite = False
+    if not finite:
         raise TableFormatError(f"{side}: baseline must be a finite number, got {baseline!r}")
     pred_col = meta.get("prediction_column")
     extra = {k: v for k, v in meta.items() if k not in ("baseline", "prediction_column")}

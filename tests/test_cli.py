@@ -871,6 +871,61 @@ def test_non_utf8_input_is_a_typed_error(tmp_path, rng, capsys, bad, code):
     assert not (out / "score.json").exists() and not (out / "results.csv").exists()
 
 
+BIG = "1" + "0" * 400  # a JSON integer past float range
+
+
+def _assert_one_error_line(capsys, text):
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and text in line
+
+
+def test_a_sidecar_baseline_past_float_range_exits_3(tmp_path, rng, capsys):
+    f_path, g_path, _, _, _ = write_pair(tmp_path, rng)
+    f_path.with_name("f.meta.json").write_text('{"baseline": %s}' % BIG)
+    out = tmp_path / "out"
+    assert main(["score", "--candidate", str(f_path), "--reference", str(g_path), "--out-dir", str(out)]) == 3
+    _assert_one_error_line(capsys, "baseline must be a finite number")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, config",
+    [("score", '{"theta1": %s}' % BIG),
+     ("combine", '{"mu_h": %s}' % BIG),
+     ("simulate", '{"grid": {"theta2": [1.0, %s]}}' % BIG),
+     ("simulate", '{"grid": {"covariates": [[0, %s], [0, 1], [0, 1]]}}' % BIG)],
+    ids=["theta1", "mu_h", "grid-theta2", "covariates"],
+)
+def test_a_config_number_past_float_range_exits_2(tmp_path, rng, capsys, subcommand, config):
+    f_path, g_path, _, _, _ = write_pair(tmp_path, rng)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    inputs = {"score": ["--candidate", str(f_path), "--reference", str(g_path)],
+              "combine": ["--f-shap", str(f_path), "--g-shap", str(g_path)], "simulate": []}[subcommand]
+    out = tmp_path / "out"
+    assert main([subcommand, *inputs, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    _assert_one_error_line(capsys, "expected a number")
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str digit limit")
+@pytest.mark.parametrize("bad, code", [("config", 2), ("sidecar", 3)])
+def test_an_integer_past_the_digit_limit_is_a_typed_error(tmp_path, rng, capsys, bad, code):
+    f_path, g_path, _, _, _ = write_pair(tmp_path, rng)
+    huge = "1" * (sys.get_int_max_str_digits() + 1)
+    cfg = tmp_path / "cfg.json"
+    if bad == "config":
+        cfg.write_text('{"theta1": %s}' % huge)
+    else:
+        cfg.write_text("{}")
+        f_path.with_name("f.meta.json").write_text('{"baseline": %s}' % huge)
+    out = tmp_path / "out"
+    argv = ["score", "--candidate", str(f_path), "--reference", str(g_path), "--config", str(cfg)]
+    assert main([*argv, "--out-dir", str(out)]) == code
+    _assert_one_error_line(capsys, "invalid JSON")
+    assert not out.exists()
+
+
 BOM = b"\xef\xbb\xbf"
 
 

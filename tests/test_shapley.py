@@ -757,69 +757,28 @@ def test_coalition_values_equal_the_np_mean_reference(rng, m, mirrored):
     assert np.array_equal(got, want)
 
 
-# ---------------------------------------------------------------- spare splice block
+# ---------------------------------------------------------------- splice block
 
 
 def _large_traces(size):
     return [trace for trace in tracemalloc.take_snapshot().traces if trace.size >= size]
 
 
-def test_a_second_call_of_the_same_shape_allocates_no_block(rng, monkeypatch):
-    monkeypatch.setattr(shapley, "_spare_block", {})
-    f = ModelFunction(4, lambda X: X[:, 0] * X[:, 1] + X[:, 3])
-    g = additive_model([1.0, -2.0, 0.5, 3.0], intercept=3.0)
-    X = rng.uniform(-1, 1, (50, 4))
-    background = rng.uniform(-1, 1, (60, 4))
-    block_bytes = 50 * 60 * 4 * 8
-    # enough frames that a trace's traceback names the line of this test that allocated it
-    tracemalloc.start(16)
+def test_no_splice_block_outlives_the_call(rng):
+    # a shape no other test walks, so no block of it can predate the trace
+    model = ModelFunction(3, lambda X: X[:, 0] * X[:, 1] - X[:, 2])
+    X = rng.uniform(-1, 1, (37, 3))
+    background = rng.uniform(-1, 1, (101, 3))
+    tracemalloc.start()
     try:
-        first = explain_product(f, g, X, background)
-        block = shapley._spare_block[(50, 60, 4)]
-        after_first = _large_traces(block_bytes)
-        second = explain_product(f, g, X, background)
-        after_second = _large_traces(block_bytes)
+        explain_matrix(model, X, background)
+        held = _large_traces(37 * 101 * 3 * 8)
     finally:
         tracemalloc.stop()
-    # the block is the one live allocation of its size, and the second call reuses it
-    assert len(after_first) == 1 and after_first[0].size == block_bytes
-    assert after_second == after_first
-    assert shapley._spare_block[(50, 60, 4)] is block
-    _assert_bit_equal(second, first)
+    assert held == []
 
 
-def test_a_call_of_another_shape_leaves_one_spare(rng, monkeypatch):
-    monkeypatch.setattr(shapley, "_spare_block", {})
-    model = ModelFunction(3, lambda X: X[:, 0] * X[:, 1] - X[:, 2])
-    background = rng.uniform(-1, 1, (7, 3))
-    for n in (5, 9, 5):
-        explain_matrix(model, rng.uniform(-1, 1, (n, 3)), background)
-        assert list(shapley._spare_block) == [(n, 7, 3)]
-
-
-def test_a_large_call_leaves_no_spare_resident(rng, monkeypatch):
-    monkeypatch.setattr(shapley, "_spare_block", {})
-    model = ModelFunction(3, lambda X: X[:, 0] * X[:, 1] - X[:, 2])
-    background = rng.uniform(-1, 1, (100, 3))
-    explain_matrix(model, rng.uniform(-1, 1, (50, 3)), background)
-    assert list(shapley._spare_block) == [(50, 100, 3)]
-    # a 4,000-row call splices one 9.6 MB block: it drops the small spare and keeps none
-    explain_matrix(model, rng.uniform(-1, 1, (4000, 3)), background)
-    assert shapley._spare_block == {}
-
-
-@pytest.mark.parametrize("c, kept", [(512, True), (513, False)])
-def test_the_spare_cap_is_a_sixty_fourth_of_the_splice_budget(rng, monkeypatch, c, kept):
-    monkeypatch.setattr(shapley, "_spare_block", {})
-    model = ModelFunction(2, lambda X: X[:, 0] - X[:, 1])
-    # a (512, 128, 2) float64 block is exactly 1 MiB, the cap at the 64 MiB budget
-    assert shapley._SPARE_BLOCK_BYTES == shapley.SPLICE_BUDGET_BYTES // 64 == 512 * 128 * 2 * 8
-    explain_matrix(model, rng.uniform(-1, 1, (c, 2)), rng.uniform(-1, 1, (128, 2)))
-    assert list(shapley._spare_block) == ([(c, 128, 2)] if kept else [])
-
-
-def test_concurrent_walks_of_one_shape_each_get_their_own_block(rng, monkeypatch):
-    monkeypatch.setattr(shapley, "_spare_block", {})
+def test_concurrent_walks_of_one_shape_each_get_their_own_block(rng):
     model = ModelFunction(3, lambda X: X[:, 0] * X[:, 1] - X[:, 2])
     background = rng.uniform(-1, 1, (20, 3))
     inputs = [rng.uniform(-1, 1, (10, 3)) for _ in range(8)]
@@ -847,9 +806,8 @@ def test_concurrent_walks_of_one_shape_each_get_their_own_block(rng, monkeypatch
 
 def test_a_model_that_explains_inside_the_walk_gets_the_plain_values(rng, monkeypatch):
     # at this budget every inner chunk has the outer block's (4, 4, 3) shape,
-    # and the inner call on the background leaves a spare of that shape, so a
-    # walk that left its block in the slot while in use would hand it to the
-    # inner walk, which would overwrite the outer coalition
+    # so walks that shared one block per shape would let the inner walk
+    # overwrite the outer coalition
     monkeypatch.setattr(shapley, "SPLICE_BUDGET_BYTES", 4 * 4 * 3 * 8)
     background = rng.uniform(-1, 1, (4, 3))
     X = rng.uniform(-1, 1, (4, 3))
@@ -911,6 +869,5 @@ def test_validator_flags_perturbed_row(rng):
     broken = type(expl)(values, expl.baseline, expl.predictions)
     report = validate_local_accuracy(broken, 1e-6)
     assert not report.passed
-    assert report.worst_row == 2
     assert not report.row_ok[2] and report.row_ok[[0, 1, 3, 4]].all()
     assert report.max_residual == pytest.approx(1e-3, rel=1e-6)
