@@ -9,7 +9,7 @@ added feature.
 
 import mshap
 
-records, _ = mshap.bench_scaling(
+records = mshap.bench_scaling(
     p_values=range(2, 13), n_values=[50], background_size=100,
     seed=0, n_permutations=100, repetitions=5,
 )

@@ -387,7 +387,7 @@ def cmd_simulate(resolved: dict) -> int:
 
 
 def cmd_bench(resolved: dict) -> int:
-    records, bench_errors = bench_scaling(
+    records = bench_scaling(
         p_values=resolved["p_values"],
         n_values=resolved["n_values"],
         background_size=resolved["background_size"],
@@ -395,10 +395,8 @@ def cmd_bench(resolved: dict) -> int:
         n_permutations=resolved["n_permutations"],
         repetitions=resolved["repetitions"],
     )
-    rows = [asdict(r) | {"error": ""} for r in records]
-    rows += [asdict(e) | {"error": e.message} for e in bench_errors]
     out = _out_dir(resolved)
-    write_records(out / "bench.csv", BENCH_COLUMNS, rows)
+    write_records(out / "bench.csv", BENCH_COLUMNS, [asdict(r) for r in records])
     write_json(
         out / "bench.meta.json",
         {
@@ -410,7 +408,8 @@ def cmd_bench(resolved: dict) -> int:
         },
     )
     _echo_config("bench", resolved, out)
-    print(f"{len(records)} timings, {len(bench_errors)} skipped -> {out / 'bench.csv'}")
+    skipped = sum(bool(r.error) for r in records)
+    print(f"{len(records) - skipped} timings, {skipped} skipped -> {out / 'bench.csv'}")
     return 0
 
 

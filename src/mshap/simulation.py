@@ -9,9 +9,10 @@ draws (the sampler redraws those rows), since a quotient response explodes on
 rows where its denominator vanishes.
 
 The benchmark times three ways of attributing a product model as the feature
-count grows: composing precomputed part explanations, exact enumeration, and
-permutation sampling.  Enumeration cost scales like 2**p while composition is
-quadratic in p per row, which is the whole point of composing.
+count grows: composing part explanations the sampler drew beforehand, exact
+enumeration, and permutation sampling.  Enumeration cost scales like 2**p while
+composition is quadratic in p per row, which is the whole point of composing.
+Past the oracle's enumeration limit, its record carries the oracle's error.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import shapley
 from .combine import AlphaMethod, _combine_rules, _stack, combine
 from .errors import (
     DimensionError,
+    EnumerationLimitError,
     InvalidInputError,
     ResampleLimitError,
 )
@@ -195,23 +196,18 @@ class ScenarioResult:
 
 @dataclass(frozen=True)
 class BenchRecord:
+    """One method's times at one (p, n), or the error it raised and no times."""
+
     p: int
     n: int
     method: str
-    wall_seconds: float
-    per_observation_seconds: float
+    wall_seconds: float | None = None
+    per_observation_seconds: float | None = None
+    error: str = ""
 
     def __post_init__(self):
-        if not self.wall_seconds > 0:
+        if not self.error and not (self.wall_seconds or 0) > 0:
             raise InvalidInputError(f"wall_seconds must be > 0, got {self.wall_seconds}")
-
-
-@dataclass(frozen=True)
-class BenchError:
-    p: int
-    n: int
-    method: str
-    message: str
 
 
 def derive_seed(*parts: int) -> int:
@@ -462,16 +458,16 @@ def bench_scaling(
     seed: int = 0,
     n_permutations: int = 100,
     repetitions: int = 5,
-) -> tuple[list[BenchRecord], list[BenchError]]:
+) -> list[BenchRecord]:
     """Wall-clock scaling of composition vs enumeration vs sampling.
 
-    For each (p, n) cell: covariates are uniform on [-1, 1], the part
-    explanations fed to the composition are precomputed outside the timed
-    region, and each method's time is the median of ``repetitions`` runs
-    after a discarded warm-up.  The timed region itself is sequential.
+    For each (p, n) cell: covariates are uniform on [-1, 1], the sampler
+    draws the composed part explanations before the sequential timed region,
+    and each method's time is the median of ``repetitions`` runs after a
+    discarded warm-up.  A method that raises ``EnumerationLimitError`` is a
+    record with that error and no times.
     """
     records: list[BenchRecord] = []
-    errors: list[BenchError] = []
     for p in p_values:
         for n in n_values:
             rng = np.random.Generator(np.random.PCG64(derive_seed(seed, p, n)))
@@ -480,43 +476,22 @@ def bench_scaling(
             f, g = bench_models(p)
             h = product_model(f, g)
             sampling_seed = derive_seed(seed, p, n, 1)
-
-            enumerable = p <= shapley.ENUM_LIMIT
-            if enumerable:
-                expl_f = explain_matrix(f, X, background)
-                expl_g = explain_matrix(g, X, background)
-            else:
-                expl_f = sampling_explain_matrix(f, X, background, n_permutations, sampling_seed)
-                expl_g = sampling_explain_matrix(g, X, background, n_permutations, sampling_seed + 1)
+            # composition's cost does not depend on the values it composes
+            expl_f = sampling_explain_matrix(f, X, background, n_permutations, sampling_seed)
+            expl_g = sampling_explain_matrix(g, X, background, n_permutations, sampling_seed + 1)
             mu_h = float(h(background).mean())
-
-            timed: list[tuple[str, Callable[[], object]]] = [
-                ("composition", lambda: combine(expl_f, expl_g, mu_h, AlphaMethod.ABSOLUTE)),
-                (
-                    "permutation_sampling",
-                    lambda: sampling_explain_matrix(h, X, background, n_permutations, sampling_seed),
+            timed = {
+                "composition": lambda: combine(expl_f, expl_g, mu_h, AlphaMethod.ABSOLUTE),
+                "exact_enumeration": lambda: explain_matrix(h, X, background),
+                "permutation_sampling": lambda: sampling_explain_matrix(
+                    h, X, background, n_permutations, sampling_seed
                 ),
-            ]
-            if enumerable:
-                timed.insert(1, ("exact_enumeration", lambda: explain_matrix(h, X, background)))
-            else:
-                errors.append(
-                    BenchError(
-                        p=p,
-                        n=n,
-                        method="exact_enumeration",
-                        message=f"{p} features exceeds the enumeration limit of {shapley.ENUM_LIMIT}",
-                    )
-                )
-            for name, fn in timed:
-                wall = _median_seconds(fn, repetitions)
-                records.append(
-                    BenchRecord(
-                        p=p,
-                        n=n,
-                        method=name,
-                        wall_seconds=wall,
-                        per_observation_seconds=wall / n,
-                    )
-                )
-    return records, errors
+            }
+            for name, fn in timed.items():
+                try:
+                    wall = _median_seconds(fn, repetitions)
+                except EnumerationLimitError as exc:  # raised before any work, by the warm-up call
+                    records.append(BenchRecord(p, n, name, error=str(exc)))
+                else:
+                    records.append(BenchRecord(p, n, name, wall, wall / n))
+    return records

@@ -238,14 +238,6 @@ def _load_block(lines, width) -> np.ndarray | None:
 
 def _parse_block(path, header, rows, lineno) -> np.ndarray:
     """The rows as floats; ``lineno`` is the line number of the first row."""
-    try:
-        data = np.array(rows, dtype=float)
-    except ValueError:  # a ragged row, or a cell that float() rejects
-        pass
-    else:
-        if data.shape[1:] == (len(header),) and np.isfinite(data).all():
-            return data
-    # only a bad block gets here: scan it so that its first bad row is reported
     parsed = []
     for lineno, row in enumerate(rows, start=lineno):
         if len(row) != len(header):

@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -91,6 +92,26 @@ def test_main_records_the_dropped_pairs_and_exits_1(tmp_path, monkeypatch):
     assert record["workloads"]["w"]["dropped_pairs"] == 1
     assert record["workloads"]["w"]["summary"]["t"]["change_won"] == "1 of 1"
     assert record["traced"]["dropped_pairs"] == 0 and record["traced"]["workload"] == "cli_tables"
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["plain", "inside-another-repository"])
+def test_main_refuses_a_checkout_that_is_not_the_top_of_a_git_work_tree(tmp_path, monkeypatch, capsys, nested):
+    checkout = tmp_path / "outer" / "export"
+    checkout.mkdir(parents=True)
+    if nested:
+        subprocess.run(["git", "init", "-q", str(tmp_path / "outer")], check=True)
+    (checkout / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "w"}], "end_to_end": METRICS}))
+
+    def fake_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(checkout), "--change", str(checkout), "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {checkout} is not the top of a git work tree\n"
+    assert not out.exists()
 
 
 PARENT = [100.0 + i for i in range(10)]  # median 104.5, IQR 4.5: a spread of 4.3 %

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import inspect
@@ -405,6 +406,25 @@ def test_bench_writes_records_and_machine_meta(tmp_path):
     assert "machine" in meta and "python" in meta
     assert meta["numpy"] == np.__version__
     assert meta["cpu_count"] == os.cpu_count()
+
+
+def test_bench_writes_a_refused_method_as_a_row_between_its_neighbours(tmp_path, capsys, monkeypatch):
+    from mshap import shapley
+
+    monkeypatch.setattr(shapley, "ENUM_LIMIT", 4)
+    out = tmp_path / "o"
+    argv = ["bench", "--p-values", "2,6", "--n-values", "10", "--background-size", "10",
+            "--n-permutations", "5", "--repetitions", "2", "--out-dir", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"5 timings, 1 skipped -> {out / 'bench.csv'}"
+    with open(out / "bench.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    methods = ["composition", "exact_enumeration", "permutation_sampling"]
+    assert [(r["p"], r["method"]) for r in rows] == [(p, m) for p in ("2", "6") for m in methods]
+    skipped = rows[4]
+    oracle = "6 features exceeds the enumeration limit of 4 (2**6 coalitions); use sampling"
+    assert (skipped["wall_seconds"], skipped["per_observation_seconds"], skipped["error"]) == ("", "", oracle)
+    assert all(float(r["wall_seconds"]) > 0 and r["error"] == "" for r in rows if r is not skipped)
 
 
 def test_bench_zero_rows_is_usage_error(tmp_path, capsys):

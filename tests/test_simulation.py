@@ -10,6 +10,7 @@ from mshap import (
     AlphaMethod,
     CovariateSpec,
     DimensionError,
+    EnumerationLimitError,
     InvalidInputError,
     ModelFunction,
     ResampleLimitError,
@@ -544,9 +545,9 @@ def test_mean_scores_by_method_skips_errors():
 
 
 def test_bench_scaling_records():
-    records, errors = bench_scaling(p_values=[2, 3], n_values=[20], background_size=30,
-                                    seed=0, n_permutations=10, repetitions=3)
-    assert not errors
+    records = bench_scaling(p_values=[2, 3], n_values=[20], background_size=30,
+                            seed=0, n_permutations=10, repetitions=3)
+    assert not any(r.error for r in records)
     assert len(records) == 6  # 3 methods x 2 p-values x 1 n
     for r in records:
         assert r.wall_seconds > 0
@@ -555,9 +556,23 @@ def test_bench_scaling_records():
 
 def test_bench_scaling_respects_enum_limit(monkeypatch):
     monkeypatch.setattr(shapley, "ENUM_LIMIT", 4)
-    records, errors = bench_scaling(p_values=[2, 6], n_values=[10], background_size=10,
-                                    seed=0, n_permutations=5, repetitions=2)
-    assert len(errors) == 1
-    assert errors[0].method == "exact_enumeration" and errors[0].p == 6
-    methods_at_6 = {r.method for r in records if r.p == 6}
-    assert methods_at_6 == {"composition", "permutation_sampling"}
+    records = bench_scaling(p_values=[2, 6], n_values=[10], background_size=10,
+                            seed=0, n_permutations=5, repetitions=2)
+    skipped = [r for r in records if r.error]
+    assert len(skipped) == 1
+    assert skipped[0].method == "exact_enumeration" and skipped[0].p == 6
+    assert skipped[0].wall_seconds is None and skipped[0].per_observation_seconds is None
+    with pytest.raises(EnumerationLimitError) as oracle:
+        explain_matrix(simulation.bench_models(6)[0], np.zeros((1, 6)), np.zeros((1, 6)))
+    assert skipped[0].error == str(oracle.value)
+    # the skipped method keeps its place between composition and sampling
+    assert [r.method for r in records if r.p == 6] == ["composition", "exact_enumeration", "permutation_sampling"]
+
+
+def test_bench_record_without_an_error_needs_a_positive_time():
+    with pytest.raises(InvalidInputError, match="wall_seconds must be > 0"):
+        simulation.BenchRecord(3, 10, "composition")
+    with pytest.raises(InvalidInputError, match="wall_seconds must be > 0"):
+        simulation.BenchRecord(3, 10, "composition", 0.0, 0.0)
+    skipped = simulation.BenchRecord(17, 10, "exact_enumeration", error="too wide")
+    assert skipped.wall_seconds is None and skipped.per_observation_seconds is None

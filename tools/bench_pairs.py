@@ -1,7 +1,8 @@
 """Run the benchmark in two checkouts, in alternating pairs, and record one BENCH file.
 
-Run from the change's repository root, with the parent commit checked out
-elsewhere:
+Run from the change's git clone, with the parent commit in a sibling git
+clone whose path has the same length (each checkout must be the top of a git
+work tree, or the tool exits 2 before any run):
 
     python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_<n>.json
 
@@ -132,10 +133,20 @@ def run_pairs(checkouts: dict, workload: str, seed: int, trace: int, count: int)
 
 
 def commit(checkout: Path) -> dict:
+    """The checkout's HEAD commit and ``src`` tree; exit 2 unless it is the top of a git work tree."""
+
     def rev(spec):
-        proc = subprocess.run(["git", "rev-parse", spec], cwd=checkout, capture_output=True, text=True)
+        try:
+            proc = subprocess.run(["git", "rev-parse", spec], cwd=checkout, capture_output=True, text=True)
+        except OSError:  # no such directory
+            return None
         return proc.stdout.strip() or None
 
+    # a plain export has no commit, and one nested in another repository would report that repository's
+    top = rev("--show-toplevel")
+    if top is None or Path(top).resolve() != checkout.resolve():
+        print(f"error: {checkout} is not the top of a git work tree", file=sys.stderr)
+        raise SystemExit(2)
     return {"commit": rev("HEAD"), "src_tree": rev("HEAD:src")}
 
 
@@ -147,13 +158,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     record = {
         "command": " ".join(["python3", "tools/bench_pairs.py", *(argv if argv is not None else sys.argv[1:])]),
         "seed": args.seed,
         **{side: commit(path) for side, path in checkouts.items()},
         "workloads": {},
     }
+    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
 
     def group(pairs: list[dict], metrics: list[dict]) -> dict:
         dropped = sum(not usable(p) for p in pairs)
