@@ -8,8 +8,8 @@ The exact enumerator walks all ``2**p`` coalitions in Gray-code order, one
 column per step, with factorial weights in log space (no overflow past p=12);
 each feature's value gaps are the two halves of the coalition values viewed
 as a (2,) * p cube along that feature's axis, under one shared weight vector.
-The sampling estimator walks each distinct prefix coalition of seeded PCG64
-random feature orderings once; its mean marginal contribution is unbiased.
+The sampling estimator walks the distinct prefix coalitions of seeded PCG64
+random orderings in ascending mask order; its mean contribution is unbiased.
 
 Both estimators return attributions satisfying local accuracy: baseline plus
 the attribution row sums to the model prediction for that instance.
@@ -28,8 +28,8 @@ from .errors import DimensionError, EnumerationLimitError, InvalidInputError
 
 # The most features exact enumeration accepts (2**16 coalitions); read at each call.
 ENUM_LIMIT = 16
-# Byte budget of one chunk: its (rows, m, p) float64 splice block, plus the
-# coalition values either estimator walks for those rows.  Instances are cut
+# Byte budget of one chunk: its (rows, m, p) float64 splice block, plus the walked
+# values and sampled contributions it holds for those rows.  Instances are cut
 # into such chunks, so a large n never materialises the whole (n, m, p) tensor.
 SPLICE_BUDGET_BYTES = 64 << 20
 
@@ -216,7 +216,7 @@ def _shapley_weights(p: int) -> np.ndarray:
 
 def _splice_chunk(m: int, p: int, stacked: int = 0) -> int:
     """Instance rows per chunk: each row costs its (m, p) splice block plus
-    ``stacked`` walked values, and a chunk fits SPLICE_BUDGET_BYTES or is one row.
+    ``stacked`` other values, and a chunk fits SPLICE_BUDGET_BYTES or is one row.
     """
     return max(1, SPLICE_BUDGET_BYTES // ((m * p + stacked) * 8))
 
@@ -418,9 +418,9 @@ def sampling_explain_matrix(
     Each random feature ordering contributes one marginal-contribution vector
     per row; the estimate is their mean, which is unbiased for the exact
     values and reproducible under a fixed seed.  All rows share the same
-    permutation draws, and each distinct prefix coalition of the orderings is
-    spliced once per chunk of rows, so the whole batch costs at most
-    ``n_permutations * p`` model evaluations regardless of n.  When
+    permutation draws.  Each chunk of rows splices each distinct prefix
+    coalition once, at most ``n_permutations * p`` blocks, and holds every
+    ordering's p contributions per row, which the chunk budget counts.  When
     ``n_permutations`` covers all p! orderings, each distinct ordering is
     enumerated exactly once and the result coincides with exact enumeration.
     """
@@ -432,37 +432,30 @@ def sampling_explain_matrix(
     if exhaustive:
         orders = np.array(list(itertools.permutations(range(p))))
     else:
-        # drawn once, before the row chunks, so every chunk sees the same orders
+        # drawn once, before the row chunks; row by row, the stream of rng.permutation(p) calls
         rng = np.random.Generator(np.random.PCG64(seed))
-        orders = np.array([rng.permutation(p) for _ in range(n_permutations)])
+        orders = rng.permuted(np.tile(np.arange(p), (n_permutations, 1)), axis=1)
     count = len(orders)
-    # each order's prefix coalitions (bit masks) as indices, numbered in first-seen order
-    index: dict[int, int] = {}
-    prefixes = np.array(
-        [[index.setdefault(s, len(index)) for s in itertools.accumulate(1 << j for j in o)] for o in orders.tolist()]
-    )
-
-    total, total_sq = np.zeros((2, n, p))
-    step = _splice_chunk(data.shape[0], p, len(index))
+    # prefixes[k, s] indexes the ascending distinct masks; a mask past bit 62 is a Python int
+    bits = np.left_shift(1, orders, dtype=np.int64 if p < 63 else object)
+    masks, prefixes = np.unique(np.cumsum(bits, axis=1), return_inverse=True)
+    total, total_sq = np.empty((2, n, p))
+    # a row holds its walked values and, per ordering, p + 1 gathered, p differenced and p scattered
+    step = _splice_chunk(data.shape[0], p, len(masks) + count * (3 * p + 1))
     with np.errstate(invalid="ignore"):  # +inf and -inf average or subtract to NaN, which ShapExplanation rejects
         v_empty = model(data).mean()
         for lo in range(0, n, step):
-            v = _splice_walk(lambda rows: (model(rows),), X[lo : lo + step], data, list(index), 1)[0, 0]
-            contrib = np.empty((v.shape[1], p))
-            empty = np.full((1, v.shape[1]), v_empty)
-            for order, prefix in zip(orders, prefixes):
-                at = v[prefix]
-                contrib[:, order] = (at - np.concatenate((empty, at[:-1]))).T
-                total[lo : lo + step] += contrib
-                total_sq[lo : lo + step] += contrib * contrib
-
-    phi = total / count
-    if count > 1:
-        with np.errstate(invalid="ignore"):  # an inf in phi makes this inf - inf, as above
-            var = np.maximum(total_sq - count * phi * phi, 0.0) / (count - 1)
-        stderr = np.sqrt(var / count)
-    else:
-        stderr = np.full((n, p), np.nan)
+            v = _splice_walk(lambda rows: (model(rows),), X[lo : lo + step], data, masks, 1)[0, 0]
+            steps = np.diff(v[prefixes], axis=1, prepend=v_empty)  # v(prefix) - v(prefix before)
+            contrib = np.empty((count, v.shape[1], p))
+            contrib[np.arange(count)[:, None], :, orders] = steps
+            # axis 0 adds one ordering after another, as a running total would
+            total[lo : lo + step] = np.add.reduce(contrib, axis=0)
+            total_sq[lo : lo + step] = np.add.reduce(contrib * contrib, axis=0)
+            del steps, contrib  # freed before the next chunk's gather, as the budget assumes
+        phi = total / count
+        var = np.maximum(total_sq - count * phi * phi, 0.0) / max(count - 1, 1)
+    stderr = np.sqrt(var / count) if count > 1 else np.full((n, p), np.nan)
     return SamplingExplanation(
         values=phi,
         baseline=float(v_empty),

@@ -1,4 +1,4 @@
-"""Acceptance suite: one test per criterion, each printing a pass line.
+"""Acceptance suite: a test per criterion (two for 5), each printing a pass line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the suite is deterministic (fixed seeds throughout).
@@ -30,13 +30,14 @@ from mshap import (
     product_model,
     read_shap_table,
     run_grid,
+    sampling_explain_matrix,
     score_matrices,
     validate_local_accuracy,
     write_shap_table,
 )
 from mshap.cli import RESULT_COLUMNS, main
 from mshap.scoring import ScoreBreakdown
-from mshap.simulation import ScenarioSpec, grid_table
+from mshap.simulation import ScenarioSpec, bench_models, grid_table
 from mshap.tables import write_records
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -217,6 +218,43 @@ def test_criterion_5_runtime_scaling():
     assert elapsed < budget_s
     _report(5, f"enumeration strictly increasing over p=2..12, composition spread "
                f"{spread:.1f}x <= 10x, speedup at p=12 = {ratio:.0f}x >= 100x ({elapsed:.1f}s)")
+
+
+def test_criterion_5_model_rows_counted():
+    """Enumeration, the sampler and composition, counted in model rows, so no timer can flake."""
+    n, m, n_permutations = 3, 4, 100
+    rng = np.random.default_rng(505)
+    rows = []
+
+    def counted(model):
+        return ModelFunction(model.arity, lambda X: rows.append(len(X)) or model(X))
+
+    walked = {}
+    for p in range(2, 13):
+        f, g = bench_models(p)
+        h = counted(product_model(f, g))
+        X = rng.uniform(-1, 1, (n, p))
+        background = rng.uniform(-1, 1, (m, p))
+        # the predictions, the background's outputs and one (n, m) block per nonempty coalition
+        rows.clear()
+        explain_matrix(h, X, background)
+        assert sum(rows) == n + m + ((1 << p) - 1) * n * m, p
+        rows.clear()
+        sampled = sampling_explain_matrix(h, X, background, n_permutations, seed=p)
+        walked[p], rest = divmod(sum(rows) - n - m, n * m)
+        assert rest == 0 and 1 <= walked[p] <= min(n_permutations * p, (1 << p) - 1), (p, sum(rows))
+        # 100 orderings cover all p! of them up to p = 4, so every coalition is a prefix
+        assert sampled.exhaustive == (p <= 4)
+        if p <= 4:
+            assert walked[p] == (1 << p) - 1
+        parts = [explain_matrix(counted(part), X, background) for part in (f, g)]
+        rows.clear()
+        for method in METHODS:
+            combine(*parts, mean_product_baseline(parts[0].predictions, parts[1].predictions), method)
+        assert rows == [], p
+    _report(5, f"model rows counted over p=2..12: enumeration n + m + (2^p - 1)nm, sampler "
+               f"n + m + Dnm with D = 2^p - 1 to p = 4 and D = {walked[12]} of 4,095 at p = 12, "
+               f"combine none")
 
 
 def test_criterion_6_scoring_bounds_and_identities():

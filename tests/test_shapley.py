@@ -545,6 +545,15 @@ def test_sampler_walk_equals_the_loop_reference(rng, monkeypatch, p):
         _assert_same_sampler_bytes(sampling_explain_matrix(model, X, bg, n_permutations, 5), want)
 
 
+def test_sampler_masks_past_bit_62_equal_the_loop_reference(rng):
+    # a coalition of 70 features is no int64 bit mask; the walk still keeps each one apart
+    model = ModelFunction(70, lambda X: np.sin(X).sum(axis=1) * X[:, 0])
+    X = rng.uniform(-2, 2, (2, 70))
+    background = rng.uniform(-2, 2, (3, 70))
+    want = loop_sampler(model, X, background, 3, seed=6)
+    _assert_same_sampler_bytes(sampling_explain_matrix(model, X, background, 3, 6), want)
+
+
 def test_exhaustive_sampler_splices_each_coalition_once_per_chunk(monkeypatch):
     # p = 3: the 6 orderings have 18 prefixes but 7 distinct nonempty coalitions
     rows_seen = []
@@ -561,17 +570,20 @@ def test_exhaustive_sampler_splices_each_coalition_once_per_chunk(monkeypatch):
     assert rows_seen == [4] + [4] * (7 * 5) + [5]
 
 
-def test_sampler_chunk_counts_its_walked_values(rng, monkeypatch):
+@pytest.mark.parametrize("p, n_permutations", [(10, 300), (7, 2000)])
+def test_sampler_chunk_counts_its_walked_values(rng, monkeypatch, p, n_permutations):
     # p = 10 and 300 orderings walk about a thousand coalitions, so a row's
-    # walked values outweigh its (5, 10) splice block twentyfold
+    # walked values outweigh its (5, 10) splice block twentyfold; p = 7 (the
+    # least p whose p! exceeds 2,000, so the orderings are drawn) walks at
+    # most 127 coalitions, but each row holds 14,000 contributions
     budget = 256 << 10
-    model = ModelFunction(10, lambda X: X[:, 0] * X[:, 1] + np.sin(X[:, 2:]).sum(axis=1))
-    X = rng.uniform(-1, 1, (300, 10))
-    background = rng.uniform(-1, 1, (5, 10))
-    wide = rng.uniform(-1, 1, (1000, 10))
+    model = ModelFunction(p, lambda X: X[:, 0] * X[:, 1] + np.sin(X[:, 2:]).sum(axis=1))
+    X = rng.uniform(-1, 1, (300, p))
+    background = rng.uniform(-1, 1, (5, p))
+    wide = rng.uniform(-1, 1, (1000, p))
 
     def call():
-        return sampling_explain_matrix(model, X, background, n_permutations=300, seed=2)
+        return sampling_explain_matrix(model, X, background, n_permutations=n_permutations, seed=2)
 
     def exact():
         return explain_matrix(model, wide, background)
@@ -582,10 +594,10 @@ def test_sampler_chunk_counts_its_walked_values(rng, monkeypatch):
     assert peak < budget + (1 << 20)
     assert chunked.values.tobytes() == whole.values.tobytes()
     assert chunked.stderr.tobytes() == whole.stderr.tobytes()
-    # the exact pass walks all 1,023 coalitions: its chunks count those values
-    # too, so only the (2**p, n) value stack (8.2 MB) stands beside the budget
+    # the exact pass walks all 2**p - 1 coalitions: its chunks count those values
+    # too, so only the (2**p, n) value stack (8.2 MB at p = 10) stands beside the budget
     chunked, peak = _peak_bytes(exact)
-    assert peak < 1.5 * (1 << 10) * len(wide) * 8 + budget + (1 << 20)
+    assert peak < 1.5 * (1 << p) * len(wide) * 8 + budget + (1 << 20)
     assert chunked.values.tobytes() == whole_exact.values.tobytes()
 
 
