@@ -81,10 +81,10 @@ class MshapExplanation(ShapExplanation):
 
 def mean_product_baseline(preds_f: np.ndarray, preds_g: np.ndarray) -> float:
     """mu_h as the mean of element-wise prediction products."""
-    f = np.asarray(preds_f, dtype=float).reshape(-1)
-    g = np.asarray(preds_g, dtype=float).reshape(-1)
-    if f.shape != g.shape:
-        raise DimensionError(f"prediction vectors differ in length: {f.shape[0]} vs {g.shape[0]}")
+    f = np.asarray(preds_f, dtype=float)
+    g = np.asarray(preds_g, dtype=float)
+    if f.ndim != 1 or f.shape != g.shape:
+        raise DimensionError(f"prediction vectors must be (n,) and (n,), got {f.shape} and {g.shape}")
     if not f.size:
         raise DimensionError("prediction vectors are empty")
     with np.errstate(all="ignore"):  # a non-finite mu_h is rejected by combine

@@ -67,13 +67,13 @@ def _relative_value(s, k, theta2):
     return np.minimum(1.0, (0.5 + 0.5 * theta2) / (np.abs(s * 0.5 - k * 0.5) + 0.5))
 
 
-def importance_ranks(row) -> np.ndarray:
-    """Ranks 1..p by descending absolute value; ties go to the lower index."""
-    values = np.atleast_2d(np.asarray(row, dtype=float))
+def importance_ranks(rows) -> np.ndarray:
+    """Ranks 1..p in each row of an (n, p) matrix by descending absolute value; ties go to the lower index."""
+    values = np.asarray(rows, dtype=float)
     order = np.argsort(-np.abs(values), axis=1, kind="stable")
     ranks = np.empty_like(order)  # the inverse permutation: the position of each column
     np.put_along_axis(ranks, order, np.arange(1, values.shape[1] + 1), axis=1)
-    return ranks[0] if np.asarray(row).ndim == 1 else ranks
+    return ranks
 
 
 def score_matrices(candidate, reference, params: ScoreParams | list[ScoreParams]) -> ScoreBreakdown | tuple:
@@ -93,9 +93,10 @@ def score_matrices(candidate, reference, params: ScoreParams | list[ScoreParams]
     ref = np.asarray(reference, dtype=float)
     cells = cand.ndim == 4
     if not cells:
-        cand, ref, params = np.atleast_2d(cand)[None, None], np.atleast_2d(ref)[None], (params,)
+        cand, ref, params = cand[None, None], ref[None], (params,)
     if ref.ndim != 3 or cand.ndim != 4 or cand.shape[:1] + cand.shape[2:] != ref.shape:
-        raise DimensionError(f"matrix shapes differ: {np.shape(candidate)} vs {np.shape(reference)}")
+        want = "(C, r, n, p) vs (C, n, p)" if cells else "(n, p) vs (n, p)"
+        raise DimensionError(f"matrix shapes differ: {np.shape(candidate)} vs {np.shape(reference)}, not {want}")
     if isinstance(params, ScoreParams) or len(params) != len(ref):
         raise DimensionError(f"a stack of {len(ref)} cells needs a list of {len(ref)} ScoreParams")
     bad = next((q for q in params if not isinstance(q, ScoreParams)), None)

@@ -9,7 +9,7 @@ column per step, with factorial weights in log space (no overflow past p=12);
 each feature's value gaps are the two halves of the coalition values viewed
 as a (2,) * p cube along that feature's axis, under one shared weight vector.
 The sampling estimator walks the distinct prefix coalitions of seeded PCG64
-random orderings in ascending mask order; its mean contribution is unbiased.
+random orderings in Gray-code rank order; its mean contribution is unbiased.
 
 Both estimators return attributions satisfying local accuracy: baseline plus
 the attribution row sums to the model prediction for that instance.
@@ -74,17 +74,14 @@ def product_model(f: ModelFunction, g: ModelFunction) -> ModelFunction:
     return ModelFunction(f.arity, lambda X: f(X) * g(X))
 
 
-def _as_background(background, arity: int) -> np.ndarray:
-    data = np.asarray(background, dtype=float)
-    if data.ndim != 2 or data.shape[0] < 1:
-        raise DimensionError(f"background must be a nonempty (m, p) matrix, got shape {data.shape}")
-    if data.shape[1] != arity:
-        raise DimensionError(
-            f"background has {data.shape[1]} columns but the model arity is {arity}"
-        )
-    if not np.isfinite(data).all():
-        raise InvalidInputError("background holds a non-finite value")
-    return data
+def _as_rows(data, arity: int, what: str) -> np.ndarray:
+    """``data`` as a nonempty, finite (rows, arity) matrix; ``what`` names it in the error."""
+    rows = np.asarray(data, dtype=float)
+    if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] != arity:
+        raise DimensionError(f"{what} must be a nonempty (rows, {arity}) matrix, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise InvalidInputError(f"{what} {'hold' if what.endswith('s') else 'holds'} a non-finite value")
+    return rows
 
 
 def _check_integers(*checks: tuple[str, object, int]) -> None:
@@ -126,14 +123,12 @@ class ShapExplanation:
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        preds = np.asarray(self.predictions, dtype=float).reshape(-1)
-        if values.shape[0] != preds.shape[0]:
-            raise DimensionError(
-                f"{values.shape[0]} attribution rows but {preds.shape[0]} predictions"
-            )
+        values = np.asarray(self.values, dtype=float)
+        preds = np.asarray(self.predictions, dtype=float)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise DimensionError(f"attribution matrix must be (n>=1, p>=1), got {values.shape}")
+        if preds.shape != values.shape[:1]:
+            raise DimensionError(f"predictions must have shape ({values.shape[0]},), got {preds.shape}")
         base = float(self.baseline)
         for name, entries in (("values", values), ("predictions", preds), ("baseline", base)):
             if not np.isfinite(entries).all():
@@ -204,7 +199,7 @@ def validate_local_accuracy(expl: ShapExplanation, tol_rel: float = 1e-9) -> Loc
 
 def baseline(model: ModelFunction, background) -> float:
     """Mean model prediction over the background set."""
-    data = _as_background(background, model.arity)
+    data = _as_rows(background, model.arity, "background")
     return float(model(data).mean())
 
 
@@ -230,10 +225,11 @@ def _splice_walk(
     each mask re-splices only the columns whose bits differ from the previous
     mask's, so a Gray-code sequence costs one column per coalition.
     ``evaluate`` maps the block's rows to k outputs; a value is the mean of a
-    row's own m outputs, so chunking the instances changes no value.  Shape
-    (1 + mirror, k, len(masks), c): the values, then with ``mirror`` (the
-    rows are bit for bit the background) the complements' values, read from
-    transposed blocks.
+    row's own m outputs, so chunking the instances changes no value if a model's
+    per-row outputs do not depend on how many rows it is given, which
+    ``additive_model``'s BLAS ``X @ c`` does not meet.  Shape (1 + mirror, k,
+    len(masks), c): the values, then with ``mirror`` (the rows are bit for bit
+    the background) the complements' values, read from transposed blocks.
     """
     c, p = rows.shape
     m = background.shape[0]
@@ -325,18 +321,6 @@ def _attributions_from_values(values: np.ndarray, p: int) -> np.ndarray:
     return phi
 
 
-def _instances(X, arity: int) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, p = X.shape
-    if n < 1:
-        raise DimensionError(f"need at least one instance row, got shape {X.shape}")
-    if p != arity:
-        raise DimensionError(f"instances have {p} features but the model arity is {arity}")
-    if not np.isfinite(X).all():
-        raise InvalidInputError("instances hold a non-finite value")
-    return X
-
-
 def _explain_exact(
     evaluate: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     X: np.ndarray,
@@ -375,8 +359,8 @@ def explain_matrix(
     phi_j sums, over all coalitions S not containing j, the factorial weight
     |S|! (p-|S|-1)! / p! times the value gap v(S + {j}) - v(S).
     """
-    data = _as_background(background, model.arity)
-    X = _instances(X, model.arity)
+    data = _as_rows(background, model.arity, "background")
+    X = _as_rows(X, model.arity, "instances")
     (expl,) = _explain_exact(lambda rows: (model(rows),), X, data, feature_names)
     return expl
 
@@ -396,8 +380,8 @@ def explain_product(
     """
     if f.arity != g.arity:
         raise DimensionError(f"part arities differ: {f.arity} vs {g.arity}")
-    data = _as_background(background, f.arity)
-    X = _instances(X, f.arity)
+    data = _as_rows(background, f.arity, "background")
+    X = _as_rows(X, f.arity, "instances")
 
     def evaluate(rows):
         a, b = f(rows), g(rows)
@@ -425,8 +409,8 @@ def sampling_explain_matrix(
     enumerated exactly once and the result coincides with exact enumeration.
     """
     _check_integers(("n_permutations", n_permutations, 1), ("seed", seed, 0))
-    data = _as_background(background, model.arity)
-    X = _instances(X, model.arity)
+    data = _as_rows(background, model.arity, "background")
+    X = _as_rows(X, model.arity, "instances")
     n, p = X.shape
     exhaustive = p <= 20 and n_permutations >= factorial(p)
     if exhaustive:
@@ -436,9 +420,15 @@ def sampling_explain_matrix(
         rng = np.random.Generator(np.random.PCG64(seed))
         orders = rng.permuted(np.tile(np.arange(p), (n_permutations, 1)), axis=1)
     count = len(orders)
-    # prefixes[k, s] indexes the ascending distinct masks; a mask past bit 62 is a Python int
+    # prefixes[k, s] indexes the distinct masks, walked in Gray-code rank (each mask's inverse
+    # Gray code) so that neighbours share most bits; a mask past bit 62 is a Python int
     bits = np.left_shift(1, orders, dtype=np.int64 if p < 63 else object)
     masks, prefixes = np.unique(np.cumsum(bits, axis=1), return_inverse=True)
+    rank = masks.copy()
+    for k in range((p - 1).bit_length()):  # shifts 1, 2, 4, ... below p
+        rank ^= rank >> (1 << k)
+    walk = np.argsort(rank, kind="stable")
+    masks, prefixes = masks[walk], np.argsort(walk)[prefixes]
     total, total_sq = np.empty((2, n, p))
     # a row holds its walked values and, per ordering, p + 1 gathered, p differenced and p scattered
     step = _splice_chunk(data.shape[0], p, len(masks) + count * (3 * p + 1))

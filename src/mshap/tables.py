@@ -147,7 +147,9 @@ class ShapTable(ShapExplanation):
         reserved = sorted(set(self.extra_meta) & {"baseline", "prediction_column"})
         if reserved:
             raise TableFormatError(f"extra_meta may not set the sidecar's own keys: {reserved}")
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 2:
+            raise DimensionError(f"table values must be an (n, p) matrix, got shape {values.shape}")
         if self.predictions is None:
             # local accuracy pins the prediction once the baseline is known
             with np.errstate(over="ignore", invalid="ignore"):  # ShapExplanation rejects a non-finite sum
@@ -270,7 +272,7 @@ def read_value_table(path) -> tuple[tuple[str, ...], np.ndarray]:
 
 def write_value_table(path, feature_names, values) -> None:
     """Write a headed table that ``read_value_table`` reads back, or raise before any file exists."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
+    values = np.asarray(values, dtype=float)
     if values.ndim != 2 or 0 in values.shape:
         raise DimensionError(f"value table must be (n>=1, p>=1), got {values.shape}")
     if values.shape[1] != len(feature_names):

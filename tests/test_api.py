@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import mshap
 from mshap.cli import OPTIONS
@@ -115,3 +116,30 @@ def test_importing_the_cli_loads_neither_openssl_nor_a_thread_pool():
     src = str(Path(mshap.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+
+CUBE, BACKGROUND, PARAMS = np.ones((2, 2, 2)), np.ones((3, 2)), mshap.ScoreParams(1.5, 1.0)
+SHAPE_CASES = {
+    "explain_matrix 3-D instances": lambda model, _: mshap.explain_matrix(model, CUBE, BACKGROUND),
+    "explain_product 3-D instances": lambda model, _: explain_product(model, model, CUBE, BACKGROUND),
+    "sampler 3-D instances": lambda model, _: mshap.sampling_explain_matrix(model, CUBE, BACKGROUND, 4, 0),
+    "explain_matrix 1-D instance": lambda model, _: mshap.explain_matrix(model, np.ones(2), BACKGROUND),
+    "ShapExplanation 1-D values": lambda *_: mshap.ShapExplanation([1.0, 2.0], 0.0, [3.0]),
+    "ShapTable 1-D values": lambda *_: mshap.ShapTable(values=[1.0, 2.0], baseline=0.0),
+    "(n, 1) predictions": lambda *_: mshap.ShapExplanation(np.ones((2, 2)), 0.0, [[2.0], [2.0]]),
+    "write_value_table 1-D values": lambda _, out: mshap.write_value_table(out / "v.csv", ("a", "b"), [1.0, 2.0]),
+    "score_matrices 1-D pair": lambda *_: mshap.score_matrices([1.0, 2.0], [1.0, 2.0], PARAMS),
+    "mean_product_baseline (2, 2) vs (4,)": lambda *_: mshap.mean_product_baseline(np.ones((2, 2)), np.ones(4)),
+}
+
+
+@pytest.mark.parametrize("case", SHAPE_CASES)
+def test_a_matrix_argument_is_2d_and_a_prediction_vector_1d(tmp_path, case):
+    # each of these shapes used to be reshaped into a matrix or a vector, or, for a 3-D
+    # instance array, to fail with an untyped ValueError
+    calls = []
+    model = mshap.ModelFunction(2, lambda X: calls.append(len(X)) or X[:, 0] * X[:, 1])
+    with pytest.raises(mshap.DimensionError):
+        SHAPE_CASES[case](model, tmp_path)
+    assert calls == [] and list(tmp_path.iterdir()) == []

@@ -522,7 +522,7 @@ def test_summary_data_order_matches_importance_ranks(tmp_path, rng):
     assert main(["summary-data", "--mshap", str(out / "mshap.csv"),
                  "--covariates", str(tmp_path / "cov.csv"), "--out-dir", str(out)]) == 0
     mean_abs = np.abs(read_shap_table(out / "mshap.csv").values).mean(axis=0)
-    ranks = importance_ranks(mean_abs)
+    (ranks,) = importance_ranks(mean_abs[None])
     expected_order = [NAMES[j] for j in np.argsort(ranks)]
     lines = (out / "importance.csv").read_text().strip().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == expected_order

@@ -72,15 +72,15 @@ def test_lambda3_values():
 
 
 def test_importance_ranks_examples():
-    np.testing.assert_array_equal(importance_ranks([5.0, -7.0, 1.0]), [2, 1, 3])
-    np.testing.assert_array_equal(importance_ranks([0.0, 0.0]), [1, 2])
-    np.testing.assert_array_equal(importance_ranks([42.0]), [1])
+    np.testing.assert_array_equal(importance_ranks([[5.0, -7.0, 1.0]]), [[2, 1, 3]])
+    np.testing.assert_array_equal(importance_ranks([[0.0, 0.0]]), [[1, 2]])
+    np.testing.assert_array_equal(importance_ranks([[42.0]]), [[1]])
 
 
 def test_importance_ranks_is_permutation(rng):
     for _ in range(20):
         p = int(rng.integers(1, 12))
-        ranks = importance_ranks(rng.uniform(-5, 5, p))
+        (ranks,) = importance_ranks(rng.uniform(-5, 5, (1, p)))
         assert sorted(ranks.tolist()) == list(range(1, p + 1))
 
 
@@ -209,7 +209,7 @@ def test_lambda1_monotone_in_slack(s, k, theta1, bump):
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=12))
 def test_ranks_always_a_permutation(row):
-    ranks = importance_ranks(np.array(row))
+    (ranks,) = importance_ranks(np.array([row]))
     assert sorted(ranks.tolist()) == list(range(1, len(row) + 1))
 
 
@@ -230,7 +230,6 @@ def test_ranks_equal_the_put_along_axis_reference(data, n, p):
     got = importance_ranks(values)
     want = put_along_axis_ranks(values)
     assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert np.array_equal(importance_ranks(values[0]), want[0])
 
 
 # ---------------------------------------------------------------- stacks
