@@ -118,7 +118,6 @@ def test_importing_the_cli_loads_neither_openssl_nor_a_thread_pool():
     assert out.stdout.strip() == "[]"
 
 
-
 CUBE, BACKGROUND, PARAMS = np.ones((2, 2, 2)), np.ones((3, 2)), mshap.ScoreParams(1.5, 1.0)
 SHAPE_CASES = {
     "explain_matrix 3-D instances": lambda model, _: mshap.explain_matrix(model, CUBE, BACKGROUND),

@@ -599,8 +599,8 @@ def test_sampler_chunk_counts_its_walked_values(rng, monkeypatch, p, n_permutati
     # walked values outweigh its (5, 10) splice block twentyfold; p = 7 (the
     # least p whose p! exceeds 2,000, so the orderings are drawn) walks at
     # most 127 coalitions, but each row holds 14,000 contributions.  The 30 rows
-    # make 10 chunks at p = 10 and 30 at p = 7; a budget of walked values alone
-    # would take them all in one chunk, and its contributions past the bound
+    # make 10 chunks at p = 10 and 30 at p = 7; a budget that counted walked
+    # values alone would hold all 30 in one chunk, whose contributions pass the bound
     budget = 256 << 10
     model = ModelFunction(p, lambda X: X[:, 0] * X[:, 1] + np.sin(X[:, 2:]).sum(axis=1))
     X = rng.uniform(-1, 1, (30, p))
