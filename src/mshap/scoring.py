@@ -70,6 +70,8 @@ def _relative_value(s, k, theta2):
 def importance_ranks(rows) -> np.ndarray:
     """Ranks 1..p in each row of an (n, p) matrix by descending absolute value; ties go to the lower index."""
     values = np.asarray(rows, dtype=float)
+    if values.ndim != 2:
+        raise DimensionError(f"ranks need an (n, p) matrix, got shape {values.shape}")
     order = np.argsort(-np.abs(values), axis=1, kind="stable")
     ranks = np.empty_like(order)  # the inverse permutation: the position of each column
     np.put_along_axis(ranks, order, np.arange(1, values.shape[1] + 1), axis=1)

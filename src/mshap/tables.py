@@ -1,10 +1,11 @@
 """The file formats: every CSV file goes through ``write_csv``, every JSON file
 through ``write_json``, and both write through a temp file plus rename.
 
-Tables are read and written in blocks of ``_BLOCK_CELLS`` (16,384) cells:
+Tables are read and written in blocks of ``_BLOCK_CELLS`` (4,096) cells:
 beyond the parsed array, a read or write holds one block of text whatever
 the table's size, and a write puts its blocks into the temp file before the
-rename.
+rename.  A read of a regular file counts its lines first and parses the
+rows into one array of that many rows.
 
 A SHAP table has a header of feature names, one observation per row, and an
 optional prediction column.  Its baseline travels in a JSON sidecar
@@ -16,6 +17,7 @@ the way ``csv.writer`` quotes them.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -29,7 +31,7 @@ from .errors import DimensionError, InvalidInputError, MshapError, TableFormatEr
 from .shapley import ShapExplanation, _check_unique, _first_repeat
 
 
-_BLOCK_CELLS = 1 << 14
+_BLOCK_CELLS = 1 << 12
 
 
 def _block_rows(columns: int) -> int:
@@ -198,7 +200,14 @@ def write_shap_table(path, table: ShapTable) -> None:
         raise
 
 
-def _parse_cells(path, handle) -> tuple[list[str], np.ndarray]:
+def _parse_cells(path, handle, rows: int) -> tuple[list[str], np.ndarray]:
+    """The header and the rows of ``handle`` as one float array.
+
+    The first ``rows`` rows, the data line count of a regular file, fill one
+    array allocated up front; if the table turns out to hold more rows (bare
+    ``\\r`` line ends) or fewer (a quoted newline), its blocks are concatenated
+    instead.  A pipe passes 0 rows, so every block is concatenated.
+    """
     try:
         header = next(csv.reader(handle))
     except StopIteration:
@@ -206,20 +215,42 @@ def _parse_cells(path, handle) -> tuple[list[str], np.ndarray]:
     repeated = _first_repeat(header)
     if repeated is not None:
         raise TableFormatError(f"{path}: header repeats the column name {repeated!r}")
-    blocks, lineno, step = [], 2, _block_rows(len(header))
+    table, filled, rest = np.empty((rows, len(header))), 0, []
+    for data in _row_blocks(path, handle, header):
+        if rest or filled + len(data) > rows:
+            rest.append(data)
+        else:
+            table[filled : filled + len(data)] = data
+            filled += len(data)
+    if not filled and not rest:
+        raise TableFormatError(f"{path}: table has a header but no data rows")
+    if filled == rows and not rest:
+        return header, table
+    return header, np.concatenate([table[:filled], *rest])
+
+
+def _row_blocks(path, handle, header):
+    """The data rows of ``handle`` as float arrays of ``_block_rows`` rows, in file order."""
+    lineno, step = 2, _block_rows(len(header))
     while lines := list(itertools.islice(handle, step)):
         if (data := _load_block(lines, len(header))) is None:
             # this block and the rest go through the csv module: rows and errors as ever
             reader = csv.reader(itertools.chain(lines, handle))
             while rows := list(itertools.islice(reader, step)):
-                blocks.append(_parse_block(path, header, rows, lineno))
+                yield _parse_block(path, header, rows, lineno)
                 lineno += len(rows)
-            break
-        blocks.append(data)
+            return
+        yield data
         lineno += len(lines)
-    if not blocks:
-        raise TableFormatError(f"{path}: table has a header but no data rows")
-    return header, np.concatenate(blocks)
+
+
+def _count_lines(raw) -> int:
+    """The lines of a binary file, a last line without a newline included."""
+    lines, last = 0, b"\n"
+    while chunk := raw.read(1 << 16):
+        lines += chunk.count(b"\n")
+        last = chunk[-1:]
+    return lines + (last != b"\n")
 
 
 def _load_block(lines, width) -> np.ndarray | None:
@@ -259,8 +290,13 @@ def read_value_table(path) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a plain headed CSV of finite reals (no sidecar)."""
     path = Path(path)
     try:
-        with open(path, encoding="utf-8-sig", newline="") as handle:
-            header, data = _parse_cells(path, handle)
+        with open(path, "rb") as raw:
+            rows = 0
+            if raw.seekable():  # a pipe cannot be read twice
+                rows = max(_count_lines(raw) - 1, 0)
+                raw.seek(0)
+            with io.TextIOWrapper(raw, encoding="utf-8-sig", newline="") as handle:
+                header, data = _parse_cells(path, handle, rows)
     except OSError as exc:
         raise TableFormatError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:

@@ -11,6 +11,7 @@ import pytest
 
 import mshap
 from mshap.cli import OPTIONS
+from mshap.scoring import importance_ranks
 from mshap.shapley import explain_product
 
 PUBLIC = [
@@ -130,13 +131,14 @@ SHAPE_CASES = {
     "write_value_table 1-D values": lambda _, out: mshap.write_value_table(out / "v.csv", ("a", "b"), [1.0, 2.0]),
     "score_matrices 1-D pair": lambda *_: mshap.score_matrices([1.0, 2.0], [1.0, 2.0], PARAMS),
     "mean_product_baseline (2, 2) vs (4,)": lambda *_: mshap.mean_product_baseline(np.ones((2, 2)), np.ones(4)),
+    "importance_ranks 1-D row": lambda *_: importance_ranks([1.0, 2.0]),
 }
 
 
 @pytest.mark.parametrize("case", SHAPE_CASES)
 def test_a_matrix_argument_is_2d_and_a_prediction_vector_1d(tmp_path, case):
     # each of these shapes used to be reshaped into a matrix or a vector, or, for a 3-D
-    # instance array, to fail with an untyped ValueError
+    # instance array or a 1-D row to rank, to fail with an untyped ValueError
     calls = []
     model = mshap.ModelFunction(2, lambda X: calls.append(len(X)) or X[:, 0] * X[:, 1])
     with pytest.raises(mshap.DimensionError):

@@ -556,8 +556,8 @@ def test_observations_across_block_edges_equal_the_whole_long_format(tmp_path, r
 
 
 def test_summary_data_peaks_below_four_tables(tmp_path, rng, capsys):
-    # whole long-format columns and a copy of the read table peaked at 18.9 MB here
-    argv, values, _ = _summary_inputs(tmp_path, rng, 20_000, tuple(f"x{j + 1}" for j in range(20)))
+    # whole long-format columns and a copy of the read table peaked at 7.0x the array (5.6 MB) here
+    argv, values, _ = _summary_inputs(tmp_path, rng, 5_000, tuple(f"x{j + 1}" for j in range(20)))
     tracemalloc.start()
     try:
         code = main(argv)

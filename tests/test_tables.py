@@ -531,10 +531,13 @@ def test_mixed_columns_across_blocks_match_csv_writer():
         ("1,2,3,-inf", "non-finite value"),
     ],
 )
-@pytest.mark.parametrize("index", [0, 4095, 4096, 2 * 4096 + 7, 3 * 4096 + 4])
-def test_a_bad_row_in_any_block_names_its_line(tmp_path, row, message, index):
-    assert _rows_per_block(4) == 4096
-    lines = ["1,2,3,4"] * (3 * 4096 + 5)
+@pytest.mark.parametrize("where", ["first", "last-of-first-block", "first-of-second-block", "third-block", "tail"])
+def test_a_bad_row_in_any_block_names_its_line(tmp_path, row, message, where):
+    step = _rows_per_block(4)
+    index = {"first": 0, "last-of-first-block": step - 1, "first-of-second-block": step,
+             "third-block": 2 * step + 7, "tail": 3 * step + 4}[where]
+    assert step > 7  # each index falls in the block it names
+    lines = ["1,2,3,4"] * (3 * step + 5)
     lines[index] = row
     path = tmp_path / "t.csv"
     path.write_text("a,b,c,d\n" + "\n".join(lines) + "\n")
@@ -544,15 +547,16 @@ def test_a_bad_row_in_any_block_names_its_line(tmp_path, row, message, index):
 
 
 def test_the_first_bad_row_is_reported_when_later_blocks_are_bad_too(tmp_path):
-    lines = ["1,2,3,4"] * (3 * 4096)
-    lines[4096 + 3] = "1,2,3,nan"
-    lines[4096 + 9] = "1,2"
-    lines[2 * 4096 + 1] = "x,2,3,4"
+    step = _rows_per_block(4)
+    lines = ["1,2,3,4"] * (3 * step)
+    lines[step + 3] = "1,2,3,nan"
+    lines[step + 9] = "1,2"
+    lines[2 * step + 1] = "x,2,3,4"
     path = tmp_path / "t.csv"
     path.write_text("a,b,c,d\n" + "\n".join(lines) + "\n")
     with pytest.raises(TableFormatError) as err:
         read_value_table(path)
-    assert str(err.value) == f"{path}:{4096 + 5}: non-finite value"
+    assert str(err.value) == f"{path}:{step + 5}: non-finite value"
 
 
 def test_a_table_write_and_read_hold_one_block_beside_the_array(tmp_path, rng):
@@ -569,6 +573,42 @@ def test_a_table_write_and_read_hold_one_block_beside_the_array(tmp_path, rng):
     assert np.array_equal(back, values)
     # whole-table formatting and parsing peaked at 11x the array (36.7 MB)
     assert peak < 3 * values.nbytes, peak
+
+
+def test_a_read_holds_one_array_and_a_block_of_text(tmp_path, rng):
+    values = rng.standard_normal((20_000, 20))
+    path = tmp_path / "t.csv"
+    write_value_table(path, tuple(f"x{j}" for j in range(20)), values)
+    block_text = path.stat().st_size * _rows_per_block(20) // len(values)
+    tracemalloc.start()
+    try:
+        _, back = read_value_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.tobytes() == values.tobytes()
+    # a block is held as its lines, their join and numpy's parse of them; the
+    # concatenated blocks held the table twice (2.0x the array)
+    assert peak < values.nbytes + 8 * block_text, peak
+
+
+@pytest.mark.parametrize("layout", ["bare-cr", "quoted-newline", "header-over-two-lines"])
+def test_a_table_whose_lines_are_not_its_rows_reads_whole(tmp_path, rng, layout):
+    # the line count sizes the array; one row more or fewer than lines puts the blocks together instead
+    step = _rows_per_block(4)
+    values = rng.standard_normal((3 * step + 5, 4))
+    lines = [",".join(map(tables.fmt17, row)) + "\n" for row in values]
+    header = "a,b,c,d\n"
+    if layout == "bare-cr":
+        lines[2 * step] = lines[2 * step][:-1] + "\r"
+    elif layout == "quoted-newline":
+        head, last = lines[2 * step].rsplit(",", 1)
+        lines[2 * step] = f'{head},"{last}"\n'
+    else:
+        header = 'a,b,c,"d\n"\n'
+    path = tmp_path / "t.csv"
+    path.write_bytes((header + "".join(lines)).encode())
+    assert read_value_table(path)[1].tobytes() == values.tobytes()
 
 
 def test_an_oversized_field_is_a_table_format_error(tmp_path):
@@ -731,9 +771,10 @@ def test_clean_blocks_never_reach_the_csv_module(tmp_path, monkeypatch, rng):
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize("bad", [True, False], ids=["bad-second-block", "clean"])
 def test_a_table_reads_through_a_pipe_without_seeking(tmp_path, bad):
-    lines = ["1,2,3,4"] * (3 * 4096)
+    step = _rows_per_block(4)
+    lines = ["1,2,3,4"] * (3 * step)
     if bad:
-        lines[4096 + 10] = "1,2,zebra,4"
+        lines[step + 10] = "1,2,zebra,4"
     path = tmp_path / "t.csv"
     os.mkfifo(path)
 
@@ -750,9 +791,9 @@ def test_a_table_reads_through_a_pipe_without_seeking(tmp_path, bad):
         if bad:
             with pytest.raises(TableFormatError) as err:
                 read_value_table(path)
-            assert str(err.value) == f"{path}:{4096 + 12}: could not convert string to float: 'zebra'"
+            assert str(err.value) == f"{path}:{step + 12}: could not convert string to float: 'zebra'"
         else:
-            assert read_value_table(path)[1].shape == (3 * 4096, 4)
+            assert read_value_table(path)[1].shape == (3 * step, 4)
     finally:
         writer.join(timeout=30)
     assert not writer.is_alive()
