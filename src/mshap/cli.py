@@ -11,7 +11,6 @@ validation error or out of memory.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import platform
 import sys
@@ -23,9 +22,11 @@ from typing import Any, Callable
 import numpy as np
 
 from .combine import AlphaMethod, combine, mean_product_baseline
-from .errors import DimensionError, InvalidInputError, MshapError
+from .errors import DimensionError, InvalidInputError, MshapError, TableFormatError
 from .scoring import ScoreParams, score_matrices
 from .simulation import (
+    BENCH_COLUMNS,
+    RESULT_COLUMNS,
     CovariateSpec,
     ScenarioSpec,
     bench_scaling,
@@ -49,13 +50,7 @@ from .tables import (
 _atomic_write_text = tables._atomic_write_text
 
 ENV_PREFIX = "MSHAP_"
-
-RESULT_COLUMNS = (
-    "scenario", "y1", "y2", "theta1", "theta2", "n", "background_size", "seed",
-    "method", "score", "direction_score", "relative_value_score", "rank_score",
-    "pct_same_sign", "pct_same_rank", "advisories", "error",
-)
-BENCH_COLUMNS = ("p", "n", "method", "wall_seconds", "per_observation_seconds", "error")
+_METHOD_NAMES = "|".join(m.value for m in AlphaMethod)
 
 
 class UsageError(Exception):
@@ -109,7 +104,7 @@ def _as_mu_h(v):
 def _as_method(v) -> str:
     name = str(v).lower()
     if name not in {m.value for m in AlphaMethod}:
-        raise UsageError(f"method must be one of uniform|raw|absolute|squared, got {v!r}")
+        raise UsageError(f"method must be one of {_METHOD_NAMES}, got {v!r}")
     return name
 
 
@@ -158,7 +153,7 @@ OPTIONS: dict[str, list[Option]] = {
         Option("g_shap", _as_str, required=True, help="second part's SHAP table"),
         Option("mu_h", _as_mu_h, default="auto",
                help="mean product prediction, or 'auto' to average the tables' prediction products"),
-        Option("method", _as_method, default="absolute", help="uniform|raw|absolute|squared"),
+        Option("method", _as_method, default="absolute", help=_METHOD_NAMES),
         _THREADS,
     ],
     "score": _COMMON + [
@@ -229,14 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(path: str, subcommand: str) -> dict:
     try:
-        with open(path, encoding="utf-8-sig") as handle:
-            config = json.load(handle)
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
-    except ValueError as exc:  # bad syntax, or an integer past the int-to-str digit limit
-        raise UsageError(f"{path}: invalid JSON: {exc}") from None
+        config = tables.read_json(path, "config")
+    except TableFormatError as exc:  # a bad config is a usage error: exit 2, not 3
+        raise UsageError(str(exc)) from None
     if not isinstance(config, dict):
         raise UsageError(f"{path}: config must be a JSON object")
     config = dict(config)
@@ -387,14 +377,8 @@ def cmd_simulate(resolved: dict) -> int:
 
 
 def cmd_bench(resolved: dict) -> int:
-    records = bench_scaling(
-        p_values=resolved["p_values"],
-        n_values=resolved["n_values"],
-        background_size=resolved["background_size"],
-        seed=resolved["seed"],
-        n_permutations=resolved["n_permutations"],
-        repetitions=resolved["repetitions"],
-    )
+    # the bench options past out_dir are bench_scaling's parameters, by name
+    records = bench_scaling(**{k: v for k, v in resolved.items() if k != "out_dir"})
     out = _out_dir(resolved)
     write_records(out / "bench.csv", BENCH_COLUMNS, [asdict(r) for r in records])
     write_json(

@@ -420,15 +420,13 @@ def sampling_explain_matrix(
         rng = np.random.Generator(np.random.PCG64(seed))
         orders = rng.permuted(np.tile(np.arange(p), (n_permutations, 1)), axis=1)
     count = len(orders)
-    # prefixes[k, s] indexes the distinct masks, walked in Gray-code rank (each mask's inverse
-    # Gray code) so that neighbours share most bits; a mask past bit 62 is a Python int
-    bits = np.left_shift(1, orders, dtype=np.int64 if p < 63 else object)
-    masks, prefixes = np.unique(np.cumsum(bits, axis=1), return_inverse=True)
-    rank = masks.copy()
+    # prefixes[k, s] indexes the distinct masks, walked in ascending Gray-code rank (each
+    # mask's inverse Gray code) so that neighbours share most bits; past bit 62 a Python int
+    ranks = np.cumsum(np.left_shift(1, orders, dtype=np.int64 if p < 63 else object), axis=1)
     for k in range((p - 1).bit_length()):  # shifts 1, 2, 4, ... below p
-        rank ^= rank >> (1 << k)
-    walk = np.argsort(rank, kind="stable")
-    masks, prefixes = masks[walk], np.argsort(walk)[prefixes]
+        ranks ^= ranks >> (1 << k)
+    ranks, prefixes = np.unique(ranks, return_inverse=True)
+    masks = ranks ^ (ranks >> 1)  # the Gray code of each rank, as the exact walk takes it
     total, total_sq = np.empty((2, n, p))
     # a row holds its walked values and, per ordering, p + 1 gathered, p differenced and p scattered
     step = _splice_chunk(data.shape[0], p, len(masks) + count * (3 * p + 1))

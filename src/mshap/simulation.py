@@ -18,8 +18,9 @@ Past the oracle's enumeration limit, its record carries the oracle's error.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -82,7 +83,7 @@ def _y_powers(X):
 
 
 def _y_ratio(X):
-    return (X[:, 0] + X[:, 1]) / (X[:, 0] + X[:, 1] + X[:, 2])
+    return (X[:, 0] + X[:, 1]) / _y_ratio_den(X)
 
 
 def _y_ratio_den(X):
@@ -97,19 +98,19 @@ def _y_rational_den(X):
     return X[:, 0] + X[:, 0] * X[:, 1] + X[:, 0] ** 2 * X[:, 2] ** 2
 
 
-RESPONSE_FUNCTIONS: dict[str, ResponseFunction] = {
-    "Y1A": ResponseFunction("Y1A", 3, _y_sum),
-    "Y1B": ResponseFunction("Y1B", 3, _y_weighted),
-    "Y2A": ResponseFunction("Y2A", 3, _y_sum),
-    "Y2B": ResponseFunction("Y2B", 3, _y_weighted),
-    "Y2C": ResponseFunction("Y2C", 3, _y_product),
-    "Y2D": ResponseFunction("Y2D", 3, _y_powers),
-    "Y2E": ResponseFunction("Y2E", 3, _y_ratio, _y_ratio_den),
-    "Y2F": ResponseFunction("Y2F", 3, _y_rational, _y_rational_den),
+RESPONSE_FUNCTIONS: dict[str, ResponseFunction] = {rf.id: rf for rf in (
+    ResponseFunction("Y1A", 3, _y_sum),
+    ResponseFunction("Y1B", 3, _y_weighted),
+    ResponseFunction("Y2A", 3, _y_sum),
+    ResponseFunction("Y2B", 3, _y_weighted),
+    ResponseFunction("Y2C", 3, _y_product),
+    ResponseFunction("Y2D", 3, _y_powers),
+    ResponseFunction("Y2E", 3, _y_ratio, _y_ratio_den),
+    ResponseFunction("Y2F", 3, _y_rational, _y_rational_den),
     # control response: a constant second part collapses the product to the
     # first part, so every method must reproduce the part attribution exactly
-    "CONST1": ResponseFunction("CONST1", 1, lambda X: np.ones(X.shape[0])),
-}
+    ResponseFunction("CONST1", 1, lambda X: np.ones(X.shape[0])),
+)}
 
 Y1_IDS = ("Y1A", "Y1B")
 Y2_IDS = ("Y2A", "Y2B", "Y2C", "Y2D", "Y2E", "Y2F")
@@ -208,6 +209,15 @@ class BenchRecord:
     def __post_init__(self):
         if not self.error and not (self.wall_seconds or 0) > 0:
             raise InvalidInputError(f"wall_seconds must be > 0, got {self.wall_seconds}")
+
+
+# the ScenarioSpec fields that each results.csv row echoes, in column order
+SCENARIO_ECHO = ("y1", "y2", "theta1", "theta2", "n", "background_size", "seed")
+RESULT_COLUMNS = (
+    "scenario", *SCENARIO_ECHO, "method",
+    *(f.name for f in fields(ScoreBreakdown)), "advisories", "error",
+)
+BENCH_COLUMNS = tuple(f.name for f in fields(BenchRecord))
 
 
 def derive_seed(*parts: int) -> int:
@@ -380,18 +390,9 @@ def grid_table(results: Sequence[ScenarioResult]) -> list[dict]:
 
     Scenarios are numbered by their position in ``results``.
     """
-    records = []
+    records, echo = [], operator.attrgetter(*SCENARIO_ECHO)
     for index, out in enumerate(results):
-        base = {
-            "scenario": index,
-            "y1": out.spec.y1,
-            "y2": out.spec.y2,
-            "theta1": out.spec.theta1,
-            "theta2": out.spec.theta2,
-            "n": out.spec.n,
-            "background_size": out.spec.background_size,
-            "seed": out.spec.seed,
-        }
+        base = {"scenario": index, **dict(zip(SCENARIO_ECHO, echo(out.spec)))}
         if out.error is not None:
             records.append({**base, "method": "", "error": out.error})
             continue

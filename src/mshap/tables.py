@@ -1,5 +1,6 @@
 """The file formats: every CSV file goes through ``write_csv``, every JSON file
-through ``write_json``, and both write through a temp file plus rename.
+through ``write_json``, and both write through a temp file plus rename.  Every
+JSON file, a table's sidecar or a CLI config, is read by ``read_json``.
 
 Tables are read and written in blocks of ``_BLOCK_CELLS`` (4,096) cells:
 beyond the parsed array, a read or write holds one block of text whatever
@@ -32,6 +33,8 @@ from .shapley import ShapExplanation, _check_unique, _first_repeat
 
 
 _BLOCK_CELLS = 1 << 12
+# the sidecar keys a table owns; any other key is the table's ``extra_meta``
+_SIDECAR_KEYS = ("baseline", "prediction_column")
 
 
 def _block_rows(columns: int) -> int:
@@ -69,6 +72,19 @@ def _atomic_write_text(path, chunks) -> None:
 
 def write_json(path, payload: dict) -> None:
     _atomic_write_text(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
+
+
+def read_json(path, what: str):
+    """The JSON value in ``path``, UTF-8 with an optional BOM; ``what`` names the file in a read error."""
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise TableFormatError(f"cannot read {what} {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise TableFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    except ValueError as exc:  # bad syntax, or an integer past the int-to-str digit limit
+        raise TableFormatError(f"{path}: invalid JSON: {exc}") from None
 
 
 def _text_cell(value, alone: bool = False) -> str:
@@ -146,7 +162,7 @@ class ShapTable(ShapExplanation):
     def __post_init__(self):
         if (self.predictions is None) != (self.prediction_column is None):
             raise DimensionError("predictions and prediction_column must be given together")
-        reserved = sorted(set(self.extra_meta) & {"baseline", "prediction_column"})
+        reserved = sorted(set(self.extra_meta) & set(_SIDECAR_KEYS))
         if reserved:
             raise TableFormatError(f"extra_meta may not set the sidecar's own keys: {reserved}")
         values = np.asarray(self.values, dtype=float)
@@ -235,10 +251,7 @@ def _row_blocks(path, handle, header):
     while lines := list(itertools.islice(handle, step)):
         if (data := _load_block(lines, len(header))) is None:
             # this block and the rest go through the csv module: rows and errors as ever
-            reader = csv.reader(itertools.chain(lines, handle))
-            while rows := list(itertools.islice(reader, step)):
-                yield _parse_block(path, header, rows, lineno)
-                lineno += len(rows)
+            yield from _parse_rows(path, header, csv.reader(itertools.chain(lines, handle)), lineno)
             return
         yield data
         lineno += len(lines)
@@ -269,21 +282,25 @@ def _load_block(lines, width) -> np.ndarray | None:
     return data if data.shape == (len(lines), width) and np.isfinite(data).all() else None
 
 
-def _parse_block(path, header, rows, lineno) -> np.ndarray:
-    """The rows as floats; ``lineno`` is the line number of the first row."""
-    parsed = []
-    for lineno, row in enumerate(rows, start=lineno):
+def _parse_rows(path, header, reader, lineno):
+    """The rows of ``reader`` as float arrays of ``_block_rows`` rows; ``lineno`` is
+    the reader's first line, and an error names the line its row starts on."""
+    step, parsed, start = _block_rows(len(header)), [], lineno
+    for row in reader:
         if len(row) != len(header):
-            raise TableFormatError(
-                f"{path}:{lineno}: expected {len(header)} columns, found {len(row)}"
-            )
+            raise TableFormatError(f"{path}:{start}: expected {len(header)} columns, found {len(row)}")
         try:
             parsed.append([float(cell) for cell in row])
         except ValueError as exc:
-            raise TableFormatError(f"{path}:{lineno}: {exc}") from None
+            raise TableFormatError(f"{path}:{start}: {exc}") from None
         if not all(math.isfinite(v) for v in parsed[-1]):
-            raise TableFormatError(f"{path}:{lineno}: non-finite value")
-    return np.array(parsed)
+            raise TableFormatError(f"{path}:{start}: non-finite value")
+        start = lineno + reader.line_num  # a quoted newline makes a row span lines
+        if len(parsed) == step:
+            yield np.array(parsed)
+            parsed = []
+    if parsed:
+        yield np.array(parsed)
 
 
 def read_value_table(path) -> tuple[tuple[str, ...], np.ndarray]:
@@ -324,15 +341,7 @@ def read_shap_table(path) -> ShapTable:
     path = Path(path)
     header, data = read_value_table(path)
     side = meta_path(path)
-    try:
-        with open(side, encoding="utf-8-sig") as handle:
-            meta = json.load(handle)
-    except OSError as exc:
-        raise TableFormatError(f"cannot read metadata sidecar {side}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise TableFormatError(f"{side}: not UTF-8 text: {exc}") from None
-    except ValueError as exc:  # bad syntax, or an integer past the int-to-str digit limit
-        raise TableFormatError(f"{side}: invalid JSON: {exc}") from None
+    meta = read_json(side, "metadata sidecar")
     if not isinstance(meta, dict) or "baseline" not in meta:
         raise TableFormatError(f"{side}: metadata must be an object with a 'baseline' field")
     baseline = meta["baseline"]
@@ -343,7 +352,7 @@ def read_shap_table(path) -> ShapTable:
     if not finite:
         raise TableFormatError(f"{side}: baseline must be a finite number, got {baseline!r}")
     pred_col = meta.get("prediction_column")
-    extra = {k: v for k, v in meta.items() if k not in ("baseline", "prediction_column")}
+    extra = {k: v for k, v in meta.items() if k not in _SIDECAR_KEYS}
     if pred_col is None:
         return ShapTable(values=data, baseline=baseline, feature_names=tuple(header), extra_meta=extra)
     if pred_col not in header:

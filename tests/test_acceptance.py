@@ -35,9 +35,9 @@ from mshap import (
     validate_local_accuracy,
     write_shap_table,
 )
-from mshap.cli import RESULT_COLUMNS, main
+from mshap.cli import main
 from mshap.scoring import ScoreBreakdown
-from mshap.simulation import ScenarioSpec, bench_models, grid_table
+from mshap.simulation import RESULT_COLUMNS, ScenarioSpec, bench_models, grid_table
 from mshap.tables import write_records
 
 FIXTURES = Path(__file__).parent / "fixtures"

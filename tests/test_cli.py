@@ -378,7 +378,7 @@ def test_simulate_bad_covariate_bounds_fail_before_any_work(tmp_path, capsys, bo
 def test_simulate_library_parity(tmp_path):
     from mshap import ScenarioSpec, run_grid
     from mshap.simulation import grid_table
-    from mshap.cli import RESULT_COLUMNS
+    from mshap.simulation import RESULT_COLUMNS
     from mshap.tables import write_records
 
     config = {"scenarios": [{"y1": "Y1B", "y2": "Y2D", "theta1": 2.5, "theta2": 6.0,

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import re
 
@@ -466,6 +467,26 @@ def test_run_grid_records_errors_and_continues():
     records = grid_table(results)
     assert len(records) == 5  # 1 error row + 4 method rows
     assert [r["scenario"] for r in records] == [0, 1, 1, 1, 1]
+
+
+TIGHT_BOX = CovariateSpec(((-4e-4, -3e-4), (1e-4, 2e-4), (5e-5, 6e-5)))
+SCHEMA_CELLS = {
+    "scored": ScenarioSpec("Y1A", "Y2A", 1.5, 1.0, seed=1, **SMALL),
+    "errored": ScenarioSpec("Y1A", "Y2E", 1.5, 1.0, n=10, covariates=TIGHT_BOX, seed=0, background_size=5),
+}
+
+
+@pytest.mark.parametrize("cell", SCHEMA_CELLS)
+def test_csv_columns_are_the_record_fields(cell):
+    (result,) = run_grid([SCHEMA_CELLS[cell]])
+    assert (result.error is None) == (cell == "scored")
+    for record in grid_table([result]):
+        if cell == "scored":
+            assert tuple(record) == simulation.RESULT_COLUMNS
+        else:
+            assert set(record) < set(simulation.RESULT_COLUMNS)
+    bench = simulation.BenchRecord(2, 10, "composition", 1.0, 0.1)
+    assert simulation.BENCH_COLUMNS == tuple(dataclasses.asdict(bench))
 
 
 def test_run_grid_equals_one_run_scenario_per_cell_on_the_desk_grid():

@@ -438,6 +438,23 @@ def test_read_errors_name_the_first_bad_line(tmp_path, body, line, message):
     assert str(err.value) == f"{path}:{line}: {message}"
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ('a,b\n"1\n",2\nx,2\n', 4, "could not convert string to float: 'x'"),
+        ('a,b\n1,2\n"3\n\n",4\n5,6,7\n', 6, "expected 2 columns, found 3"),
+        # a row that spans lines is named by the line it starts on
+        ('a,b\n1,2\n"3\n\n",x\n', 3, "could not convert string to float: 'x'"),
+    ],
+)
+def test_a_row_after_a_quoted_newline_names_its_own_line(tmp_path, text, line, message):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(TableFormatError) as err:
+        read_value_table(path)
+    assert str(err.value) == f"{path}:{line}: {message}"
+
+
 def test_reader_accepts_what_float_accepts(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b'a,"b"\r\n 1_000 ,"2.5"\r\n-0,1e-320\r\n')
@@ -764,7 +781,7 @@ def test_clean_blocks_never_reach_the_csv_module(tmp_path, monkeypatch, rng):
     def csv_path(*args):
         raise AssertionError("a clean block was parsed by the csv module")
 
-    monkeypatch.setattr(tables, "_parse_block", csv_path)
+    monkeypatch.setattr(tables, "_parse_rows", csv_path)
     assert read_value_table(path)[1].tobytes() == values.tobytes()
 
 
