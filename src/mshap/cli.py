@@ -11,6 +11,7 @@ validation error or out of memory.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import platform
 import sys
@@ -24,6 +25,7 @@ import numpy as np
 from .combine import AlphaMethod, combine, mean_product_baseline
 from .errors import DimensionError, InvalidInputError, MshapError, TableFormatError
 from .scoring import ScoreParams, score_matrices
+from .shapley import SPLICE_BUDGET_BYTES
 from .simulation import (
     BENCH_COLUMNS,
     RESULT_COLUMNS,
@@ -282,6 +284,25 @@ def _echo_config(subcommand: str, resolved: dict, out: Path) -> None:
     write_json(out / "resolved_config.json", payload)
 
 
+def _keep_freed_heap() -> None:
+    """Let glibc keep the heap the oracle frees, so the next cell reuses its pages.
+
+    By default glibc hands a freed heap top back to the kernel, and each splice
+    block and model temporary of the next cell faults it in again.  Pin the mmap
+    threshold at glibc's own dynamic ceiling (setting the trim threshold alone
+    would freeze it at 128 KiB) and keep one chunk budget of freed heap.  A
+    ``MALLOC_*_`` or ``GLIBC_TUNABLES`` setting in the environment wins.
+    """
+    if platform.libc_ver()[0] != "glibc" or any(
+        name in os.environ for name in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+    ):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-3, SPLICE_BUDGET_BYTES // 2)  # M_MMAP_THRESHOLD
+        mallopt(-1, SPLICE_BUDGET_BYTES)  # M_TRIM_THRESHOLD
+
+
 def cmd_combine(resolved: dict) -> int:
     table_f = read_shap_table(resolved["f_shap"])
     table_g = read_shap_table(resolved["g_shap"])
@@ -366,6 +387,7 @@ def _specs_from_config(resolved: dict) -> list[ScenarioSpec]:
 
 
 def cmd_simulate(resolved: dict) -> int:
+    _keep_freed_heap()
     specs = _specs_from_config(resolved)
     out = _out_dir(resolved)
     results = run_grid(specs)
@@ -377,6 +399,7 @@ def cmd_simulate(resolved: dict) -> int:
 
 
 def cmd_bench(resolved: dict) -> int:
+    _keep_freed_heap()
     # the bench options past out_dir are bench_scaling's parameters, by name
     records = bench_scaling(**{k: v for k, v in resolved.items() if k != "out_dir"})
     out = _out_dir(resolved)

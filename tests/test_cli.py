@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -29,8 +30,9 @@ from mshap import (
     write_shap_table,
     write_value_table,
 )
-from mshap import tables
+from mshap import cli, tables
 from mshap.cli import main
+from mshap.shapley import SPLICE_BUDGET_BYTES
 from parts import make_parts
 
 NAMES = ("x1", "x2", "x3")
@@ -1076,3 +1078,98 @@ def test_a_failed_output_write_exits_3_with_one_error_line(tmp_path, rng, capsys
     assert capsys.readouterr().err == f"error: cannot write {blocked}: Is a directory\n"
     assert (blocked / "kept").read_text() == "old"
     assert not list(out.glob("*.tmp"))
+
+
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+_ORACLE_RUNS = {
+    "simulate": ["simulate", "--seed", "0"],  # the 108-cell desk grid
+    "bench": ["bench", "--p-values", "8,10", "--n-values", "50", "--repetitions", "1"],
+}
+# calls main twice in one process and prints the minor page faults of the second call
+_SECOND_CALL_FAULTS = """
+import resource, sys
+from mshap.cli import main
+argv, out = sys.argv[1:-1], sys.argv[-1]
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main([*argv, "--out-dir", out]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap trimming is set through glibc's mallopt")
+@pytest.mark.parametrize("command", sorted(_ORACLE_RUNS))
+def test_a_second_oracle_run_faults_in_almost_no_pages(tmp_path, command):
+    # with glibc's default trimming the second desk-grid run took about 5,000-11,000
+    # minor faults and the small bench about 2,300: the freed heap was faulted back in
+    env = {k: v for k, v in os.environ.items() if k not in _MALLOC_ENV}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SECOND_CALL_FAULTS, *_ORACLE_RUNS[command], str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) < 1_000
+
+
+class _Libc:
+    """A C library stand-in whose mallopt records its calls."""
+
+    def __init__(self, calls):
+        self.mallopt = lambda param, value: calls.append((param, value)) or 1
+
+
+@pytest.fixture
+def mallopt_calls(monkeypatch):
+    calls = []
+    for name in _MALLOC_ENV:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(cli.platform, "libc_ver", lambda: ("glibc", "2.36"))
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: _Libc(calls))
+    return calls
+
+
+def _one_cell_simulate(tmp_path, out):
+    cfg = tmp_path / "cell.json"
+    cell = {"y1": "Y1A", "y2": "Y2C", "theta1": 1.5, "theta2": 1.0, "n": 30, "background_size": 15, "seed": 7}
+    cfg.write_text(json.dumps({"scenarios": [cell]}))
+    return ["simulate", "--config", str(cfg), "--out-dir", str(out)]
+
+
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+def test_the_oracle_commands_keep_their_freed_heap(tmp_path, capsys, mallopt_calls, command):
+    if command == "simulate":
+        argv = _one_cell_simulate(tmp_path, tmp_path / "out")
+    else:
+        argv = ["bench", "--p-values", "2", "--n-values", "10", "--repetitions", "1", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert mallopt_calls == [(-3, SPLICE_BUDGET_BYTES // 2), (-1, SPLICE_BUDGET_BYTES)]
+
+
+def test_the_table_commands_and_the_library_leave_the_heap_alone(tmp_path, rng, capsys, mallopt_calls):
+    from mshap import ScenarioSpec, run_grid
+
+    f_path, g_path, *_ = write_pair(tmp_path, rng)
+    assert main(["combine", "--f-shap", str(f_path), "--g-shap", str(g_path), "--out-dir", str(tmp_path / "c")]) == 0
+    assert main(["score", "--candidate", str(f_path), "--reference", str(g_path), "--out-dir", str(tmp_path / "s")]) == 0
+    argv, _, _ = _summary_inputs(tmp_path, rng, 5, NAMES)
+    assert main(argv) == 0
+    run_grid([ScenarioSpec("Y1A", "Y2C", 1.5, 1.0, n=20, background_size=10, seed=1)])
+    assert mallopt_calls == []
+
+
+@pytest.mark.parametrize("setting", [*_MALLOC_ENV, "other libc"])
+def test_a_malloc_setting_or_another_libc_suppresses_the_call(tmp_path, capsys, monkeypatch, mallopt_calls, setting):
+    if setting == "other libc":
+        monkeypatch.setattr(cli.platform, "libc_ver", lambda: ("", ""))
+    else:
+        monkeypatch.setenv(setting, "glibc.malloc.trim_threshold=131072" if setting == "GLIBC_TUNABLES" else "131072")
+    assert main(_one_cell_simulate(tmp_path, tmp_path / "out")) == 0
+    assert mallopt_calls == []
+
+
+def test_a_libc_without_mallopt_changes_no_output(tmp_path, capsys, monkeypatch, mallopt_calls):
+    assert main(_one_cell_simulate(tmp_path, tmp_path / "with")) == 0
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    assert main(_one_cell_simulate(tmp_path, tmp_path / "without")) == 0
+    assert len(mallopt_calls) == 2
+    assert (tmp_path / "with" / "results.csv").read_bytes() == (tmp_path / "without" / "results.csv").read_bytes()
