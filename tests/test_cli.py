@@ -1115,7 +1115,11 @@ class _Libc:
     """A C library stand-in whose mallopt records its calls."""
 
     def __init__(self, calls):
-        self.mallopt = lambda param, value: calls.append((param, value)) or 1
+        self.calls = calls
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
 
 
 @pytest.fixture
