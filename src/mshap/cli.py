@@ -420,6 +420,21 @@ def cmd_bench(resolved: dict) -> int:
     return 0
 
 
+def _mean_abs(values: np.ndarray) -> np.ndarray:
+    """``np.abs(values).mean(axis=0)`` bit for bit, without its full-size temporary: numpy adds
+    an (n, p > 1) array's rows in order, so blocks that each lead with the running column sum
+    give its bits.  One column it sums pairwise, so that one is taken in one block."""
+    n, p = values.shape
+    step = tables._block_rows(p) if p > 1 else n
+    rows = np.empty((min(step, n) + 1, p))
+    for lo in range(0, n, step):
+        block = values[lo : lo + step]
+        head = 1 if lo else 0  # every block after the first leads with the running sum
+        np.abs(block, out=rows[head : head + len(block)])
+        rows[0] = np.add.reduce(rows[: head + len(block)], axis=0)
+    return rows[0] / n
+
+
 def cmd_summary_data(resolved: dict) -> int:
     table = read_shap_table(resolved["mshap"])
     cov_names, cov = read_value_table(resolved["covariates"])
@@ -432,7 +447,7 @@ def cmd_summary_data(resolved: dict) -> int:
             f"covariate columns {cov_names} do not match attribution features {table.feature_names}"
         )
     n, p = cov.shape
-    mean_abs = np.abs(table.values).mean(axis=0)
+    mean_abs = _mean_abs(table.values)
     order = sorted(range(p), key=lambda j: (-mean_abs[j], cov_names[j]))
     names = [cov_names[j] for j in order]
     out = _out_dir(resolved)

@@ -141,11 +141,6 @@ def _distribute_rows(
 _PartStack = namedtuple("_PartStack", "values baseline predictions")
 
 
-def _stack(parts: Sequence[ShapExplanation]) -> _PartStack:
-    """C part explanations of one shape, copied into one stack."""
-    return _PartStack(*(np.array([getattr(e, key) for e in parts]) for key in _PartStack._fields))
-
-
 def _check_alignment(expl_f: ShapExplanation, expl_g: ShapExplanation) -> tuple[str, ...] | None:
     if expl_f.values.shape != expl_g.values.shape:
         raise DimensionError(

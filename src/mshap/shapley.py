@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from math import factorial, lgamma
 from typing import Callable, Sequence
 
@@ -107,6 +108,15 @@ def _check_unique(names) -> None:
         raise DimensionError(f"feature name {repeated!r} appears more than once")
 
 
+def _check_finite(values, baseline, predictions) -> None:
+    """Raise an explanation's ``InvalidInputError`` for its first non-finite entry: values, predictions,
+    then baseline; with a leading axis of k explanations, explanation by explanation."""
+    finite = (np.isfinite(values).all(axis=(-2, -1)), np.isfinite(predictions).all(axis=-1), np.isfinite(baseline))
+    bad = np.flatnonzero(~np.stack(finite, axis=-1))
+    if bad.size:
+        raise InvalidInputError(f"non-finite {('values', 'predictions', 'baseline')[bad[0] % 3]} in an explanation")
+
+
 @dataclass(frozen=True, eq=False)
 class ShapExplanation:
     """Per-feature contributions for a batch of instances of one model part.
@@ -130,9 +140,7 @@ class ShapExplanation:
         if preds.shape != values.shape[:1]:
             raise DimensionError(f"predictions must have shape ({values.shape[0]},), got {preds.shape}")
         base = float(self.baseline)
-        for name, entries in (("values", values), ("predictions", preds), ("baseline", base)):
-            if not np.isfinite(entries).all():
-                raise InvalidInputError(f"non-finite {name} in an explanation")
+        _check_finite(values, base, preds)
         if self.feature_names is not None:
             names = tuple(str(s) for s in self.feature_names)
             if len(names) != values.shape[1]:
@@ -203,10 +211,13 @@ def baseline(model: ModelFunction, background) -> float:
     return float(model(data).mean())
 
 
+@cache
 def _shapley_weights(p: int) -> np.ndarray:
-    # w[s] = s! (p-s-1)! / p!, evaluated in log space: factorials overflow past p=12
-    s = np.arange(p)
-    return np.exp([lgamma(k + 1) + lgamma(p - k) - lgamma(p + 1) for k in s])
+    # w[s] = s! (p-s-1)! / p!, evaluated in log space: factorials overflow past p=12;
+    # computed once per p and read-only, since every call shares it
+    w = np.exp([lgamma(k + 1) + lgamma(p - k) - lgamma(p + 1) for k in range(p)])
+    w.flags.writeable = False
+    return w
 
 
 def _splice_chunk(m: int, p: int, stacked: int = 0) -> int:
@@ -257,13 +268,13 @@ def _coalition_values(
     evaluate: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     X: np.ndarray,
     background: np.ndarray,
-    predictions: tuple[np.ndarray, ...],
+    predictions: np.ndarray,
 ) -> np.ndarray:
     """Interventional value of every coalition for every instance, shape (k, 2**p, n).
 
     ``evaluate`` maps a (rows, p) matrix to a tuple of k output vectors, one
     per explained model, so several models share each spliced block;
-    ``predictions`` is ``evaluate(X)``.
+    ``predictions`` is ``evaluate(X)``, its k vectors stacked or not.
     Coalitions are walked in Gray-code order so each step re-splices a single
     feature column, over instance chunks whose block and walked values fit
     SPLICE_BUDGET_BYTES.  When X is bit for bit its own background and fits
@@ -288,12 +299,12 @@ def _coalition_values(
     step = _splice_chunk(m, p, (1 + mirrored) * k * len(masks))
     base = predictions if mirrored else evaluate(background)
     values = np.empty((k, 1 << p, n))
+    # each model's row is reduced alone, in one call for all k: the bits of k separate reductions
     with np.errstate(invalid="ignore"):  # a mean of +inf and -inf is NaN, which ShapExplanation rejects
-        values[:, 0] = np.array([np.add.reduce(out) / m for out in base])[:, None]
+        values[:, 0] = (np.add.reduce(np.asarray(base), axis=1) / m)[:, None]
         if mirrored:
             # the full coalition's block is m copies of each x_i
-            for i, out in enumerate(predictions):
-                values[i, full] = np.add.reduce(np.broadcast_to(out[:, None], (n, m)), axis=1) / m
+            values[:, full] = np.add.reduce(np.broadcast_to(np.asarray(predictions)[:, :, None], (k, n, m)), axis=2) / m
         for lo in range(0, n, step):
             walked = _splice_walk(evaluate, X[lo : lo + step], background, masks, k, mirrored)
             values[:, masks, lo : lo + step] = walked[0]
@@ -303,21 +314,23 @@ def _coalition_values(
 
 
 def _attributions_from_values(values: np.ndarray, p: int) -> np.ndarray:
-    """Shapley values from the (2**p, n) coalition values, one column per feature.
+    """Shapley values (k, n, p) from k models' (k, 2**p, n) coalition values, one column per feature.
 
-    Viewed as a (2,) * p + (n,) cube, bit j of a mask is axis p - 1 - j, so
+    Viewed as a (k,) + (2,) * p + (n,) cube, bit j of a mask is axis p - j, so
     v(S + {j}) and v(S) over the coalitions S without j are that axis's
     index-1 and index-0 views, both in ascending order of S.  Dropping bit j
-    keeps a mask's popcount, so one weight vector serves every feature.
+    keeps a mask's popcount, so one weight vector serves every feature.  The
+    matmul takes the k models as a batch, one (2**(p-1), n) product each, so a
+    model's bits do not depend on k.
     """
-    n = values.shape[1]
-    cube = values.reshape((2,) * p + (n,))
+    k, _, n = values.shape
+    cube = values.reshape((k,) + (2,) * p + (n,))
     w = _shapley_weights(p)[np.bitwise_count(np.arange(1 << (p - 1)))]
-    phi = np.empty((n, p))
+    phi = np.empty((k, n, p))
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which ShapExplanation rejects
         for j in range(p):
-            lead = (slice(None),) * (p - 1 - j)  # the axes of bits above j
-            phi[:, j] = w @ (cube[lead + (1,)] - cube[lead + (0,)]).reshape(-1, n)
+            lead = (slice(None),) * (p - j)  # the model axis and the axes of bits above j
+            phi[:, :, j] = w @ (cube[lead + (1,)] - cube[lead + (0,)]).reshape(k, -1, n)
     return phi
 
 
@@ -325,26 +338,18 @@ def _explain_exact(
     evaluate: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     X: np.ndarray,
     data: np.ndarray,
-    feature_names: Sequence[str] | None = None,
-) -> tuple[ShapExplanation, ...]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact attributions of the k models ``evaluate`` runs, as arrays: (k, n, p)
+    values, (k,) baselines and (k, n) predictions, not yet checked for finiteness."""
     p = X.shape[1]
     if p > ENUM_LIMIT:
         raise EnumerationLimitError(
             f"{p} features exceeds the enumeration limit of {ENUM_LIMIT} "
             f"(2**{p} coalitions); use sampling"
         )
-    predictions = evaluate(X)
+    predictions = np.array(evaluate(X))
     values = _coalition_values(evaluate, X, data, predictions)
-    names = tuple(feature_names) if feature_names is not None else None
-    return tuple(
-        ShapExplanation(
-            values=_attributions_from_values(v, p),
-            baseline=float(v[0, 0]),
-            predictions=pred,
-            feature_names=names,
-        )
-        for v, pred in zip(values, predictions)
-    )
+    return _attributions_from_values(values, p), values[:, 0, 0].copy(), predictions
 
 
 def explain_matrix(
@@ -361,8 +366,23 @@ def explain_matrix(
     """
     data = _as_rows(background, model.arity, "background")
     X = _as_rows(X, model.arity, "instances")
-    (expl,) = _explain_exact(lambda rows: (model(rows),), X, data, feature_names)
-    return expl
+    (values,), (base,), (predictions,) = _explain_exact(lambda rows: (model(rows),), X, data)
+    return ShapExplanation(values, base, predictions, feature_names)
+
+
+def _product_arrays(f: ModelFunction, g: ModelFunction, X: np.ndarray, background) -> tuple[np.ndarray, ...]:
+    """:func:`explain_product`'s arrays, f, g and h stacked: (3, n, p) values, (3,)
+    baselines and (3, n) predictions, not yet checked for finiteness."""
+    if f.arity != g.arity:
+        raise DimensionError(f"part arities differ: {f.arity} vs {g.arity}")
+    data = _as_rows(background, f.arity, "background")
+    X = _as_rows(X, f.arity, "instances")
+
+    def evaluate(rows):
+        a, b = f(rows), g(rows)
+        return a, b, a * b
+
+    return _explain_exact(evaluate, X, data)
 
 
 def explain_product(
@@ -378,16 +398,7 @@ def explain_product(
     three results equal three ``explain_matrix`` calls bit for bit at the
     cost of two.
     """
-    if f.arity != g.arity:
-        raise DimensionError(f"part arities differ: {f.arity} vs {g.arity}")
-    data = _as_rows(background, f.arity, "background")
-    X = _as_rows(X, f.arity, "instances")
-
-    def evaluate(rows):
-        a, b = f(rows), g(rows)
-        return a, b, a * b
-
-    return _explain_exact(evaluate, X, data)
+    return tuple(ShapExplanation(*arrays) for arrays in zip(*_product_arrays(f, g, X, background)))
 
 
 def sampling_explain_matrix(

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .combine import AlphaMethod, _combine_rules, _stack, combine
+from .combine import AlphaMethod, _combine_rules, _PartStack, combine
 from .errors import (
     DimensionError,
     EnumerationLimitError,
@@ -35,11 +35,11 @@ from .errors import (
 from .scoring import ScoreBreakdown, ScoreParams, score_matrices
 from .shapley import (
     ModelFunction,
-    ShapExplanation,
+    _check_finite,
     _check_integers,
+    _product_arrays,
     additive_model,
     explain_matrix,
-    explain_product,
     product_model,
     sampling_explain_matrix,
 )
@@ -73,12 +73,24 @@ def _y_product(X):
 
 
 def _y_powers(X):
-    # x3 is negative on the paper box, where numpy's ``**`` leaves its SIMD
-    # path and costs ~40x per value, yet a spliced block of c*m rows holds at
-    # most c + m distinct x3 values: raise each once, then gather.  ``pow``
-    # depends on each value alone, so the bits equal ``X[:, 2] ** 4``; merging
-    # -0.0 with 0.0 is safe only because the power is even, and no NaN is merged.
-    values, inverse = np.unique(X[:, 2], return_inverse=True, equal_nan=False)
+    # x3 is negative on the paper box, where numpy's ``**`` leaves its SIMD path and
+    # costs ~40x per value, yet a splice walk's block of c*m rows tiles the m background
+    # x3 values c times or repeats each of the c instance values m times: raise that
+    # short vector once, then tile or repeat it; any other column raises each distinct
+    # value once and gathers.  ``pow`` reads each value alone, so the bits equal
+    # ``X[:, 2] ** 4``; ``==`` and ``np.unique`` merge -0.0 with 0.0, safe only because
+    # the power is even, and merge no NaN.
+    x, n = X[:, 2], X.shape[0]
+    same = x == x[:1]  # x[:1], not x[0], so an empty X gives an empty mask
+    if n > 1 and same[1]:  # a repetition: r is the first run's length
+        r = int(same.argmin()) or n
+        if n % r == 0 and (x.reshape(-1, r) == x[::r, None]).all():
+            return X[:, 0] ** 2 * X[:, 1] ** 3 * np.repeat(x[::r] ** 4, r)
+    elif same[1:].any():  # a tiling: r is where x[0] recurs
+        r = int(same[1:].argmax()) + 1
+        if n % r == 0 and (x.reshape(-1, r) == x[:r]).all():
+            return X[:, 0] ** 2 * X[:, 1] ** 3 * np.tile(x[:r] ** 4, n // r)
+    values, inverse = np.unique(x, return_inverse=True, equal_nan=False)
     return X[:, 0] ** 2 * X[:, 1] ** 3 * (values**4)[inverse]
 
 
@@ -273,22 +285,11 @@ def sample_scenario_rows(spec: ScenarioSpec) -> tuple[np.ndarray, int]:
     return rows, resampled
 
 
-def _explain_three(
-    spec: ScenarioSpec, rows: np.ndarray, background: np.ndarray
-) -> tuple[ShapExplanation, ShapExplanation, ShapExplanation]:
-    """Exact explanations of f, g and f * g, padded with zeros to the cell's p columns."""
-    # a column neither part reads is a null player, so its exact value is 0 (Shapley 1953)
+def _oracle_arrays(spec: ScenarioSpec, rows: np.ndarray, background: np.ndarray):
+    """The exact oracle of f, g and f * g on the pair's own k columns, as arrays:
+    (3, n, k) values, (3,) baselines and (3, n) predictions."""
     k = _pair_arity(spec.y1, spec.y2)
-    three = explain_product(
-        scenario_model(spec.y1, k), scenario_model(spec.y2, k), rows[:, :k], background[:, :k]
-    )
-    if k == spec.n_features:
-        return three
-    zeros = np.zeros((rows.shape[0], spec.n_features - k))
-    return tuple(
-        ShapExplanation(np.concatenate((e.values, zeros), axis=1), e.baseline, e.predictions)
-        for e in three
-    )
+    return _product_arrays(scenario_model(spec.y1, k), scenario_model(spec.y2, k), rows[:, :k], background[:, :k])
 
 
 def _run_chunk(specs: Sequence[ScenarioSpec]) -> list[ScenarioResult | Exception]:
@@ -299,17 +300,24 @@ def _run_chunk(specs: Sequence[ScenarioSpec]) -> list[ScenarioResult | Exception
     for i, spec in enumerate(specs):
         try:
             rows, resampled = sample_scenario_rows(spec)
-            three = _explain_three(spec, rows, rows[: spec.background_size])
-            ready.append((i, *three, resampled))
+            oracle = _oracle_arrays(spec, rows, rows[: spec.background_size])
+            _check_finite(*oracle)
+            ready.append((i, (spec.n, spec.n_features), oracle, resampled))
         except Exception as exc:
             out[i] = exc
-    for _, run in itertools.groupby(ready, key=lambda cell: cell[3].values.shape):
-        index, parts_f, parts_g, refs, resampled = zip(*run)
-        stacks = (_stack(parts) for parts in (parts_f, parts_g))
-        combined, fallbacks, *_, errors = _combine_rules(*stacks, [r.baseline for r in refs], AlphaMethod)
+    for (n, p), run in itertools.groupby(ready, key=lambda cell: cell[1]):
+        index, _, oracles, resampled = zip(*run)
+        # the stacks of f, g and the reference f * g; a column neither part reads is a null
+        # player, so its exact value is 0 (Shapley 1953) and stays a zero of the stack
+        cells = len(index)
+        values, baselines, predictions = np.zeros((3, cells, n, p)), np.empty((3, cells)), np.empty((3, cells, n))
+        for c, (v, base, pred) in enumerate(oracles):
+            values[:, c, :, : v.shape[-1]], baselines[:, c], predictions[:, c] = v, base, pred
+        part_f, part_g, refs = map(_PartStack, values, baselines, predictions)
+        combined, fallbacks, *_, errors = _combine_rules(part_f, part_g, refs.baseline, AlphaMethod)
         kept = [c for c, error in enumerate(errors) if error is None]
         params = [ScoreParams(specs[index[c]].theta1, specs[index[c]].theta2) for c in kept]
-        scores = iter(score_matrices(combined[kept], np.array([refs[c].values for c in kept]), params) if kept else ())
+        scores = iter(score_matrices(combined[kept], refs.values[kept], params) if kept else ())
         for c, (i, counts) in enumerate(zip(index, np.count_nonzero(fallbacks, axis=-1).tolist())):
             advisories = [f"resampled {resampled[c]} rows for the denominator guard"] if resampled[c] else []
             advisories += [f"{m.value}: uniform fallback on {k} rows" for m, k in zip(AlphaMethod, counts) if k]

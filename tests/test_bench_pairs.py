@@ -74,7 +74,7 @@ def test_a_workload_with_no_usable_pair_gets_null_quartiles():
 
 
 def test_main_records_the_dropped_pairs_and_exits_1(tmp_path, monkeypatch):
-    spec = {"workloads": [{"name": "w"}], "end_to_end": METRICS, "per_layer": METRICS}
+    spec = {"workloads": [{"name": "w"}, {"name": "v"}], "end_to_end": METRICS, "per_layer": METRICS}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
     monkeypatch.setattr(bench_pairs, "PAIRS", 2)
     monkeypatch.setattr(bench_pairs, "TRACED_PAIRS", 1)
@@ -82,7 +82,7 @@ def test_main_records_the_dropped_pairs_and_exits_1(tmp_path, monkeypatch):
     calls = []
 
     def fake_run(checkout, workload, seed, trace):
-        calls.append(workload)
+        calls.append((workload, trace))
         return _run(correct=len(calls) != 2, t=float(len(calls)))  # the second run is incorrect
 
     monkeypatch.setattr(bench_pairs, "run", fake_run)
@@ -91,7 +91,12 @@ def test_main_records_the_dropped_pairs_and_exits_1(tmp_path, monkeypatch):
     record = json.loads(out.read_text())
     assert record["workloads"]["w"]["dropped_pairs"] == 1
     assert record["workloads"]["w"]["summary"]["t"]["change_won"] == "1 of 1"
-    assert record["traced"]["dropped_pairs"] == 0 and record["traced"]["workload"] == "cli_tables"
+    assert record["workloads"]["v"]["dropped_pairs"] == 0
+    # every workload gets its own traced pairs, after all the untraced ones
+    assert calls == [("w", 0)] * 4 + [("v", 0)] * 4 + [("w", 1)] * 2 + [("v", 1)] * 2
+    assert sorted(record["traced"]) == ["v", "w"]
+    for traced in record["traced"].values():
+        assert traced["dropped_pairs"] == 0 and traced["summary"]["t"]["change_won"] == "0 of 1"
 
 
 @pytest.mark.parametrize("nested", [False, True], ids=["plain", "inside-another-repository"])

@@ -570,6 +570,32 @@ def test_summary_data_peaks_below_four_tables(tmp_path, rng, capsys):
     assert peak < 4 * values.nbytes, peak
 
 
+@pytest.mark.parametrize("n, p", [(3_000, 20), (100_000, 20), (4_097, 7), (5_000, 1)])
+def test_blocked_mean_abs_is_the_full_mean_bit_for_bit(rng, n, p):
+    # importance.csv is checked against numpy's full mean exactly; the values come as
+    # read_shap_table returns them, a view beside the prediction column
+    table = rng.standard_normal((n, p + 1)) * 10.0 ** rng.uniform(-8, 8, (n, p + 1))
+    assert cli._mean_abs(table[:, :p]).tobytes() == np.abs(table[:, :p]).mean(axis=0).tobytes()
+
+
+def test_summary_data_peaks_below_its_two_tables_plus_one_block(tmp_path, rng, capsys):
+    # the readers' and writers' blocks took about 0.5 MiB here; the full-size np.abs
+    # temporary of the column means took 3 MiB more
+    argv, values, cov = _summary_inputs(tmp_path, rng, 20_000, tuple(f"x{j + 1}" for j in range(20)))
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    parsed = values.nbytes + values[:, 0].nbytes + cov.nbytes  # the attribution table holds the predictions too
+    assert peak < parsed + 2**20, peak
+    means = np.abs(values).mean(axis=0)
+    lines = (tmp_path / "out" / "importance.csv").read_text().splitlines()[1:]
+    assert sorted(float(line.split(",")[1]) for line in lines) == sorted(means.tolist())
+
+
 def test_summary_data_misalignment_exits_3(tmp_path, rng):
     f_path, g_path, *_ , X = write_pair(tmp_path, rng, n=8)
     out = tmp_path / "out"

@@ -23,7 +23,7 @@ from mshap import (
     validate_local_accuracy,
 )
 from mshap import tables
-from mshap.combine import RAW_AMPLIFICATION_LIMIT, RAW_DEGENERACY_TOL, _combine_rules, _distribute_rows, _stack
+from mshap.combine import RAW_AMPLIFICATION_LIMIT, RAW_DEGENERACY_TOL, _combine_rules, _distribute_rows, _PartStack
 from parts import make_parts
 
 METHODS = list(AlphaMethod)
@@ -413,12 +413,17 @@ def draw_parts(data, n, p, alpha_zero):
     return ShapExplanation(sx, mu_f, mu_f + sx.sum(axis=1)), ShapExplanation(sy, mu_g, mu_g + sy.sum(axis=1)), mu_h
 
 
+def stacked(parts):
+    """C part explanations of one shape as the stack ``_combine_rules`` reads, one array per field."""
+    return _PartStack(*(np.array([getattr(e, key) for e in parts]) for key in _PartStack._fields))
+
+
 @settings(max_examples=150)
 @given(data=st.data(), n=st.integers(1, 20), p=st.integers(1, 6), alpha_zero=st.lists(st.booleans(), min_size=1, max_size=4))
 def test_one_pass_over_cells_and_rules_equals_one_combine_call_per_rule(data, n, p, alpha_zero):
     cells = [draw_parts(data, n, p, zero) for zero in alpha_zero]
     parts_f, parts_g, mu_h = zip(*cells)
-    stack, fallbacks, alpha, z_hat, errors = _combine_rules(_stack(parts_f), _stack(parts_g), mu_h, METHODS)
+    stack, fallbacks, alpha, z_hat, errors = _combine_rules(stacked(parts_f), stacked(parts_g), mu_h, METHODS)
     assert stack.shape == (len(cells), len(METHODS), n, p) and fallbacks.shape == (len(cells), len(METHODS), n)
     assert errors == [None] * len(cells)
     for c, (expl_f, expl_g, mu_h_c) in enumerate(cells):
@@ -478,7 +483,7 @@ def test_a_failing_cell_keeps_its_error_and_leaves_its_neighbours(rng):
     huge = ShapExplanation(np.full((5, 3), 1e200), 1e200, np.full(5, 4e200))
     parts_f = [good[0][0], good[1][0], huge]
     parts_g = [good[0][1], broken, huge]
-    stack, *_, errors = _combine_rules(_stack(parts_f), _stack(parts_g), [0.3] * 3, METHODS)
+    stack, *_, errors = _combine_rules(stacked(parts_f), stacked(parts_g), [0.3] * 3, METHODS)
     with pytest.raises(InvalidInputError) as part_g:
         combine(parts_f[1], broken, 0.3, METHODS[0])
     with pytest.raises(InvalidInputError) as overflow:

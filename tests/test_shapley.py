@@ -869,12 +869,12 @@ def test_attributions_equal_the_per_feature_index_reference(rng, p):
         without = masks[(masks & (1 << j)) == 0]
         w = weights_by_size[np.bitwise_count(without)]
         want[:, j] = w @ (values[without | (1 << j)] - values[without])
-    assert np.array_equal(shapley._attributions_from_values(values, p), want)
+    assert np.array_equal(shapley._attributions_from_values(values[None], p)[0], want)
 
 
 def test_the_reduction_holds_one_half_cube_and_keeps_nothing(rng):
     values = rng.uniform(-1, 1, (1 << 16, 200))
-    _, peak = _peak_bytes(lambda: shapley._attributions_from_values(values, 16))
+    _, peak = _peak_bytes(lambda: shapley._attributions_from_values(values[None], 16))
     del values
     assert peak < (1 << 15) * 200 * 8 + (1 << 20)
     # no per-p state outlives a call, whichever sizes came before
@@ -882,7 +882,7 @@ def test_the_reduction_holds_one_half_cube_and_keeps_nothing(rng):
     tracemalloc.start()
     try:
         for p, values in enumerate(small, start=1):
-            shapley._attributions_from_values(values, p)
+            shapley._attributions_from_values(values[None], p)
         resident = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

@@ -25,14 +25,13 @@ from mshap import (
     run_grid,
     run_scenario,
 )
-from mshap import shapley
+from mshap import ScoreParams, combine, score_matrices, shapley
 from mshap.shapley import explain_product
 from mshap import simulation
 from mshap.simulation import (
     GRID_CHUNK_CELLS,
     Y1_IDS,
     Y2_IDS,
-    _explain_three,
     _guard_mask,
     _y_powers,
     grid_table,
@@ -42,6 +41,31 @@ from mshap.simulation import (
 
 PAPER_BOX = CovariateSpec()
 SMALL = dict(n=40, background_size=20)
+# n = 37 is no multiple of 4, so the attribution matmul has tail columns; a background of
+# all 37 rows takes the mirrored walk, one of 19 the plain one
+ODD_SIZES = [dict(n=37, background_size=37), dict(n=37, background_size=19)]
+
+
+def explain_three(spec, rows):
+    """Exact explanations of f, g and f * g on the pair's columns, padded with zeros to the cell's p."""
+    k = simulation._pair_arity(spec.y1, spec.y2)
+    f, g = scenario_model(spec.y1, k), scenario_model(spec.y2, k)
+    zeros = np.zeros((spec.n, spec.n_features - k))
+    return tuple(
+        ShapExplanation(np.concatenate((e.values, zeros), axis=1), e.baseline, e.predictions)
+        for e in explain_product(f, g, rows[:, :k], rows[: spec.background_size, :k])
+    )
+
+
+def composed_scores(spec):
+    """One cell's scores from explain_product, one combine call per rule and one score_matrices call each."""
+    rows, _ = sample_scenario_rows(spec)
+    expl_f, expl_g, reference = explain_three(spec, rows)
+    params = ScoreParams(spec.theta1, spec.theta2)
+    return {
+        method: score_matrices(combine(expl_f, expl_g, reference.baseline, method).values, reference.values, params)
+        for method in AlphaMethod
+    }
 
 
 # ---------------------------------------------------------------- covariates
@@ -111,30 +135,46 @@ def _x3_pool(rng, distinct):
     return np.concatenate([paper, wide, [0.0, -0.0]])[rng.permutation(2 * distinct + 2)[:distinct]]
 
 
+WALK_LAYOUTS = ["walk", "period-repeat", "signed-zero", "nan"]
+
+
 @settings(max_examples=80)
 @given(
     n=st.integers(1, 20_000),
     distinct=st.integers(1, 20_000),
-    layout=st.sampled_from(["walk", "block", "strided", "fortran"]),
+    layout=st.sampled_from([*WALK_LAYOUTS, "block", "strided", "fortran"]),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n=1, distinct=1, layout="block", seed=0)
 @example(n=7, distinct=7, layout="strided", seed=1)
 @example(n=20_000, distinct=20_000, layout="block", seed=2)
 @example(n=19_999, distinct=3, layout="fortran", seed=3)
+@example(n=10_000, distinct=100, layout="walk", seed=4)
+@example(n=10_000, distinct=100, layout="period-repeat", seed=5)
+@example(n=10_000, distinct=100, layout="signed-zero", seed=6)
+@example(n=10_000, distinct=100, layout="nan", seed=7)
 def test_y2d_gathered_power_is_bit_identical_to_the_direct_formula(n, distinct, layout, seed):
     rng = np.random.default_rng(seed)
-    if layout == "walk":
+    if layout in WALK_LAYOUTS:
         # the (c*m, 3) block a splice walk passes: x3 either repeats each of c
         # instance rows m times or tiles the m background rows c times
-        m = max(1, min(distinct, 200))
-        c = max(1, n // m)
+        m = max(2, min(distinct, 200))
+        c = max(2, n // m)
         rows, background = rng.uniform(-10, 10, (c, 3)), rng.uniform(-10, 10, (m, 3))
         rows[:, 2], background[:, 2] = _x3_pool(rng, c), _x3_pool(rng, m)
+        spliced = rng.integers(0, 2, 3)  # one coalition's spliced columns
+        if layout == "period-repeat":  # the first period repeats its first value: no layout verifies
+            rows[1, 2], background[m // 2, 2] = rows[0, 2], background[0, 2]
+        elif layout == "signed-zero":  # copies that differ in the sign of a zero: a layout verifies
+            rows[0, 2], background[0, 2] = 0.0, 0.0
+        elif layout == "nan":  # a NaN equals nothing: no layout verifies
+            rows[-1, 2], background[-1, 2] = np.nan, np.nan
         block = np.empty((c, m, 3))
         block[...] = background
-        for j in np.flatnonzero(rng.integers(0, 2, 3)):  # one coalition's spliced columns
+        for j in np.flatnonzero(spliced):
             block[:, :, j] = rows[:, None, j]
+        if layout == "signed-zero":  # a copy of the zero's run or period holds -0.0
+            block[(0, slice(1, None), 2) if spliced[2] else (-1, 0, 2)] = -0.0
         X = block.reshape(c * m, 3)
     else:
         x3 = rng.choice(_x3_pool(rng, min(distinct, n)), n)
@@ -146,6 +186,23 @@ def test_y2d_gathered_power_is_bit_identical_to_the_direct_formula(n, distinct, 
         }[layout]
     want = X[:, 0] ** 2 * X[:, 1] ** 3 * X[:, 2] ** 4
     assert _y_powers(X).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("c, m", [(2, 2), (37, 19), (100, 100)])
+def test_a_walk_block_never_reaches_the_gather(monkeypatch, rng, c, m):
+    # every coalition's block of distinct paper-box draws is a tiling or a repetition in x3
+    rows, background = (np.column_stack([rng.uniform(-10, 10, (k, 2)), rng.uniform(-5, -1, k)]) for k in (c, m))
+
+    def gather(*args, **kwargs):
+        raise AssertionError("a walk block reached np.unique")
+
+    def formula(X):
+        return (X[:, 0] ** 2 * X[:, 1] ** 3 * X[:, 2] ** 4,)
+
+    direct = shapley._splice_walk(formula, rows, background, range(8), 1)
+    monkeypatch.setattr(np, "unique", gather)
+    walked = shapley._splice_walk(lambda X: (_y_powers(X),), rows, background, range(8), 1)
+    assert walked.tobytes() == direct.tobytes()
 
 
 def test_eval_response_guard_raises():
@@ -265,8 +322,6 @@ def test_run_scenario_mshap_totals_match_reference_totals():
     g = scenario_model(spec.y2, 3)
     h = product_model(f, g)
     ref = explain_matrix(h, rows, background)
-    from mshap import combine
-
     expl_f = explain_matrix(f, rows, background)
     expl_g = explain_matrix(g, rows, background)
     for method in AlphaMethod:
@@ -291,23 +346,17 @@ def test_explain_product_equals_three_oracle_calls(y1, y2):
         assert np.array_equal(got.predictions, want.predictions)
 
 
-def test_stacked_scores_equal_one_score_call_per_rule():
-    # run_scenario scores the four combined matrices in one stacked call
-    from mshap import ScoreParams, combine, score_matrices
-
-    for y1 in Y1_IDS:
-        for y2 in Y2_IDS + ("CONST1",):
-            spec = ScenarioSpec(y1, y2, 2.5, 11.0, n=100, background_size=100, seed=17)
-            rows, _ = sample_scenario_rows(spec)
-            expl_f, expl_g, reference = _explain_three(spec, rows, rows[: spec.background_size])
-            params = ScoreParams(spec.theta1, spec.theta2)
-            got = run_scenario(spec).scores
-            assert list(got) == list(AlphaMethod)
-            for method in AlphaMethod:
-                combined = combine(expl_f, expl_g, reference.baseline, method)
-                want = score_matrices(combined.values, reference.values, params)
-                # repr tells -0.0 from 0.0, so this is a bit-for-bit comparison
-                assert repr(got[method]) == repr(want), (y1, y2, method)
+@pytest.mark.parametrize("sizes", [dict(n=100, background_size=100), *ODD_SIZES], ids=["100-100", "37-37", "37-19"])
+def test_stacked_scores_equal_one_score_call_per_rule(sizes):
+    # run_grid composes and scores the cells of a chunk stacked, and run_scenario a chunk of one;
+    # the 14 cells cross a chunk boundary
+    specs = [ScenarioSpec(y1, y2, 2.5, 11.0, seed=17, **sizes) for y1 in Y1_IDS for y2 in Y2_IDS + ("CONST1",)]
+    for spec, grid in zip(specs, run_grid(specs), strict=True):
+        got = run_scenario(spec)
+        assert list(got.scores) == list(AlphaMethod)
+        # repr tells -0.0 from 0.0, so these are bit-for-bit comparisons
+        assert repr(grid) == repr(got)
+        assert repr(got.scores) == repr(composed_scores(spec)), (spec.y1, spec.y2)
 
 
 def test_run_scenario_evaluates_each_part_once_per_coalition(monkeypatch):
@@ -405,15 +454,16 @@ def test_oracle_enumerates_the_pair_columns_and_zeroes_the_rest(y1, y2):
     background = rows[: spec.background_size]
     f = scenario_model(y1, 5)
     g = scenario_model(y2, 5)
-    oracle = _explain_three(spec, rows, background)
-    for got, model in zip(oracle, (f, g, product_model(f, g)), strict=True):
+    values, baselines, predictions = simulation._oracle_arrays(spec, rows, background)
+    assert values.shape == (3, spec.n, 3)
+    for got, base, pred, model in zip(values, baselines, predictions, (f, g, product_model(f, g)), strict=True):
         want = explain_matrix(model, rows, background)
-        assert got.values.shape == (spec.n, 5)
-        assert np.all(got.values[:, 3:] == 0.0)
-        gap = np.abs(got.values - want.values).max()
+        # the null players the grid pads with zeros are exact zeros of the full enumeration
+        assert np.all(want.values[:, 3:] == 0.0)
+        gap = np.abs(got - want.values[:, :3]).max()
         assert gap <= 1e-12 * np.abs(want.values).max()
-        assert got.baseline == pytest.approx(want.baseline, rel=1e-12)
-        assert np.array_equal(got.predictions, want.predictions)
+        assert base == pytest.approx(want.baseline, rel=1e-12)
+        assert np.array_equal(pred, want.predictions)
 
 
 def test_wide_cell_costs_a_three_column_enumeration(monkeypatch):
@@ -436,10 +486,8 @@ def test_wide_cell_costs_a_three_column_enumeration(monkeypatch):
     assert sum(rows_seen) == 60_200
     for method in AlphaMethod:
         assert 0.0 < result.scores[method].score <= 3.0
-    rows, _ = sample_scenario_rows(spec)
-    for expl in _explain_three(spec, rows, rows[: spec.background_size]):
-        assert expl.values.shape == (100, 20)
-        assert np.all(expl.values[:, 3:] == 0.0)
+    # the 17 columns are zeros of the composed and the reference stacks
+    assert repr(result.scores) == repr(composed_scores(spec))
 
 
 # ---------------------------------------------------------------- grid
@@ -496,12 +544,14 @@ def test_run_grid_equals_one_run_scenario_per_cell_on_the_desk_grid():
         assert repr(got) == repr(run_scenario(spec))
 
 
-def test_a_grid_of_13_cells_crosses_a_chunk_boundary():
+@pytest.mark.parametrize("sizes", [SMALL, *ODD_SIZES], ids=["40-20", "37-37", "37-19"])
+def test_a_grid_of_13_cells_crosses_a_chunk_boundary(sizes):
     assert GRID_CHUNK_CELLS < 13 < 2 * GRID_CHUNK_CELLS
-    specs = default_grid(grid_seed=5, **SMALL)[:13]
+    specs = default_grid(grid_seed=5, **sizes)[:13]
     for spec, got in zip(specs, run_grid(specs), strict=True):
         assert got.error is None
         assert repr(got) == repr(run_scenario(spec))
+        assert repr(got.scores) == repr(composed_scores(spec))
 
 
 def test_failing_cells_mid_chunk_keep_their_error_and_leave_their_neighbours(monkeypatch):
@@ -509,21 +559,19 @@ def test_failing_cells_mid_chunk_keep_their_error_and_leave_their_neighbours(mon
     tight = CovariateSpec(((-4e-4, -3e-4), (1e-4, 2e-4), (5e-5, 6e-5)))
     specs[2] = ScenarioSpec("Y1A", "Y2E", 1.5, 1.0, n=10, covariates=tight, seed=0, background_size=5)
     before = [run_scenario(spec) if i != 2 else None for i, spec in enumerate(specs)]
-    explain_three = simulation._explain_three
+    oracle_arrays = simulation._oracle_arrays
 
     def poisoned(spec, rows, background):
-        f, g, reference = explain_three(spec, rows, background)
+        values, baselines, predictions = (a.copy() for a in oracle_arrays(spec, rows, background))
         if spec is specs[3]:  # a non-finite oracle value
-            values = reference.values.copy()
-            values[3, 1] = np.nan
-            reference = ShapExplanation(values, reference.baseline, reference.predictions)
+            values[2, 3, 1] = np.nan
         elif spec is specs[4]:  # part f off local accuracy in row 4
-            f = ShapExplanation(f.values, f.baseline, f.predictions + np.eye(spec.n)[4])
+            predictions[0, 4] += 1.0
         elif spec is specs[5]:  # parts whose product overflows float64
-            f = g = ShapExplanation(np.full(f.values.shape, 1e300), 1e300, np.full(spec.n, 4e300))
-        return f, g, reference
+            values[:2], baselines[:2], predictions[:2] = 1e300, 1e300, 4e300
+        return values, baselines, predictions
 
-    monkeypatch.setattr(simulation, "_explain_three", poisoned)
+    monkeypatch.setattr(simulation, "_oracle_arrays", poisoned)
     results = run_grid(specs)
     assert re.fullmatch(
         r"ResampleLimitError: could not satisfy the denominator guard after 100 redraw rounds "

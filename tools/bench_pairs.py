@@ -12,10 +12,10 @@ For every workload that BENCHMARK.json gates, each pair runs
 
 once in each checkout, for run.py's default run length, in ten pairs; the
 side that runs first alternates from pair to pair, so drift in the
-machine's speed falls on both sides alike.  Three more
-alternating pairs of traced ``cli_tables`` runs (``--trace 1``) give the
-per-layer metrics of the table layers: a single traced pair cannot resolve
-them, because the machine's speed drifts between runs.
+machine's speed falls on both sides alike.  Three more alternating pairs of
+traced runs (``--trace 1``) per workload give its per-layer metrics, so a
+claim on any workload carries the layers it moved: a single traced pair
+cannot resolve them, because the machine's speed drifts between runs.
 Each run is kept with its command, seed, exit code, ``machine`` block and
 the JSON object of its last line.  Only pairs whose two runs both exited 0
 and printed ``"correct": true`` are summarized; each group records how many
@@ -36,7 +36,6 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
-TRACED = "cli_tables"
 PAIRS = 10
 TRACED_PAIRS = 3
 
@@ -170,11 +169,15 @@ def main(argv=None) -> int:
         dropped = sum(not usable(p) for p in pairs)
         return {"pairs": pairs, "dropped_pairs": dropped, "summary": summarize(pairs, metrics)}
 
-    for workload in (w["name"] for w in spec["workloads"]):
+    workloads = [w["name"] for w in spec["workloads"]]
+    for workload in workloads:
         record["workloads"][workload] = group(run_pairs(checkouts, workload, args.seed, 0, PAIRS), spec["end_to_end"])
-    record["traced"] = {"workload": TRACED, **group(run_pairs(checkouts, TRACED, args.seed, 1, TRACED_PAIRS), spec["per_layer"])}
+    record["traced"] = {
+        workload: group(run_pairs(checkouts, workload, args.seed, 1, TRACED_PAIRS), spec["per_layer"])
+        for workload in workloads
+    }
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return 1 if any(g["dropped_pairs"] for g in [*record["workloads"].values(), record["traced"]]) else 0
+    return 1 if any(g["dropped_pairs"] for g in [*record["workloads"].values(), *record["traced"].values()]) else 0
 
 
 if __name__ == "__main__":
