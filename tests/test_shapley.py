@@ -279,6 +279,24 @@ def test_oracle_rejects_zero_rows():
         explain_product(model, model, np.zeros((0, 2)), bg)
 
 
+def test_a_stack_of_explanations_fails_with_the_first_explanation_s_error():
+    # the grid checks each cell's f, g and h arrays in one call; every poisoned subset of the
+    # 3 explanations x (values, baseline, predictions) must give the message that constructing
+    # the explanations one after another raises first
+    for poisoned in range(1, 1 << 9):
+        values, baselines, predictions = np.zeros((3, 2, 2)), np.zeros(3), np.zeros((3, 2))
+        fields = (values[:, 1, :1], baselines[:, None], predictions[:, 1:])  # views of one entry each
+        for bit in range(9):
+            if poisoned >> bit & 1:
+                fields[bit % 3][bit // 3] = np.nan
+        with pytest.raises(InvalidInputError) as first:
+            for arrays in zip(values, baselines, predictions):
+                ShapExplanation(*arrays)
+        with pytest.raises(InvalidInputError) as stacked:
+            shapley._check_finite(values, baselines, predictions)
+        assert str(stacked.value) == str(first.value)
+
+
 def test_explain_product_rejects_part_arity_mismatch():
     with pytest.raises(DimensionError):
         explain_product(constant_model(2, 1.0), constant_model(3, 1.0), np.zeros((1, 2)), np.zeros((2, 2)))
