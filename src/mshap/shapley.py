@@ -227,26 +227,47 @@ def _splice_chunk(m: int, p: int, stacked: int = 0) -> int:
     return max(1, SPLICE_BUDGET_BYTES // ((m * p + stacked) * 8))
 
 
+def _block_columns(evaluate: Callable[[np.ndarray], Sequence[np.ndarray]], shape: tuple[int, int, int]) -> Callable:
+    """A matrix ``evaluate``, (rows, p) to k output vectors, as a map of p columns that broadcast to (c, m).
+
+    It owns one (c, m, p) block of the given shape, and each call splices in only the columns
+    whose view is not the one it spliced last, so a walk that swaps one view per coalition
+    splices one column per coalition; ``evaluate`` sees the block's c * m rows, and its
+    outputs go to the walk as they are.
+    """
+    block, spliced = np.empty(shape), [None] * shape[2]
+    flat = block.reshape(-1, shape[2])
+
+    def columns(*cols):
+        for j, col in enumerate(cols):
+            if col is not spliced[j]:
+                block[:, :, j] = spliced[j] = col
+        return evaluate(flat)
+
+    return columns
+
+
 def _splice_walk(
-    evaluate: Callable, rows: np.ndarray, background: np.ndarray, masks: Sequence[int], k: int, mirror: bool = False
+    columns: Callable, rows: np.ndarray, background: np.ndarray, masks: Sequence[int], k: int, mirror: bool = False
 ) -> np.ndarray:
     """Interventional value of each coalition in ``masks`` at each of the c ``rows``.
 
-    One (c, m, p) block, allocated per call, starts as the background, and
-    each mask re-splices only the columns whose bits differ from the previous
-    mask's, so a Gray-code sequence costs one column per coalition.
-    ``evaluate`` maps the block's rows to k outputs; a value is the mean of a
-    row's own m outputs, so chunking the instances changes no value if a model's
-    per-row outputs do not depend on how many rows it is given, which
-    ``additive_model``'s BLAS ``X @ c`` does not meet.  Shape (1 + mirror, k,
-    len(masks), c): the values, then with ``mirror`` (the rows are bit for bit
-    the background) the complements' values, read from transposed blocks.
+    The walk holds p column views, ``rows[:, j, None]`` (c, 1) for each bit in the mask
+    and ``background[None, :, j]`` (1, m) for the others; each mask swaps only the views
+    whose bits differ from the previous mask's, so a Gray-code sequence swaps one view per
+    coalition.  ``columns`` maps the p views to k outputs that broadcast to (c, m), so a
+    formula's scalings and powers run on c or m values, or that hold c * m values in row
+    order, as :func:`_block_columns` passes a matrix model's.  A value is the mean of a
+    row's own m outputs, so chunking the instances changes no value if a model's per-row
+    outputs do not depend on how many rows it is given, which ``additive_model``'s BLAS
+    ``X @ c`` does not meet.  Shape (1 + mirror, k, len(masks), c): the values, then with
+    ``mirror`` (the rows are bit for bit the background) the complements' values.
     """
     c, p = rows.shape
     m = background.shape[0]
-    spliced = np.empty((c, m, p))
-    spliced[...] = background
-    flat = spliced.reshape(c * m, p)
+    inside = [rows[:, j, None] for j in range(p)]
+    outside = [background[None, :, j] for j in range(p)]
+    cols = list(outside)
     walked = np.empty((1 + mirror, k, len(masks), c))
     prev = 0
     for i, mask in enumerate(map(int, masks)):
@@ -254,9 +275,10 @@ def _splice_walk(
         while diff:
             j = (diff & -diff).bit_length() - 1
             diff ^= 1 << j
-            spliced[:, :, j] = rows[:, None, j] if mask >> j & 1 else background[None, :, j]
-        for model, out in enumerate(evaluate(flat)):
-            block = out.reshape(c, m)
+            cols[j] = inside[j] if mask >> j & 1 else outside[j]
+        for model, out in enumerate(columns(*cols)):
+            # a (c, m) C-order block, so each row's m outputs are added in np.mean's order
+            block = np.ascontiguousarray(out.reshape(c, m) if out.size == c * m else np.broadcast_to(out, (c, m)))
             # np.add.reduce(x, axis) / m is np.mean's arithmetic without its per-call wrapper cost
             walked[0, model, i] = np.add.reduce(block, axis=1) / m
             if mirror:
@@ -269,18 +291,21 @@ def _coalition_values(
     X: np.ndarray,
     background: np.ndarray,
     predictions: np.ndarray,
+    columns: Callable | None = None,
 ) -> np.ndarray:
     """Interventional value of every coalition for every instance, shape (k, 2**p, n).
 
     ``evaluate`` maps a (rows, p) matrix to a tuple of k output vectors, one
-    per explained model, so several models share each spliced block;
-    ``predictions`` is ``evaluate(X)``, its k vectors stacked or not.
-    Coalitions are walked in Gray-code order so each step re-splices a single
-    feature column, over instance chunks whose block and walked values fit
-    SPLICE_BUDGET_BYTES.  When X is bit for bit its own background and fits
-    one chunk, the predictions are the background's outputs and the block of
-    coalition S is the transpose of the block of its complement, so only the
-    coalitions without the last feature are spliced; a complement's value
+    per explained model; ``predictions`` is ``evaluate(X)``, its k vectors
+    stacked or not.  The walk evaluates the same k models on its column views
+    through ``columns``, by default ``evaluate`` on a spliced block
+    (:func:`_block_columns`), so several models share each coalition.
+    Coalitions are walked in Gray-code order so each step swaps a single
+    feature column, over instance chunks whose (c, m, p) block and walked values
+    fit SPLICE_BUDGET_BYTES.  When X is bit for bit its own background and fits
+    one chunk, the predictions are the background's outputs and the outputs of
+    coalition S are the transpose of those of its complement, so only the
+    coalitions without the last feature are walked; a complement's value
     averages the same model outputs in the same order, so it is bit-identical.
     """
     n, p = X.shape
@@ -306,7 +331,9 @@ def _coalition_values(
             # the full coalition's block is m copies of each x_i
             values[:, full] = np.add.reduce(np.broadcast_to(np.asarray(predictions)[:, :, None], (k, n, m)), axis=2) / m
         for lo in range(0, n, step):
-            walked = _splice_walk(evaluate, X[lo : lo + step], background, masks, k, mirrored)
+            rows = X[lo : lo + step]
+            walk = _block_columns(evaluate, (len(rows), m, p)) if columns is None else columns
+            walked = _splice_walk(walk, rows, background, masks, k, mirrored)
             values[:, masks, lo : lo + step] = walked[0]
             if mirrored:
                 values[:, full ^ masks] = walked[1]
@@ -338,9 +365,10 @@ def _explain_exact(
     evaluate: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     X: np.ndarray,
     data: np.ndarray,
+    columns: Callable | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exact attributions of the k models ``evaluate`` runs, as arrays: (k, n, p)
-    values, (k,) baselines and (k, n) predictions, not yet checked for finiteness."""
+    """The exact attributions of the k models ``evaluate`` (or ``columns``, in the walk) runs, as
+    arrays: (k, n, p) values, (k,) baselines and (k, n) predictions, not yet checked for finiteness."""
     p = X.shape[1]
     if p > ENUM_LIMIT:
         raise EnumerationLimitError(
@@ -348,7 +376,7 @@ def _explain_exact(
             f"(2**{p} coalitions); use sampling"
         )
     predictions = np.array(evaluate(X))
-    values = _coalition_values(evaluate, X, data, predictions)
+    values = _coalition_values(evaluate, X, data, predictions, columns)
     return _attributions_from_values(values, p), values[:, 0, 0].copy(), predictions
 
 
@@ -370,9 +398,10 @@ def explain_matrix(
     return ShapExplanation(values, base, predictions, feature_names)
 
 
-def _product_arrays(f: ModelFunction, g: ModelFunction, X: np.ndarray, background) -> tuple[np.ndarray, ...]:
+def _product_arrays(f: ModelFunction, g: ModelFunction, X, background, columns=None) -> tuple[np.ndarray, ...]:
     """:func:`explain_product`'s arrays, f, g and h stacked: (3, n, p) values, (3,)
-    baselines and (3, n) predictions, not yet checked for finiteness."""
+    baselines and (3, n) predictions, not yet checked for finiteness; ``columns``,
+    when given, is f, g and h on the walk's column views."""
     if f.arity != g.arity:
         raise DimensionError(f"part arities differ: {f.arity} vs {g.arity}")
     data = _as_rows(background, f.arity, "background")
@@ -382,7 +411,7 @@ def _product_arrays(f: ModelFunction, g: ModelFunction, X: np.ndarray, backgroun
         a, b = f(rows), g(rows)
         return a, b, a * b
 
-    return _explain_exact(evaluate, X, data)
+    return _explain_exact(evaluate, X, data, columns)
 
 
 def explain_product(
@@ -444,7 +473,8 @@ def sampling_explain_matrix(
     with np.errstate(invalid="ignore"):  # +inf and -inf average or subtract to NaN, which ShapExplanation rejects
         v_empty = model(data).mean()
         for lo in range(0, n, step):
-            v = _splice_walk(lambda rows: (model(rows),), X[lo : lo + step], data, masks, 1)[0, 0]
+            rows = X[lo : lo + step]
+            v = _splice_walk(_block_columns(lambda Z: [model(Z)], (len(rows), *data.shape)), rows, data, masks, 1)[0, 0]
             steps = np.diff(v[prefixes], axis=1, prepend=v_empty)  # v(prefix) - v(prefix before)
             contrib = np.empty((count, v.shape[1], p))
             contrib[np.arange(count)[:, None], :, orders] = steps

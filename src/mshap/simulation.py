@@ -52,76 +52,39 @@ GRID_CHUNK_CELLS = 8
 
 @dataclass(frozen=True)
 class ResponseFunction:
-    """One catalog entry: a vectorized formula over the first ``arity`` columns."""
+    """One catalog entry: ``formula`` (and ``denominator``) of the first ``arity`` covariate columns.
+
+    Each column is an argument, a vector of rows or a view that broadcasts against the others, and
+    the arithmetic is elementwise: on a splice walk's (c, 1) instance and (1, m) background views a
+    scaling or a power runs on c or m values, with the bits it has on the spliced (c * m, arity) rows.
+    """
 
     id: str
     arity: int
-    formula: Callable[[np.ndarray], np.ndarray]
-    denominator: Callable[[np.ndarray], np.ndarray] | None = None
+    formula: Callable[..., np.ndarray]
+    denominator: Callable[..., np.ndarray] | None = None
 
 
-def _y_sum(X):
-    return X[:, 0] + X[:, 1] + X[:, 2]
+def _y_ratio_den(x1, x2, x3):
+    return x1 + x2 + x3
 
 
-def _y_weighted(X):
-    return 2 * X[:, 0] + 2 * X[:, 1] + 3 * X[:, 2]
-
-
-def _y_product(X):
-    return X[:, 0] * X[:, 1] * X[:, 2]
-
-
-def _y_powers(X):
-    # x3 is negative on the paper box, where numpy's ``**`` leaves its SIMD path and
-    # costs ~40x per value, yet a splice walk's block of c*m rows tiles the m background
-    # x3 values c times or repeats each of the c instance values m times: raise that
-    # short vector once, then tile or repeat it; any other column raises each distinct
-    # value once and gathers.  ``pow`` reads each value alone, so the bits equal
-    # ``X[:, 2] ** 4``; ``==`` and ``np.unique`` merge -0.0 with 0.0, safe only because
-    # the power is even, and merge no NaN.
-    x, n = X[:, 2], X.shape[0]
-    same = x == x[:1]  # x[:1], not x[0], so an empty X gives an empty mask
-    if n > 1 and same[1]:  # a repetition: r is the first run's length
-        r = int(same.argmin()) or n
-        if n % r == 0 and (x.reshape(-1, r) == x[::r, None]).all():
-            return X[:, 0] ** 2 * X[:, 1] ** 3 * np.repeat(x[::r] ** 4, r)
-    elif same[1:].any():  # a tiling: r is where x[0] recurs
-        r = int(same[1:].argmax()) + 1
-        if n % r == 0 and (x.reshape(-1, r) == x[:r]).all():
-            return X[:, 0] ** 2 * X[:, 1] ** 3 * np.tile(x[:r] ** 4, n // r)
-    values, inverse = np.unique(x, return_inverse=True, equal_nan=False)
-    return X[:, 0] ** 2 * X[:, 1] ** 3 * (values**4)[inverse]
-
-
-def _y_ratio(X):
-    return (X[:, 0] + X[:, 1]) / _y_ratio_den(X)
-
-
-def _y_ratio_den(X):
-    return X[:, 0] + X[:, 1] + X[:, 2]
-
-
-def _y_rational(X):
-    return X[:, 0] * X[:, 1] / _y_rational_den(X)
-
-
-def _y_rational_den(X):
-    return X[:, 0] + X[:, 0] * X[:, 1] + X[:, 0] ** 2 * X[:, 2] ** 2
+def _y_rational_den(x1, x2, x3):
+    return x1 + x1 * x2 + x1**2 * x3**2
 
 
 RESPONSE_FUNCTIONS: dict[str, ResponseFunction] = {rf.id: rf for rf in (
-    ResponseFunction("Y1A", 3, _y_sum),
-    ResponseFunction("Y1B", 3, _y_weighted),
-    ResponseFunction("Y2A", 3, _y_sum),
-    ResponseFunction("Y2B", 3, _y_weighted),
-    ResponseFunction("Y2C", 3, _y_product),
-    ResponseFunction("Y2D", 3, _y_powers),
-    ResponseFunction("Y2E", 3, _y_ratio, _y_ratio_den),
-    ResponseFunction("Y2F", 3, _y_rational, _y_rational_den),
+    ResponseFunction("Y1A", 3, lambda x1, x2, x3: x1 + x2 + x3),
+    ResponseFunction("Y1B", 3, lambda x1, x2, x3: 2 * x1 + 2 * x2 + 3 * x3),
+    ResponseFunction("Y2A", 3, lambda x1, x2, x3: x1 + x2 + x3),
+    ResponseFunction("Y2B", 3, lambda x1, x2, x3: 2 * x1 + 2 * x2 + 3 * x3),
+    ResponseFunction("Y2C", 3, lambda x1, x2, x3: x1 * x2 * x3),
+    ResponseFunction("Y2D", 3, lambda x1, x2, x3: x1**2 * x2**3 * x3**4),
+    ResponseFunction("Y2E", 3, lambda x1, x2, x3: (x1 + x2) / _y_ratio_den(x1, x2, x3), _y_ratio_den),
+    ResponseFunction("Y2F", 3, lambda x1, x2, x3: x1 * x2 / _y_rational_den(x1, x2, x3), _y_rational_den),
     # control response: a constant second part collapses the product to the
     # first part, so every method must reproduce the part attribution exactly
-    ResponseFunction("CONST1", 1, lambda X: np.ones(X.shape[0])),
+    ResponseFunction("CONST1", 1, np.ones_like),
 )}
 
 Y1_IDS = ("Y1A", "Y1B")
@@ -245,7 +208,7 @@ def scenario_model(fn_id: str, p: int) -> ModelFunction:
         raise InvalidInputError(f"unknown response function id: {fn_id!r}") from None
     if p < rf.arity:
         raise DimensionError(f"{rf.id} needs >= {rf.arity} features, got p={p}")
-    return ModelFunction(p, rf.formula)
+    return ModelFunction(p, lambda X: rf.formula(*X.T[: rf.arity]))
 
 
 def _guard_mask(spec: ScenarioSpec, rows: np.ndarray) -> np.ndarray:
@@ -254,7 +217,7 @@ def _guard_mask(spec: ScenarioSpec, rows: np.ndarray) -> np.ndarray:
     for fn_id in (spec.y1, spec.y2):
         rf = RESPONSE_FUNCTIONS[fn_id]
         if rf.denominator is not None:
-            bad |= np.abs(rf.denominator(rows)) < DENOMINATOR_GUARD
+            bad |= np.abs(rf.denominator(*rows.T[: rf.arity])) < DENOMINATOR_GUARD
     return bad
 
 
@@ -287,9 +250,16 @@ def sample_scenario_rows(spec: ScenarioSpec) -> tuple[np.ndarray, int]:
 
 def _oracle_arrays(spec: ScenarioSpec, rows: np.ndarray, background: np.ndarray):
     """The exact oracle of f, g and f * g on the pair's own k columns, as arrays:
-    (3, n, k) values, (3,) baselines and (3, n) predictions."""
+    (3, n, k) values, (3,) baselines and (3, n) predictions.  The walk runs the two
+    formulas on its column views, so no spliced block is built."""
     k = _pair_arity(spec.y1, spec.y2)
-    return _product_arrays(scenario_model(spec.y1, k), scenario_model(spec.y2, k), rows[:, :k], background[:, :k])
+    f, g = RESPONSE_FUNCTIONS[spec.y1], RESPONSE_FUNCTIONS[spec.y2]
+
+    def columns(*cols):
+        a, b = f.formula(*cols[: f.arity]), g.formula(*cols[: g.arity])
+        return a, b, a * b
+
+    return _product_arrays(scenario_model(f.id, k), scenario_model(g.id, k), rows[:, :k], background[:, :k], columns)
 
 
 def _run_chunk(specs: Sequence[ScenarioSpec]) -> list[ScenarioResult | Exception]:

@@ -799,17 +799,48 @@ def _product_evaluate(rows):
     return f, g, f * g
 
 
+def _product_columns(x1, x2, x3):
+    """``_product_evaluate`` on column views that broadcast against each other."""
+    f = np.exp(0.3 * x1) * x2 - x3**3
+    g = x1 * x3 + 1.0 / (2.0 + np.sin(x2))
+    return f, g, f * g
+
+
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 129, 300])
 @pytest.mark.parametrize("mirrored", [True, False], ids=["mirrored", "general"])
-def test_coalition_values_equal_the_np_mean_reference(rng, m, mirrored):
+@pytest.mark.parametrize("columns", [None, _product_columns], ids=["block", "columns"])
+def test_coalition_values_equal_the_np_mean_reference(rng, m, mirrored, columns):
     # sums past 8 and past 128 terms take numpy's unrolled and pairwise
-    # branches; both paths must add in np.mean's order
+    # branches; both paths must add in np.mean's order, whether the walk
+    # runs the matrix evaluate through the block adapter or formulas on its views
     background = rng.uniform(-2, 2, (m, 3))
     X = background.copy() if mirrored else rng.uniform(-2, 2, (11, 3))
     predictions = _product_evaluate(X)
-    got = shapley._coalition_values(_product_evaluate, X, background, predictions)
+    got = shapley._coalition_values(_product_evaluate, X, background, predictions, columns)
     want = mean_coalition_values(_product_evaluate, X, background, predictions)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("order", ["gray", "sampled"])
+def test_the_block_adapter_splices_only_the_columns_each_mask_flips(rng, order):
+    # the model poisons its whole input after each call, so the columns that are
+    # not NaN at the next call are the ones the adapter wrote in between; one
+    # that re-materialised all p columns per coalition would write p each time
+    c, m, p = 4, 5, 6
+    t = np.arange(1, 1 << p)
+    masks = t ^ (t >> 1) if order == "gray" else np.sort(rng.choice(t, 20, replace=False))
+    written = []
+
+    def evaluate(flat):
+        written.append(int((~np.isnan(flat).all(axis=0)).sum()))
+        flat[...] = np.nan
+        return (flat[:, 0],)
+
+    rows, background = rng.uniform(-1, 1, (c, p)), rng.uniform(-1, 1, (m, p))
+    shapley._splice_walk(shapley._block_columns(evaluate, (c, m, p)), rows, background, masks, 1)
+    # the first call fills the new block; each later one splices the bits its mask flips
+    assert written == [p] + [int(a ^ b).bit_count() for a, b in zip(masks, masks[1:])]
+    assert sum(written) == _column_splices(masks) + p - int(masks[0]).bit_count()
 
 
 # ---------------------------------------------------------------- splice block

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from mshap.simulation import (
     Y1_IDS,
     Y2_IDS,
     _guard_mask,
-    _y_powers,
     grid_table,
     sample_scenario_rows,
     scenario_model,
@@ -128,81 +128,70 @@ def test_eval_response_examples():
     assert respond("CONST1", [9.0, 9.0, 9.0]) == 1.0
 
 
-def _x3_pool(rng, distinct):
-    """``distinct`` x3 values of mixed sign and magnitude, with +0.0 and -0.0."""
-    paper = rng.uniform(-5.0, -1.0, distinct)
-    wide = rng.standard_normal(distinct) * 10.0 ** rng.uniform(-60, 60, distinct)
-    return np.concatenate([paper, wide, [0.0, -0.0]])[rng.permutation(2 * distinct + 2)[:distinct]]
+WALK_SIZES = [(2, 2), (37, 19), (100, 100)]
+# values planted over the paper-box draws: (on an instance row, row, column, value)
+PLANTED = st.lists(st.tuples(st.booleans(), st.integers(0, 99), st.integers(0, 2), st.floats()), max_size=6)
 
 
-WALK_LAYOUTS = ["walk", "period-repeat", "signed-zero", "nan"]
-
-
-@settings(max_examples=80)
-@given(
-    n=st.integers(1, 20_000),
-    distinct=st.integers(1, 20_000),
-    layout=st.sampled_from([*WALK_LAYOUTS, "block", "strided", "fortran"]),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(n=1, distinct=1, layout="block", seed=0)
-@example(n=7, distinct=7, layout="strided", seed=1)
-@example(n=20_000, distinct=20_000, layout="block", seed=2)
-@example(n=19_999, distinct=3, layout="fortran", seed=3)
-@example(n=10_000, distinct=100, layout="walk", seed=4)
-@example(n=10_000, distinct=100, layout="period-repeat", seed=5)
-@example(n=10_000, distinct=100, layout="signed-zero", seed=6)
-@example(n=10_000, distinct=100, layout="nan", seed=7)
-def test_y2d_gathered_power_is_bit_identical_to_the_direct_formula(n, distinct, layout, seed):
+@settings(max_examples=40, deadline=None)
+@given(size=st.sampled_from(WALK_SIZES), seed=st.integers(0, 2**32 - 1), planted=PLANTED)
+@example(size=(2, 2), seed=0, planted=[(True, 0, 0, 0.0), (False, 1, 0, -0.0), (True, 1, 2, -0.0), (False, 0, 2, 0.0)])
+@example(size=(37, 19), seed=1, planted=[(True, 3, 1, np.nan), (False, 18, 2, np.nan)])
+@example(size=(100, 100), seed=2, planted=[(True, 0, 0, np.inf), (False, 5, 1, -np.inf), (True, 7, 2, -np.inf)])
+@example(size=(37, 19), seed=3, planted=[(True, 0, 2, -1e80), (False, 1, 2, -1e-310), (True, 1, 2, -0.5)])
+def test_column_formulas_on_broadcast_views_equal_the_matrix_form(size, seed, planted):
+    # every catalog formula and denominator, on a splice walk's (c, 1) and (1, m) column views,
+    # gives the bits the matrix form (a scenario model, the guard) gives on the materialised block
     rng = np.random.default_rng(seed)
-    if layout in WALK_LAYOUTS:
-        # the (c*m, 3) block a splice walk passes: x3 either repeats each of c
-        # instance rows m times or tiles the m background rows c times
-        m = max(2, min(distinct, 200))
-        c = max(2, n // m)
-        rows, background = rng.uniform(-10, 10, (c, 3)), rng.uniform(-10, 10, (m, 3))
-        rows[:, 2], background[:, 2] = _x3_pool(rng, c), _x3_pool(rng, m)
-        spliced = rng.integers(0, 2, 3)  # one coalition's spliced columns
-        if layout == "period-repeat":  # the first period repeats its first value: no layout verifies
-            rows[1, 2], background[m // 2, 2] = rows[0, 2], background[0, 2]
-        elif layout == "signed-zero":  # copies that differ in the sign of a zero: a layout verifies
-            rows[0, 2], background[0, 2] = 0.0, 0.0
-        elif layout == "nan":  # a NaN equals nothing: no layout verifies
-            rows[-1, 2], background[-1, 2] = np.nan, np.nan
-        block = np.empty((c, m, 3))
-        block[...] = background
-        for j in np.flatnonzero(spliced):
-            block[:, :, j] = rows[:, None, j]
-        if layout == "signed-zero":  # a copy of the zero's run or period holds -0.0
-            block[(0, slice(1, None), 2) if spliced[2] else (-1, 0, 2)] = -0.0
-        X = block.reshape(c * m, 3)
-    else:
-        x3 = rng.choice(_x3_pool(rng, min(distinct, n)), n)
-        wide = np.column_stack([rng.uniform(-10, 10, n), rng.uniform(0, 20, n), x3, rng.uniform(size=(n, 2))])
-        X = {
-            "block": np.ascontiguousarray(wide[:, :3]),
-            "strided": np.repeat(wide, 2, axis=0)[::2, :3],
-            "fortran": np.asfortranarray(wide[:, :3]),
-        }[layout]
-    want = X[:, 0] ** 2 * X[:, 1] ** 3 * X[:, 2] ** 4
-    assert _y_powers(X).tobytes() == want.tobytes()
+    lo, hi = np.array(PAPER_BOX.bounds).T
+    rows, background = rng.uniform(lo, hi, (size[0], 3)), rng.uniform(lo, hi, (size[1], 3))
+    for inside, i, j, value in planted:
+        side = rows if inside else background
+        side[i % len(side), j] = value
+    for mask in range(8):
+        cols = [rows[:, j, None] if mask >> j & 1 else background[None, :, j] for j in range(3)]
+        block = np.empty(size + (3,))
+        for j, col in enumerate(cols):
+            block[:, :, j] = col
+        X = block.reshape(-1, 3)
+        for rf in simulation.RESPONSE_FUNCTIONS.values():
+            with np.errstate(all="ignore"):
+                forms = [(rf.formula(*cols[: rf.arity]), scenario_model(rf.id, 3)(X))]
+                if rf.denominator is not None:
+                    forms.append((rf.denominator(*cols), rf.denominator(*X.T)))
+            for got, want in forms:
+                assert np.broadcast_to(got, size).tobytes() == want.tobytes(), (rf.id, mask)
 
 
-@pytest.mark.parametrize("c, m", [(2, 2), (37, 19), (100, 100)])
-def test_a_walk_block_never_reaches_the_gather(monkeypatch, rng, c, m):
-    # every coalition's block of distinct paper-box draws is a tiling or a repetition in x3
-    rows, background = (np.column_stack([rng.uniform(-10, 10, (k, 2)), rng.uniform(-5, -1, k)]) for k in (c, m))
+def test_the_catalog_oracle_holds_no_splice_block(monkeypatch):
+    # a (100, 100, 3) block is 240,000 bytes; at each walk step the catalog oracle holds its
+    # walked values, its coalition stack and the last step's (100, 100) output, about 120 kB
+    spec = ScenarioSpec("Y1B", "Y2D", 1.5, 1.0, n=100, background_size=100, seed=3)
+    rows, _ = sample_scenario_rows(spec)
+    rf = simulation.RESPONSE_FUNCTIONS["Y1B"]
+    held = []
 
-    def gather(*args, **kwargs):
-        raise AssertionError("a walk block reached np.unique")
+    def spy(*cols):
+        if np.broadcast(*cols).size == 100 * 100:  # a walk step, not the predictions
+            held.append(tracemalloc.get_traced_memory()[0])
+        return rf.formula(*cols)
 
-    def formula(X):
-        return (X[:, 0] ** 2 * X[:, 1] ** 3 * X[:, 2] ** 4,)
+    def held_at_the_walk_steps(call):
+        held.clear()
+        tracemalloc.start()
+        try:
+            call()
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 3
+        return max(held)
 
-    direct = shapley._splice_walk(formula, rows, background, range(8), 1)
-    monkeypatch.setattr(np, "unique", gather)
-    walked = shapley._splice_walk(lambda X: (_y_powers(X),), rows, background, range(8), 1)
-    assert walked.tobytes() == direct.tobytes()
+    monkeypatch.setitem(simulation.RESPONSE_FUNCTIONS, "Y1B", dataclasses.replace(rf, formula=spy))
+    catalog = held_at_the_walk_steps(lambda: simulation._oracle_arrays(spec, rows, rows))
+    # the same models as matrices go through the block adapter, which holds the block
+    models = scenario_model("Y1B", 3), scenario_model("Y2D", 3)
+    blocked = held_at_the_walk_steps(lambda: shapley._product_arrays(*models, rows, rows))
+    assert catalog < 100 * 100 * 3 * 8 <= blocked
 
 
 def test_eval_response_guard_raises():
@@ -359,24 +348,39 @@ def test_stacked_scores_equal_one_score_call_per_rule(sizes):
         assert repr(got.scores) == repr(composed_scores(spec)), (spec.y1, spec.y2)
 
 
+def count_evaluations(monkeypatch):
+    """Count, from now on, the elements each catalog formula computes and the rows each model is given."""
+    elements, rows = [], []
+    for fn_id, rf in list(simulation.RESPONSE_FUNCTIONS.items()):
+
+        def counting(*cols, formula=rf.formula):
+            elements.append(np.broadcast(*cols).size)
+            return formula(*cols)
+
+        monkeypatch.setitem(simulation.RESPONSE_FUNCTIONS, fn_id, dataclasses.replace(rf, formula=counting))
+    evaluate = ModelFunction.__call__
+
+    def counting_call(self, X):
+        rows.append(len(X))
+        return evaluate(self, X)
+
+    monkeypatch.setattr(ModelFunction, "__call__", counting_call)
+    return elements, rows
+
+
 def test_run_scenario_evaluates_each_part_once_per_coalition(monkeypatch):
     # the instances are their own background, so f and g each see the 3
     # non-empty coalitions without the last feature (of 2**(3-1) = 4) as
-    # blocks of n * m = 10,000 spliced rows, and the 100 instances, whose
-    # outputs are the predictions and the empty coalition's background
-    # outputs; the 3 complements are those blocks transposed, the full
-    # coalition is the predictions repeated, and the product is formed from
-    # the part outputs, never evaluated again
-    rows_seen = []
-    evaluate = ModelFunction.__call__
-
-    def counting(self, X):
-        rows_seen.append(len(X))
-        return evaluate(self, X)
-
-    monkeypatch.setattr(ModelFunction, "__call__", counting)
+    # (100, 1) and (1, 100) column views whose formula broadcasts to n * m =
+    # 10,000 elements, and the 100 instances, whose outputs are the predictions
+    # and the empty coalition's background outputs; the 3 complements are those
+    # outputs transposed, the full coalition is the predictions repeated, and
+    # the product is formed from the part outputs, never evaluated again.  Only
+    # the predictions go through the models: the walk takes the formulas
+    elements, rows = count_evaluations(monkeypatch)
     run_scenario(ScenarioSpec("Y1B", "Y2C", 1.5, 1.0, n=100, background_size=100, seed=3))
-    assert sum(rows_seen) == 2 * (3 * 10_000 + 100) == 60_200
+    assert sum(elements) == 2 * (3 * 10_000 + 100) == 60_200
+    assert rows == [100, 100]
 
 
 def test_run_scenario_checks_each_part_once(monkeypatch):
@@ -467,23 +471,15 @@ def test_oracle_enumerates_the_pair_columns_and_zeroes_the_rest(y1, y2):
 
 
 def test_wide_cell_costs_a_three_column_enumeration(monkeypatch):
-    # 17 inert columns add no model rows: the count is the p = 3 cell's
-    # 2 * (3 * 10,000 + 100), counted as in
-    # test_run_scenario_evaluates_each_part_once_per_coalition
-    rows_seen = []
-    evaluate = ModelFunction.__call__
-
-    def counting(self, X):
-        rows_seen.append(len(X))
-        return evaluate(self, X)
-
+    # 17 inert columns add no formula elements and no model rows: the counts are
+    # the p = 3 cell's, counted as in test_run_scenario_evaluates_each_part_once_per_coalition
     spec = ScenarioSpec(
         "Y1B", "Y2C", 1.5, 1.0, n=100, background_size=100, seed=3,
         covariates=CovariateSpec(PAPER_BOX.bounds + ((0.0, 1.0),) * 17),
     )
-    monkeypatch.setattr(ModelFunction, "__call__", counting)
+    elements, rows = count_evaluations(monkeypatch)
     result = run_scenario(spec)
-    assert sum(rows_seen) == 60_200
+    assert sum(elements) == 60_200 and rows == [100, 100]
     for method in AlphaMethod:
         assert 0.0 < result.scores[method].score <= 3.0
     # the 17 columns are zeros of the composed and the reference stacks
