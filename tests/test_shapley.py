@@ -808,15 +808,26 @@ def _product_columns(x1, x2, x3):
 
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 129, 300])
 @pytest.mark.parametrize("mirrored", [True, False], ids=["mirrored", "general"])
-@pytest.mark.parametrize("columns", [None, _product_columns], ids=["block", "columns"])
-def test_coalition_values_equal_the_np_mean_reference(rng, m, mirrored, columns):
+def test_coalition_values_equal_the_np_mean_reference(rng, m, mirrored):
     # sums past 8 and past 128 terms take numpy's unrolled and pairwise
-    # branches; both paths must add in np.mean's order, whether the walk
-    # runs the matrix evaluate through the block adapter or formulas on its views
+    # branches; both paths must add in np.mean's order
     background = rng.uniform(-2, 2, (m, 3))
     X = background.copy() if mirrored else rng.uniform(-2, 2, (11, 3))
     predictions = _product_evaluate(X)
-    got = shapley._coalition_values(_product_evaluate, X, background, predictions, columns)
+    got = shapley._coalition_values(_product_evaluate, X, background, predictions)
+    want = mean_coalition_values(_product_evaluate, X, background, predictions)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 129, 300])
+@pytest.mark.parametrize("mirrored", [True, False], ids=["mirrored", "general"])
+def test_formulas_on_column_views_equal_the_np_mean_reference(rng, m, mirrored):
+    # the walk runs _product_evaluate's column form on its (c, 1) and (1, m) views,
+    # as the simulation oracle runs the catalog, and must give the block's bits
+    background = rng.uniform(-2, 2, (m, 3))
+    X = background.copy() if mirrored else rng.uniform(-2, 2, (11, 3))
+    predictions = _product_evaluate(X)
+    got = shapley._coalition_values(_product_evaluate, X, background, predictions, _product_columns)
     want = mean_coalition_values(_product_evaluate, X, background, predictions)
     assert np.array_equal(got, want)
 
