@@ -39,7 +39,8 @@ SPLICE_BUDGET_BYTES = 64 << 20
 class ModelFunction:
     """A deterministic prediction function over ``arity`` real covariates.
 
-    ``fn`` must accept a ``(k, arity)`` array and return ``k`` predictions.
+    ``fn`` must accept a ``(k, arity)`` array and return ``k`` predictions.  The oracle
+    hands ``fn`` C-ordered rows it copied, and reuses that array between calls.
     """
 
     arity: int
@@ -227,18 +228,25 @@ def _splice_chunk(m: int, p: int, stacked: int = 0) -> int:
     return max(1, SPLICE_BUDGET_BYTES // ((m * p + stacked) * 8))
 
 
-def _block_columns(evaluate: Callable[[np.ndarray], Sequence[np.ndarray]], shape: tuple[int, int, int]) -> Callable:
-    """A matrix ``evaluate``, (rows, p) to k output vectors, as a map of p columns that broadcast to (c, m).
+def _block_columns(evaluate: Callable[[np.ndarray], Sequence[np.ndarray]], m: int) -> Callable:
+    """A matrix ``evaluate``, (rows, p) to k output vectors, as a map of p columns to k outputs.
 
-    It owns one (c, m, p) block of the given shape, and each call splices in only the columns
-    whose view is not the one it spliced last, so a walk that swaps one view per coalition
-    splices one column per coalition; ``evaluate`` sees the block's c * m rows, and its
-    outputs go to the walk as they are.
+    Columns of one dimension are a batch of rows, copied into a new C-ordered (rows, p) matrix.
+    Columns of two dimensions are a walk step's (c, 1) and (1, m) views, spliced into a (c, m, p)
+    block, c their largest leading length, that is remade only when c changes; a call splices
+    only the columns whose view is not the one it spliced last, so a walk that swaps one view
+    per coalition splices one column per coalition.  ``evaluate``'s outputs go back as they are.
     """
-    block, spliced = np.empty(shape), [None] * shape[2]
-    flat = block.reshape(-1, shape[2])
+    block = flat = spliced = None
 
     def columns(*cols):
+        nonlocal block, flat, spliced
+        if cols[0].ndim == 1:  # a (p, rows) F-ordered copy is a C-ordered (rows, p) matrix
+            return evaluate(np.array(cols, order="F").T)
+        c = max(map(len, cols))
+        if block is None or len(block) != c:
+            block = np.empty((c, m, len(cols)))
+            flat, spliced = block.reshape(c * m, len(cols)), [None] * len(cols)
         for j, col in enumerate(cols):
             if col is not spliced[j]:
                 block[:, :, j] = spliced[j] = col
@@ -252,16 +260,18 @@ def _splice_walk(
 ) -> np.ndarray:
     """Interventional value of each coalition in ``masks`` at each of the c ``rows``.
 
-    The walk holds p column views, ``rows[:, j, None]`` (c, 1) for each bit in the mask
-    and ``background[None, :, j]`` (1, m) for the others; each mask swaps only the views
-    whose bits differ from the previous mask's, so a Gray-code sequence swaps one view per
-    coalition.  ``columns`` maps the p views to k outputs that broadcast to (c, m), so a
-    formula's scalings and powers run on c or m values, or that hold c * m values in row
-    order, as :func:`_block_columns` passes a matrix model's.  A value is the mean of a
-    row's own m outputs, so chunking the instances changes no value if a model's per-row
-    outputs do not depend on how many rows it is given, which ``additive_model``'s BLAS
-    ``X @ c`` does not meet.  Shape (1 + mirror, k, len(masks), c): the values, then with
-    ``mirror`` (the rows are bit for bit the background) the complements' values.
+    The walk holds p column views, ``rows[:, j, None]`` (c, 1) for each bit in the mask and
+    ``background[None, :, j]`` (1, m) for the others; each mask swaps only the views whose bits
+    differ from the previous mask's, so a Gray-code sequence swaps one view per coalition.
+    ``columns`` maps the p views to k outputs that broadcast to (c, m), so a formula's scalings and
+    powers run on c or m values, or that hold c * m values in row order, as :func:`_block_columns`
+    passes a matrix model's.  That adapter's two call forms are p columns of one dimension (X or the
+    background), copied into a C-ordered matrix, and the walk's views, spliced into its (c, m, p)
+    block even at the full mask.  A value is the mean of a row's own m outputs, so chunking the
+    instances changes no value if a model's per-row outputs do not depend on how many rows it is
+    given, which ``additive_model``'s BLAS ``X @ c`` does not meet.  Shape (1 + mirror, k,
+    len(masks), c): the values, then with ``mirror`` (the rows are bit for bit the background) the
+    complements' values.
     """
     c, p = rows.shape
     m = background.shape[0]
@@ -286,27 +296,20 @@ def _splice_walk(
     return walked
 
 
-def _coalition_values(
-    evaluate: Callable[[np.ndarray], tuple[np.ndarray, ...]],
-    X: np.ndarray,
-    background: np.ndarray,
-    predictions: np.ndarray,
-    columns: Callable | None = None,
-) -> np.ndarray:
+def _coalition_values(columns: Callable, X: np.ndarray, background: np.ndarray, predictions: np.ndarray) -> np.ndarray:
     """Interventional value of every coalition for every instance, shape (k, 2**p, n).
 
-    ``evaluate`` maps a (rows, p) matrix to a tuple of k output vectors, one
-    per explained model; ``predictions`` is ``evaluate(X)``, its k vectors
-    stacked or not.  The walk evaluates the same k models on its column views
-    through ``columns``, by default ``evaluate`` on a spliced block
-    (:func:`_block_columns`), so several models share each coalition.
-    Coalitions are walked in Gray-code order so each step swaps a single
-    feature column, over instance chunks whose (c, m, p) block and walked values
-    fit SPLICE_BUDGET_BYTES.  When X is bit for bit its own background and fits
-    one chunk, the predictions are the background's outputs and the outputs of
-    coalition S are the transpose of those of its complement, so only the
-    coalitions without the last feature are walked; a complement's value
-    averages the same model outputs in the same order, so it is bit-identical.
+    ``columns`` maps p feature columns to k output vectors, one per explained
+    model, so several models share each coalition; ``predictions`` is
+    ``columns(*X.T)``, its k vectors stacked or not, and the empty coalition
+    averages ``columns(*background.T)``.  Coalitions are walked in Gray-code
+    order so each step swaps a single feature column, over instance chunks whose
+    (c, m, p) block and walked values fit SPLICE_BUDGET_BYTES.  When X is bit for
+    bit its own background and fits one chunk, the predictions are the
+    background's outputs and the outputs of coalition S are the transpose of
+    those of its complement, so only the coalitions without the last feature are
+    walked; a complement's value averages the same model outputs in the same
+    order, so it is bit-identical.
     """
     n, p = X.shape
     m = background.shape[0]
@@ -322,7 +325,7 @@ def _coalition_values(
     t = np.arange(1, 1 << (p - mirrored))
     masks = t ^ (t >> 1)  # the Gray code: each mask differs from the one before in one bit
     step = _splice_chunk(m, p, (1 + mirrored) * k * len(masks))
-    base = predictions if mirrored else evaluate(background)
+    base = predictions if mirrored else columns(*background.T)
     values = np.empty((k, 1 << p, n))
     # each model's row is reduced alone, in one call for all k: the bits of k separate reductions
     with np.errstate(invalid="ignore"):  # a mean of +inf and -inf is NaN, which ShapExplanation rejects
@@ -331,9 +334,7 @@ def _coalition_values(
             # the full coalition's block is m copies of each x_i
             values[:, full] = np.add.reduce(np.broadcast_to(np.asarray(predictions)[:, :, None], (k, n, m)), axis=2) / m
         for lo in range(0, n, step):
-            rows = X[lo : lo + step]
-            walk = _block_columns(evaluate, (len(rows), m, p)) if columns is None else columns
-            walked = _splice_walk(walk, rows, background, masks, k, mirrored)
+            walked = _splice_walk(columns, X[lo : lo + step], background, masks, k, mirrored)
             values[:, masks, lo : lo + step] = walked[0]
             if mirrored:
                 values[:, full ^ masks] = walked[1]
@@ -361,22 +362,17 @@ def _attributions_from_values(values: np.ndarray, p: int) -> np.ndarray:
     return phi
 
 
-def _explain_exact(
-    evaluate: Callable[[np.ndarray], tuple[np.ndarray, ...]],
-    X: np.ndarray,
-    data: np.ndarray,
-    columns: Callable | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exact attributions of the k models ``evaluate`` (or ``columns``, in the walk) runs, as
-    arrays: (k, n, p) values, (k,) baselines and (k, n) predictions, not yet checked for finiteness."""
+def _explain_exact(columns: Callable, X: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact attributions of the k models the column map ``columns`` runs, as arrays:
+    (k, n, p) values, (k,) baselines and (k, n) predictions, not yet checked for finiteness."""
     p = X.shape[1]
     if p > ENUM_LIMIT:
         raise EnumerationLimitError(
             f"{p} features exceeds the enumeration limit of {ENUM_LIMIT} "
             f"(2**{p} coalitions); use sampling"
         )
-    predictions = np.array(evaluate(X))
-    values = _coalition_values(evaluate, X, data, predictions, columns)
+    predictions = np.array(columns(*X.T))
+    values = _coalition_values(columns, X, data, predictions)
     return _attributions_from_values(values, p), values[:, 0, 0].copy(), predictions
 
 
@@ -394,24 +390,8 @@ def explain_matrix(
     """
     data = _as_rows(background, model.arity, "background")
     X = _as_rows(X, model.arity, "instances")
-    (values,), (base,), (predictions,) = _explain_exact(lambda rows: (model(rows),), X, data)
+    (values,), (base,), (predictions,) = _explain_exact(_block_columns(lambda rows: (model(rows),), len(data)), X, data)
     return ShapExplanation(values, base, predictions, feature_names)
-
-
-def _product_arrays(f: ModelFunction, g: ModelFunction, X, background, columns=None) -> tuple[np.ndarray, ...]:
-    """:func:`explain_product`'s arrays, f, g and h stacked: (3, n, p) values, (3,)
-    baselines and (3, n) predictions, not yet checked for finiteness; ``columns``,
-    when given, is f, g and h on the walk's column views."""
-    if f.arity != g.arity:
-        raise DimensionError(f"part arities differ: {f.arity} vs {g.arity}")
-    data = _as_rows(background, f.arity, "background")
-    X = _as_rows(X, f.arity, "instances")
-
-    def evaluate(rows):
-        a, b = f(rows), g(rows)
-        return a, b, a * b
-
-    return _explain_exact(evaluate, X, data, columns)
 
 
 def explain_product(
@@ -427,7 +407,16 @@ def explain_product(
     three results equal three ``explain_matrix`` calls bit for bit at the
     cost of two.
     """
-    return tuple(ShapExplanation(*arrays) for arrays in zip(*_product_arrays(f, g, X, background)))
+    if f.arity != g.arity:
+        raise DimensionError(f"part arities differ: {f.arity} vs {g.arity}")
+    data = _as_rows(background, f.arity, "background")
+    X = _as_rows(X, f.arity, "instances")
+
+    def evaluate(rows):
+        a, b = f(rows), g(rows)
+        return a, b, a * b
+
+    return tuple(ShapExplanation(*arrays) for arrays in zip(*_explain_exact(_block_columns(evaluate, len(data)), X, data)))
 
 
 def sampling_explain_matrix(
@@ -470,11 +459,11 @@ def sampling_explain_matrix(
     total, total_sq = np.empty((2, n, p))
     # a row holds its walked values and, per ordering, p + 1 gathered, p differenced and p scattered
     step = _splice_chunk(data.shape[0], p, len(masks) + count * (3 * p + 1))
+    columns = _block_columns(lambda rows: (model(rows),), len(data))
     with np.errstate(invalid="ignore"):  # +inf and -inf average or subtract to NaN, which ShapExplanation rejects
-        v_empty = model(data).mean()
+        v_empty = columns(*data.T)[0].mean()
         for lo in range(0, n, step):
-            rows = X[lo : lo + step]
-            v = _splice_walk(_block_columns(lambda Z: [model(Z)], (len(rows), *data.shape)), rows, data, masks, 1)[0, 0]
+            v = _splice_walk(columns, X[lo : lo + step], data, masks, 1)[0, 0]
             steps = np.diff(v[prefixes], axis=1, prepend=v_empty)  # v(prefix) - v(prefix before)
             contrib = np.empty((count, v.shape[1], p))
             contrib[np.arange(count)[:, None], :, orders] = steps
@@ -488,7 +477,7 @@ def sampling_explain_matrix(
     return SamplingExplanation(
         values=phi,
         baseline=float(v_empty),
-        predictions=model(X),
+        predictions=columns(*X.T)[0],
         stderr=stderr,
         n_permutations=count,
         exhaustive=exhaustive,

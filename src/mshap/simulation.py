@@ -37,7 +37,7 @@ from .shapley import (
     ModelFunction,
     _check_finite,
     _check_integers,
-    _product_arrays,
+    _explain_exact,
     additive_model,
     explain_matrix,
     product_model,
@@ -200,17 +200,6 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(tuple(int(x) for x in parts)).generate_state(1)[0])
 
 
-def scenario_model(fn_id: str, p: int) -> ModelFunction:
-    """Wrap a catalog response as a p-ary model; columns past the arity are inert."""
-    try:
-        rf = RESPONSE_FUNCTIONS[fn_id]
-    except KeyError:
-        raise InvalidInputError(f"unknown response function id: {fn_id!r}") from None
-    if p < rf.arity:
-        raise DimensionError(f"{rf.id} needs >= {rf.arity} features, got p={p}")
-    return ModelFunction(p, lambda X: rf.formula(*X.T[: rf.arity]))
-
-
 def _guard_mask(spec: ScenarioSpec, rows: np.ndarray) -> np.ndarray:
     """True for rows that violate a denominator guard of either response."""
     bad = np.zeros(rows.shape[0], dtype=bool)
@@ -250,8 +239,8 @@ def sample_scenario_rows(spec: ScenarioSpec) -> tuple[np.ndarray, int]:
 
 def _oracle_arrays(spec: ScenarioSpec, rows: np.ndarray, background: np.ndarray):
     """The exact oracle of f, g and f * g on the pair's own k columns, as arrays:
-    (3, n, k) values, (3,) baselines and (3, n) predictions.  The walk runs the two
-    formulas on its column views, so no spliced block is built."""
+    (3, n, k) values, (3,) baselines and (3, n) predictions.  The two formulas run on
+    the rows' columns and on the walk's column views, so no spliced block is built."""
     k = _pair_arity(spec.y1, spec.y2)
     f, g = RESPONSE_FUNCTIONS[spec.y1], RESPONSE_FUNCTIONS[spec.y2]
 
@@ -259,7 +248,7 @@ def _oracle_arrays(spec: ScenarioSpec, rows: np.ndarray, background: np.ndarray)
         a, b = f.formula(*cols[: f.arity]), g.formula(*cols[: g.arity])
         return a, b, a * b
 
-    return _product_arrays(scenario_model(f.id, k), scenario_model(g.id, k), rows[:, :k], background[:, :k], columns)
+    return _explain_exact(columns, rows[:, :k], background[:, :k])
 
 
 def _run_chunk(specs: Sequence[ScenarioSpec]) -> list[ScenarioResult | Exception]:

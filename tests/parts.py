@@ -8,11 +8,22 @@ both directories are collected.
 import numpy as np
 
 from mshap import ModelFunction, ShapExplanation
+from mshap.simulation import RESPONSE_FUNCTIONS
 
 
 def constant_model(arity, value):
     """A model that predicts ``value`` for every row."""
     return ModelFunction(arity, lambda X: np.full(X.shape[0], float(value)))
+
+
+def scenario_model(fn_id, p):
+    """A catalog response as a p-ary matrix model; columns past its arity are inert.
+
+    The oracle runs the catalog formulas on columns; this matrix form is the
+    reference the property tests compare those columns against.
+    """
+    rf = RESPONSE_FUNCTIONS[fn_id]
+    return ModelFunction(p, lambda X: rf.formula(*X.T[: rf.arity]))
 
 
 def make_parts(rng, n, p, scale=1e3, names=None):

@@ -25,10 +25,10 @@ from mshap import (
     sampling_explain_matrix,
     validate_local_accuracy,
 )
-from mshap import shapley
+from mshap import product_model, shapley
 from mshap.shapley import SamplingExplanation, _shapley_weights, explain_product
-from mshap.simulation import Y1_IDS, Y2_IDS, sample_scenario_rows, scenario_model
-from parts import constant_model
+from mshap.simulation import Y1_IDS, Y2_IDS, bench_models, sample_scenario_rows
+from parts import constant_model, scenario_model
 
 
 def additive_closed_form(coefs, instance, background):
@@ -814,7 +814,7 @@ def test_coalition_values_equal_the_np_mean_reference(rng, m, mirrored):
     background = rng.uniform(-2, 2, (m, 3))
     X = background.copy() if mirrored else rng.uniform(-2, 2, (11, 3))
     predictions = _product_evaluate(X)
-    got = shapley._coalition_values(_product_evaluate, X, background, predictions)
+    got = shapley._coalition_values(shapley._block_columns(_product_evaluate, m), X, background, predictions)
     want = mean_coalition_values(_product_evaluate, X, background, predictions)
     assert np.array_equal(got, want)
 
@@ -827,7 +827,7 @@ def test_formulas_on_column_views_equal_the_np_mean_reference(rng, m, mirrored):
     background = rng.uniform(-2, 2, (m, 3))
     X = background.copy() if mirrored else rng.uniform(-2, 2, (11, 3))
     predictions = _product_evaluate(X)
-    got = shapley._coalition_values(_product_evaluate, X, background, predictions, _product_columns)
+    got = shapley._coalition_values(_product_columns, X, background, predictions)
     want = mean_coalition_values(_product_evaluate, X, background, predictions)
     assert np.array_equal(got, want)
 
@@ -848,10 +848,75 @@ def test_the_block_adapter_splices_only_the_columns_each_mask_flips(rng, order):
         return (flat[:, 0],)
 
     rows, background = rng.uniform(-1, 1, (c, p)), rng.uniform(-1, 1, (m, p))
-    shapley._splice_walk(shapley._block_columns(evaluate, (c, m, p)), rows, background, masks, 1)
+    shapley._splice_walk(shapley._block_columns(evaluate, m), rows, background, masks, 1)
     # the first call fills the new block; each later one splices the bits its mask flips
     assert written == [p] + [int(a ^ b).bit_count() for a, b in zip(masks, masks[1:])]
     assert sum(written) == _column_splices(masks) + p - int(masks[0]).bit_count()
+
+
+def test_a_walk_step_with_every_bit_inside_gets_the_whole_block(rng):
+    # at p = 2 an ordering that starts with feature 1 has prefix masks 2 and 3, and the
+    # sampler walks them in Gray-code rank, the full mask 3 first: all p views are then
+    # (c, 1) instance columns, and the block is still c * m rows, not the c they broadcast to
+    c, m, p = 4, 5, 2
+    seen = []
+
+    def evaluate(flat):
+        seen.append(len(flat))
+        return (flat[:, 0] - flat[:, 1],)
+
+    rows, background = rng.uniform(-1, 1, (c, p)), rng.uniform(-1, 1, (m, p))
+    walked = shapley._splice_walk(shapley._block_columns(evaluate, m), rows, background, [3, 2], 1)
+    assert seen == [c * m, c * m]
+    assert np.array_equal(walked[0, 0, 0], rows[:, 0] - rows[:, 1])
+    assert np.array_equal(walked[0, 0, 1], np.add.reduce(background[None, :, 0] - rows[:, None, 1], axis=1) / m)
+
+
+@pytest.mark.parametrize("call", ["explain_matrix", "sampler"])
+def test_one_block_serves_every_chunk_of_a_call(rng, monkeypatch, call):
+    # a 4-row chunk budget cuts 10 instances into chunks of 4, 4 and 2: the walk steps
+    # of the two full chunks share one block, and only the short last chunk gets another
+    m, p = 3, 3
+    blocks = []
+
+    def fn(Z):
+        if len(Z) in (4 * m, 2 * m) and not any(Z is block for block in blocks):
+            blocks.append(Z)
+        return Z[:, 0] * Z[:, 1] - Z[:, 2]
+
+    model = ModelFunction(p, fn)
+    X, background = rng.uniform(-1, 1, (10, p)), rng.uniform(-1, 1, (m, p))
+    stacked = {"explain_matrix": 7, "sampler": 7 + 6 * (3 * p + 1)}[call]
+    monkeypatch.setattr(shapley, "SPLICE_BUDGET_BYTES", 4 * (m * p + stacked) * 8)
+    if call == "explain_matrix":
+        explain_matrix(model, X, background)
+    else:
+        sampling_explain_matrix(model, X, background, n_permutations=6, seed=0)
+    assert [len(block) for block in blocks] == [4 * m, 2 * m]
+
+
+LAYOUT_CALLS = {
+    "explain_matrix": lambda f, g, X, bg: (explain_matrix(product_model(f, g), X, bg),),
+    "explain_product": lambda f, g, X, bg: explain_product(f, g, X, bg),
+    "sampler": lambda f, g, X, bg: (sampling_explain_matrix(product_model(f, g), X, bg, 20, 5),),
+}
+
+
+@pytest.mark.parametrize("call", LAYOUT_CALLS)
+@pytest.mark.parametrize("n", [37, 50, 101])
+@pytest.mark.parametrize("p", [3, 7, 12])
+def test_input_layout_changes_no_bit(rng, p, n, call):
+    # a matrix model sees only rows the oracle copied into its own C-ordered arrays, so the
+    # BLAS sums of bench_models give the same bits whatever the layout of X or the background
+    f, g = bench_models(p)
+    X, background = rng.uniform(-1, 1, (n, p)), rng.uniform(-1, 1, (19, p))
+    want = LAYOUT_CALLS[call](f, g, X, background)
+    for fortran_x, fortran_bg in [(True, False), (False, True), (True, True)]:
+        layout = (np.asfortranarray(X) if fortran_x else X, np.asfortranarray(background) if fortran_bg else background)
+        for got, expl in zip(LAYOUT_CALLS[call](f, g, *layout), want, strict=True):
+            assert got.values.tobytes() == expl.values.tobytes(), (fortran_x, fortran_bg)
+            assert got.baseline == expl.baseline
+            assert got.predictions.tobytes() == expl.predictions.tobytes()
 
 
 # ---------------------------------------------------------------- splice block
@@ -915,7 +980,7 @@ def test_a_model_that_explains_inside_the_walk_gets_the_plain_values(rng, monkey
 
     predictions = evaluate(X)
     want = mean_coalition_values(evaluate, X, background, predictions)
-    got = shapley._coalition_values(evaluate, X, background, predictions)
+    got = shapley._coalition_values(shapley._block_columns(evaluate, len(background)), X, background, predictions)
     assert np.array_equal(got, want)
 
 

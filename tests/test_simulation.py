@@ -36,8 +36,8 @@ from mshap.simulation import (
     _guard_mask,
     grid_table,
     sample_scenario_rows,
-    scenario_model,
 )
+from parts import scenario_model
 
 PAPER_BOX = CovariateSpec()
 SMALL = dict(n=40, background_size=20)
@@ -190,7 +190,7 @@ def test_the_catalog_oracle_holds_no_splice_block(monkeypatch):
     catalog = held_at_the_walk_steps(lambda: simulation._oracle_arrays(spec, rows, rows))
     # the same models as matrices go through the block adapter, which holds the block
     models = scenario_model("Y1B", 3), scenario_model("Y2D", 3)
-    blocked = held_at_the_walk_steps(lambda: shapley._product_arrays(*models, rows, rows))
+    blocked = held_at_the_walk_steps(lambda: explain_product(*models, rows, rows))
     assert catalog < 100 * 100 * 3 * 8 <= blocked
 
 
@@ -204,19 +204,6 @@ def test_eval_response_guard_raises():
     y2f = ScenarioSpec("Y1A", "Y2F", 1.5, 1.0)
     np.testing.assert_array_equal(_guard_mask(y2e, rows), [True, False, False])
     np.testing.assert_array_equal(_guard_mask(y2f, rows), [True, True, False])
-
-
-def test_eval_response_unknown_id_and_arity():
-    with pytest.raises(InvalidInputError):
-        scenario_model("Y9Z", 3)
-    with pytest.raises(DimensionError):
-        scenario_model("Y1A", 2)
-
-
-def test_scenario_model_ignores_extra_columns():
-    model = scenario_model("Y1A", 5)
-    out = model(np.array([[1.0, 2.0, 3.0, 99.0, -99.0]]))
-    assert out[0] == 6.0
 
 
 def test_sample_scenario_rows_satisfies_guard():
@@ -375,12 +362,12 @@ def test_run_scenario_evaluates_each_part_once_per_coalition(monkeypatch):
     # 10,000 elements, and the 100 instances, whose outputs are the predictions
     # and the empty coalition's background outputs; the 3 complements are those
     # outputs transposed, the full coalition is the predictions repeated, and
-    # the product is formed from the part outputs, never evaluated again.  Only
-    # the predictions go through the models: the walk takes the formulas
+    # the product is formed from the part outputs, never evaluated again.  No
+    # rows go through a model: the predictions and the walk both take the formulas
     elements, rows = count_evaluations(monkeypatch)
     run_scenario(ScenarioSpec("Y1B", "Y2C", 1.5, 1.0, n=100, background_size=100, seed=3))
     assert sum(elements) == 2 * (3 * 10_000 + 100) == 60_200
-    assert rows == [100, 100]
+    assert rows == []
 
 
 def test_run_scenario_checks_each_part_once(monkeypatch):
@@ -479,7 +466,7 @@ def test_wide_cell_costs_a_three_column_enumeration(monkeypatch):
     )
     elements, rows = count_evaluations(monkeypatch)
     result = run_scenario(spec)
-    assert sum(elements) == 60_200 and rows == [100, 100]
+    assert sum(elements) == 60_200 and rows == []
     for method in AlphaMethod:
         assert 0.0 < result.scores[method].score <= 3.0
     # the 17 columns are zeros of the composed and the reference stacks
