@@ -40,7 +40,7 @@ class ModelFunction:
     """A deterministic prediction function over ``arity`` real covariates.
 
     ``fn`` must accept a ``(k, arity)`` array and return ``k`` predictions.  The oracle
-    hands ``fn`` C-ordered rows it copied, and reuses that array between calls.
+    hands ``fn`` C-ordered rows it copied, and reuses a walk's array between calls.
     """
 
     arity: int

@@ -911,6 +911,8 @@ def test_input_layout_changes_no_bit(rng, p, n, call):
     f, g = bench_models(p)
     X, background = rng.uniform(-1, 1, (n, p)), rng.uniform(-1, 1, (19, p))
     want = LAYOUT_CALLS[call](f, g, X, background)
+    # the copy of a C-ordered X gives the bits of the model on X itself; h is the last explanation
+    assert want[-1].predictions.tobytes() == product_model(f, g)(X).tobytes()
     for fortran_x, fortran_bg in [(True, False), (False, True), (True, True)]:
         layout = (np.asfortranarray(X) if fortran_x else X, np.asfortranarray(background) if fortran_bg else background)
         for got, expl in zip(LAYOUT_CALLS[call](f, g, *layout), want, strict=True):
