@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .combine import AlphaMethod, combine, mean_product_baseline
+from .combine import AlphaMethod, _check_alignment, combine, mean_product_baseline
 from .errors import DimensionError, InvalidInputError, MshapError, TableFormatError
 from .scoring import ScoreParams, score_matrices
 from .shapley import SPLICE_BUDGET_BYTES
@@ -339,12 +339,7 @@ def cmd_score(resolved: dict) -> int:
     params = ScoreParams(resolved["theta1"], resolved["theta2"])
     candidate = read_shap_table(resolved["candidate"])
     reference = read_shap_table(resolved["reference"])
-    if candidate.feature_names != reference.feature_names:
-        bad = next(
-            (i for i, (a, b) in enumerate(zip(candidate.feature_names, reference.feature_names)) if a != b),
-            min(len(candidate.feature_names), len(reference.feature_names)),
-        )
-        raise DimensionError(f"feature names disagree starting at column {bad}")
+    _check_alignment(candidate, reference)
     breakdown = score_matrices(candidate.values, reference.values, params)
     payload = {**vars(breakdown), "theta1": resolved["theta1"], "theta2": resolved["theta2"]}
     out = _out_dir(resolved)

@@ -143,9 +143,7 @@ _PartStack = namedtuple("_PartStack", "values baseline predictions")
 
 def _check_alignment(expl_f: ShapExplanation, expl_g: ShapExplanation) -> tuple[str, ...] | None:
     if expl_f.values.shape != expl_g.values.shape:
-        raise DimensionError(
-            f"part explanations differ in shape: {expl_f.values.shape} vs {expl_g.values.shape}"
-        )
+        raise DimensionError(f"matrix shapes differ: {expl_f.values.shape} vs {expl_g.values.shape}")
     names_f, names_g = expl_f.feature_names, expl_g.feature_names
     if names_f is not None and names_g is not None:
         if names_f != names_g:

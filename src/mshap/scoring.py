@@ -9,10 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .errors import DimensionError, InvalidInputError
+
+
+def _is_real(value) -> bool:
+    """A real number; a bool is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -23,10 +29,8 @@ class ScoreParams:
     theta2: float
 
     def __post_init__(self):
-        if not (0 < self.theta1 < math.inf and 0 < self.theta2 < math.inf):
-            raise InvalidInputError(
-                f"thetas must be finite and strictly positive, got ({self.theta1}, {self.theta2})"
-            )
+        if not all(_is_real(t) and 0 < t < math.inf for t in (self.theta1, self.theta2)):
+            raise InvalidInputError(f"thetas must be finite and strictly positive, got ({self.theta1!r}, {self.theta2!r})")
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,7 @@ class ModelFunction:
     fn: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if self.arity < 1:
-            raise DimensionError(f"model arity must be >= 1, got {self.arity}")
+        _check_integers(("arity", self.arity, 1))
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)

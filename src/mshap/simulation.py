@@ -32,13 +32,14 @@ from .errors import (
     InvalidInputError,
     ResampleLimitError,
 )
-from .scoring import ScoreBreakdown, ScoreParams, score_matrices
+from .scoring import ScoreBreakdown, ScoreParams, _is_real, score_matrices
 from .shapley import (
     ModelFunction,
     _check_finite,
     _check_integers,
     _explain_exact,
     additive_model,
+    baseline,
     explain_matrix,
     product_model,
     sampling_explain_matrix,
@@ -109,16 +110,14 @@ class CovariateSpec:
     bounds: tuple[tuple[float, float], ...] = PAPER_COVARIATE_BOUNDS
 
     def __post_init__(self):
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
+        bounds = tuple(self.bounds)
         if not bounds:
             raise InvalidInputError("covariate spec needs at least one feature")
         for i, (lo, hi) in enumerate(bounds):
             # a finite width implies finite bounds; the uniform sampler needs both
-            if not (lo < hi and np.isfinite(hi - lo)):
-                raise InvalidInputError(
-                    f"feature {i} bounds need lo < hi and a finite hi - lo, got ({lo}, {hi})"
-                )
-        object.__setattr__(self, "bounds", bounds)
+            if not (_is_real(lo) and _is_real(hi) and lo < hi and np.isfinite(float(hi) - float(lo))):
+                raise InvalidInputError(f"feature {i} bounds need lo < hi and a finite hi - lo, got ({lo!r}, {hi!r})")
+        object.__setattr__(self, "bounds", tuple((float(lo), float(hi)) for lo, hi in bounds))
 
     @property
     def n_features(self) -> int:
@@ -401,21 +400,17 @@ def _median_seconds(fn: Callable[[], object], repetitions: int) -> float:
     otherwise timer resolution dominates micro-second operations.
     """
     fn()
-    inner = 1
-    while True:
+    inner, samples = 1, []
+    while len(samples) < repetitions:
         start = time.perf_counter()
         for _ in range(inner):
             fn()
         elapsed = time.perf_counter() - start
-        if elapsed >= 0.005 or inner >= 1 << 20:
-            break
-        inner *= 2
-    samples = [elapsed / inner]
-    for _ in range(max(repetitions, 1) - 1):
-        start = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        samples.append((time.perf_counter() - start) / inner)
+        # the calibration run that first spans the floor is the first sample
+        if samples or elapsed >= 0.005 or inner >= 1 << 20:
+            samples.append(elapsed / inner)
+        else:
+            inner *= 2
     return float(np.median(samples))
 
 
@@ -433,8 +428,13 @@ def bench_scaling(
     draws the composed part explanations before the sequential timed region,
     and each method's time is the median of ``repetitions`` runs after a
     discarded warm-up.  A method that raises ``EnumerationLimitError`` is a
-    record with that error and no times.
+    record with that error and no times.  Every size and count must be an
+    integer >= 1 and the seed one >= 0, or ``InvalidInputError`` is raised first.
     """
+    _check_integers(*((f"p_values[{i}]", p, 1) for i, p in enumerate(p_values)),
+                    *((f"n_values[{i}]", n, 1) for i, n in enumerate(n_values)),
+                    ("background_size", background_size, 1), ("seed", seed, 0),
+                    ("n_permutations", n_permutations, 1), ("repetitions", repetitions, 1))
     records: list[BenchRecord] = []
     for p in p_values:
         for n in n_values:
@@ -447,7 +447,7 @@ def bench_scaling(
             # composition's cost does not depend on the values it composes
             expl_f = sampling_explain_matrix(f, X, background, n_permutations, sampling_seed)
             expl_g = sampling_explain_matrix(g, X, background, n_permutations, sampling_seed + 1)
-            mu_h = float(h(background).mean())
+            mu_h = baseline(h, background)
             timed = {
                 "composition": lambda: combine(expl_f, expl_g, mu_h, AlphaMethod.ABSOLUTE),
                 "exact_enumeration": lambda: explain_matrix(h, X, background),

@@ -352,22 +352,22 @@ def read_shap_table(path) -> ShapTable:
     if not finite:
         raise TableFormatError(f"{side}: baseline must be a finite number, got {baseline!r}")
     pred_col = meta.get("prediction_column")
-    extra = {k: v for k, v in meta.items() if k not in _SIDECAR_KEYS}
-    if pred_col is None:
-        return ShapTable(values=data, baseline=baseline, feature_names=tuple(header), extra_meta=extra)
-    if pred_col not in header:
-        raise TableFormatError(f"{path}: prediction column {pred_col!r} not in header")
-    if len(header) == 1:
-        raise TableFormatError(f"{path}: no feature columns besides the prediction column {pred_col!r}")
-    idx = header.index(pred_col)
-    names = tuple(h for i, h in enumerate(header) if i != idx)
-    # views of the parsed array where the column is last, as write_shap_table puts it
-    features = data[:, :-1] if idx == len(names) else np.delete(data, idx, axis=1)
+    names, features, predictions = tuple(header), data, None
+    if pred_col is not None:
+        if pred_col not in header:
+            raise TableFormatError(f"{path}: prediction column {pred_col!r} not in header")
+        if len(header) == 1:
+            raise TableFormatError(f"{path}: no feature columns besides the prediction column {pred_col!r}")
+        idx = header.index(pred_col)
+        names = tuple(h for i, h in enumerate(header) if i != idx)
+        # views of the parsed array where the column is last, as write_shap_table puts it
+        features = data[:, :-1] if idx == len(names) else np.delete(data, idx, axis=1)
+        predictions = data[:, idx]
     return ShapTable(
         feature_names=names,
         values=features,
         baseline=baseline,
-        predictions=data[:, idx],
+        predictions=predictions,
         prediction_column=pred_col,
-        extra_meta=extra,
+        extra_meta={k: v for k, v in meta.items() if k not in _SIDECAR_KEYS},
     )

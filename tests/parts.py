@@ -5,6 +5,8 @@ conftest.py of its own, so ``from conftest import ...`` is ambiguous when
 both directories are collected.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from mshap import ModelFunction, ShapExplanation
@@ -24,6 +26,16 @@ def scenario_model(fn_id, p):
     """
     rf = RESPONSE_FUNCTIONS[fn_id]
     return ModelFunction(p, lambda X: rf.formula(*X.T[: rf.arity]))
+
+
+def peak_bytes(call):
+    """``call()`` and the traced peak of the heap it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_parts(rng, n, p, scale=1e3, names=None):

@@ -8,7 +8,6 @@ import os
 import platform
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from mshap import (
 from mshap import cli, tables
 from mshap.cli import main
 from mshap.shapley import SPLICE_BUDGET_BYTES
-from parts import make_parts
+from parts import make_parts, peak_bytes
 
 NAMES = ("x1", "x2", "x3")
 
@@ -260,6 +259,18 @@ def test_score_shape_mismatch_reports_the_table_shapes(tmp_path, rng, capsys):
     assert main(["score", "--candidate", str(paths[0]), "--reference", str(paths[1]),
                  "--out-dir", str(out)]) == 3
     assert "matrix shapes differ: (1, 2) vs (2, 2)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_score_name_mismatch_reports_the_first_differing_column(tmp_path, rng, capsys):
+    paths = []
+    for names in (("x1", "x2"), ("x1", "z2")):
+        (tmp_path / names[1]).mkdir()
+        paths.append(write_pair(tmp_path / names[1], rng, names=names)[0])
+    out = tmp_path / "out"
+    assert main(["score", "--candidate", str(paths[0]), "--reference", str(paths[1]),
+                 "--out-dir", str(out)]) == 3
+    assert "feature names disagree at column 1: 'x2' vs 'z2'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -560,12 +571,7 @@ def test_observations_across_block_edges_equal_the_whole_long_format(tmp_path, r
 def test_summary_data_peaks_below_four_tables(tmp_path, rng, capsys):
     # whole long-format columns and a copy of the read table peaked at 7.0x the array (5.6 MB) here
     argv, values, _ = _summary_inputs(tmp_path, rng, 5_000, tuple(f"x{j + 1}" for j in range(20)))
-    tracemalloc.start()
-    try:
-        code = main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = peak_bytes(lambda: main(argv))
     assert code == 0
     assert peak < 4 * values.nbytes, peak
 
@@ -582,12 +588,7 @@ def test_summary_data_peaks_below_its_two_tables_plus_one_block(tmp_path, rng, c
     # the readers' and writers' blocks took about 0.5 MiB here; the full-size np.abs
     # temporary of the column means took 3 MiB more
     argv, values, cov = _summary_inputs(tmp_path, rng, 20_000, tuple(f"x{j + 1}" for j in range(20)))
-    tracemalloc.start()
-    try:
-        code = main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = peak_bytes(lambda: main(argv))
     assert code == 0
     parsed = values.nbytes + values[:, 0].nbytes + cov.nbytes  # the attribution table holds the predictions too
     assert peak < parsed + 2**20, peak

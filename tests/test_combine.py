@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,7 +23,7 @@ from mshap import (
 )
 from mshap import tables
 from mshap.combine import RAW_AMPLIFICATION_LIMIT, RAW_DEGENERACY_TOL, _combine_rules, _distribute_rows, _PartStack
-from parts import make_parts
+from parts import make_parts, peak_bytes
 
 METHODS = list(AlphaMethod)
 
@@ -466,12 +465,7 @@ def test_combine_allocates_its_output_and_one_block_above_its_inputs(rng):
         data[:, :p] = rng.uniform(-1e3, 1e3, (n, p))
         data[:, p] = mu + data[:, :p].sum(axis=1)
         parts.append(ShapExplanation(data[:, :p], mu, data[:, p]))
-    tracemalloc.start()
-    try:
-        result = combine(*parts, 0.7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = peak_bytes(lambda: combine(*parts, 0.7))
     assert peak <= result.values.nbytes + 2 * 2**20, peak
 
 

@@ -104,7 +104,7 @@ def test_params_validation():
         ScoreParams(0.0, 1.0)
     with pytest.raises(InvalidInputError):
         ScoreParams(1.0, -2.0)
-    for thetas in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+    for thetas in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (True, 1.0), ("1", 1.0), (1.0, None)):
         with pytest.raises(InvalidInputError, match="finite"):
             ScoreParams(*thetas)
 

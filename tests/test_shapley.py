@@ -28,7 +28,7 @@ from mshap import (
 from mshap import product_model, shapley
 from mshap.shapley import SamplingExplanation, _shapley_weights, explain_product
 from mshap.simulation import Y1_IDS, Y2_IDS, bench_models, sample_scenario_rows
-from parts import constant_model, scenario_model
+from parts import constant_model, peak_bytes, scenario_model
 
 
 def additive_closed_form(coefs, instance, background):
@@ -68,6 +68,12 @@ def test_baseline_matches_independent_mean(rng):
 def test_baseline_arity_mismatch():
     with pytest.raises(DimensionError):
         baseline(constant_model(3, 1.0), np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("arity", [0, -1, 2.5, True, "3", None])
+def test_model_arity_must_be_an_integer_of_at_least_one(arity):
+    with pytest.raises(InvalidInputError, match="arity must be an integer >= 1"):
+        ModelFunction(arity, lambda X: X[:, 0])
 
 
 def test_background_set_rejects_empty():
@@ -633,27 +639,18 @@ def test_sampler_chunk_counts_its_walked_values(rng, monkeypatch, p, n_permutati
 
     whole, whole_exact = call(), exact()
     monkeypatch.setattr(shapley, "SPLICE_BUDGET_BYTES", budget)
-    chunked, peak = _peak_bytes(call)
+    chunked, peak = peak_bytes(call)
     assert peak < budget + (1 << 20)
     assert chunked.values.tobytes() == whole.values.tobytes()
     assert chunked.stderr.tobytes() == whole.stderr.tobytes()
     # the exact pass walks all 2**p - 1 coalitions: its chunks count those values
     # too, so only the (2**p, n) value stack (8.2 MB at p = 10) stands beside the budget
-    chunked, peak = _peak_bytes(exact)
+    chunked, peak = peak_bytes(exact)
     assert peak < 1.5 * (1 << p) * len(wide) * 8 + budget + (1 << 20)
     assert chunked.values.tobytes() == whole_exact.values.tobytes()
 
 
 # ---------------------------------------------------------------- splice budget
-
-
-def _peak_bytes(call):
-    tracemalloc.start()
-    try:
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_splice_budget_bounds_peak_memory_and_keeps_values(rng, monkeypatch):
@@ -674,7 +671,7 @@ def test_splice_budget_bounds_peak_memory_and_keeps_values(rng, monkeypatch):
     assert X.nbytes * background.shape[0] > slack + budget
     monkeypatch.setattr(shapley, "SPLICE_BUDGET_BYTES", budget)
     for name, call in calls.items():
-        chunked, peak = _peak_bytes(call)
+        chunked, peak = peak_bytes(call)
         assert peak < budget + slack, name
         for got, want in zip(chunked, whole[name]):
             assert np.array_equal(got.values, want.values), name
@@ -1001,7 +998,7 @@ def test_attributions_equal_the_per_feature_index_reference(rng, p):
 
 def test_the_reduction_holds_one_half_cube_and_keeps_nothing(rng):
     values = rng.uniform(-1, 1, (1 << 16, 200))
-    _, peak = _peak_bytes(lambda: shapley._attributions_from_values(values[None], 16))
+    _, peak = peak_bytes(lambda: shapley._attributions_from_values(values[None], 16))
     del values
     assert peak < (1 << 15) * 200 * 8 + (1 << 20)
     # no per-p state outlives a call, whichever sizes came before

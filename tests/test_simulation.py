@@ -104,8 +104,9 @@ def test_covariate_spec_validation():
 
 @pytest.mark.parametrize(
     "bounds",
-    [(-1e308, 1e308), (-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan)],
-    ids=["overflowing-width", "minus-inf", "plus-inf", "nan-lo", "nan-hi"],
+    [(-1e308, 1e308), (-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan),
+     (0, "a"), (0, None), (True, 2)],
+    ids=["overflowing-width", "minus-inf", "plus-inf", "nan-lo", "nan-hi", "string", "none", "boolean"],
 )
 def test_covariate_spec_rejects_non_finite_bounds_and_width(bounds):
     with pytest.raises(InvalidInputError, match="finite"):
@@ -619,6 +620,17 @@ def test_bench_scaling_respects_enum_limit(monkeypatch):
     assert skipped[0].error == str(oracle.value)
     # the skipped method keeps its place between composition and sampling
     assert [r.method for r in records if r.p == 6] == ["composition", "exact_enumeration", "permutation_sampling"]
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [("seed", -1), ("p_values", [2.5]), ("n_values", [True]), ("background_size", 0),
+     ("n_permutations", "3"), ("repetitions", 0)],
+)
+def test_bench_scaling_rejects_a_bad_count_before_any_model_call(monkeypatch, field, bad):
+    monkeypatch.setattr(simulation, "bench_models", lambda p: pytest.fail("a model was built"))
+    with pytest.raises(InvalidInputError, match=field):
+        bench_scaling(**{"p_values": [2], "n_values": [10], field: bad})
 
 
 def test_bench_record_without_an_error_needs_a_positive_time():

@@ -7,7 +7,6 @@ import os
 import re
 import stat
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,6 +29,7 @@ from mshap import (
 )
 from mshap import tables
 from mshap.tables import _csv_blocks, _text_cell, fmt17, meta_path, write_records
+from parts import peak_bytes
 
 def csv_text(header, columns) -> str:
     """The text ``write_csv`` writes, rendered as one block of whole columns."""
@@ -580,13 +580,12 @@ def test_a_table_write_and_read_hold_one_block_beside_the_array(tmp_path, rng):
     values = rng.standard_normal((20_000, 20))
     names = tuple(f"x{j}" for j in range(20))
     path = tmp_path / "t.csv"
-    tracemalloc.start()
-    try:
+
+    def write_and_read():
         write_value_table(path, names, values)
-        _, back = read_value_table(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return read_value_table(path)
+
+    (_, back), peak = peak_bytes(write_and_read)
     assert np.array_equal(back, values)
     # whole-table formatting and parsing peaked at 11x the array (36.7 MB)
     assert peak < 3 * values.nbytes, peak
@@ -597,12 +596,7 @@ def test_a_read_holds_one_array_and_a_block_of_text(tmp_path, rng):
     path = tmp_path / "t.csv"
     write_value_table(path, tuple(f"x{j}" for j in range(20)), values)
     block_text = path.stat().st_size * _rows_per_block(20) // len(values)
-    tracemalloc.start()
-    try:
-        _, back = read_value_table(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, back), peak = peak_bytes(lambda: read_value_table(path))
     assert back.tobytes() == values.tobytes()
     # a block is held as its lines, their join and numpy's parse of them; the
     # concatenated blocks held the table twice (2.0x the array)
